@@ -128,6 +128,12 @@ class HardwareConfig:
         self.reply.validate()
         if self.gddr.layout.page_offset_bits != self.ddr.layout.page_offset_bits:
             raise ValueError("pools must share one page size")
+        # the engine coalesces lanes by virtual line, which is exact only
+        # when a line never spans two pages
+        if self.l1.line_bytes > self.gddr.layout.page_size:
+            raise ValueError(
+                f"l1 line_bytes ({self.l1.line_bytes}) must not exceed the "
+                f"page size ({self.gddr.layout.page_size})")
 
 
 @dataclass(frozen=True)

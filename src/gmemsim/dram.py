@@ -125,6 +125,11 @@ class McQueue:
         return True
 
 
+def ready_banks(banks: dict[int, BankState], cycle: int) -> set[int]:
+    """Ids of a channel's banks that can take a request this cycle."""
+    return {b for b, st in banks.items() if st.ready(cycle)}
+
+
 def mc_pick(queue: McQueue, banks: dict[int, BankState], cycle: int) -> MemoryRequest | None:
     """First-ready FCFS pick: row-buffer hits beat older misses; age breaks
     ties.  CPU-priority arbitration applies the same rule to ready CPU
@@ -132,7 +137,8 @@ def mc_pick(queue: McQueue, banks: dict[int, BankState], cycle: int) -> MemoryRe
     With a starvation cap > 0, a request bypassed that many times is forced
     ahead of younger hits.
     """
-    ready = [r for r in queue.requests if banks[r.bank].ready(cycle)]
+    free = ready_banks(banks, cycle)
+    ready = [r for r in queue.requests if r.bank in free]
     if not ready:
         return None
 
@@ -155,7 +161,7 @@ def mc_pick(queue: McQueue, banks: dict[int, BankState], cycle: int) -> MemoryRe
     if pick is not None:
         idx = next(i for i, r in enumerate(queue.requests) if r is pick)
         for r in queue.requests[:idx]:
-            if banks[r.bank].ready(cycle):
+            if r.bank in free:
                 r.bypasses += 1
         del queue.requests[idx]
     return pick

@@ -23,7 +23,7 @@ from .config import L1Config, RunConfig, policies_dict
 from .dispatch import (DispatchKind, InterleavedDispatcher, make_queues,
                        partition_blocks)
 from .dram import (CPU_AGENT, GPU_AGENT, BankState, McQueue, MemoryRequest,
-                   bank_advance, mc_pick)
+                   bank_advance, mc_pick, ready_banks)
 from .memmap import (CPU_OWNER, FrameRegion, PagePolicy, PageTable, Pool,
                      build_color_map)
 from .metrics import MetricsReport, compute_metrics, energy_total
@@ -112,10 +112,7 @@ class World:
                     f"{cfg.page_size}-byte page size")
 
         self.plan = self._make_plan()
-        self.batch_of_block = {}
-        for tb in self.plan.batches:
-            for b in tb.block_ids:
-                self.batch_of_block[b] = tb.batch_id
+        self.batch_of_block = self.plan.batch_of_block()
         self.blocks = enumerate_blocks(self.kernel)
 
         region = None
@@ -212,17 +209,21 @@ class World:
         block_id = self.blocks[blin]
         batch = self.batch_of_block[block_id]
         per_warp = gen_block_trace(self.kernel, block_id)
+        line_bytes = self._line
         warps = []
         for wid in sorted(per_warp):
-            events = per_warp[wid]
-            slots: list[list] = []
-            for ev in events:
+            # virtual line -> (vaddr, is_read) of the first lane touching it;
+            # a line never spans two pages, so distinct virtual lines stay
+            # distinct after translation
+            slots: list[dict] = []
+            for ev in per_warp[wid]:
                 if ev.issue_slot == len(slots):
-                    slots.append([ev])
-                else:
-                    slots[ev.issue_slot].append(ev)
+                    slots.append({})
+                slots[ev.issue_slot].setdefault(
+                    ev.virtual_addr // line_bytes, (ev.virtual_addr, ev.is_read))
             w = WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
-                          slots=slots, ready_at=self.cycle)
+                          slots=[list(s.values()) for s in slots],
+                          ready_at=self.cycle)
             if not slots:
                 w.finished = True
                 self.finished_warps += 1
@@ -281,54 +282,68 @@ class World:
             t_arrival=self.cycle,
         )
 
+    def _slot_lines(self, warp: WarpState, sm_id: int) -> list[tuple]:
+        """The current slot's lines as ((pool, line), is_read, queue key).
+
+        Translated on the slot's first issue attempt, which keeps first-touch
+        allocation in lane order and at the same cycle, and kept for every
+        back-pressured retry."""
+        lines = warp.lines
+        if lines is None:
+            lines = []
+            for vaddr, is_read in warp.slots[warp.next_slot]:
+                pool, paddr = self.page_table.translate(vaddr, sm_id)
+                line = paddr // self._line
+                ch = self.pools[pool].layout.decompose(line * self._line).channel
+                lines.append(((pool, line), is_read, (pool, ch)))
+            warp.lines = lines
+        return lines
+
     def _phase_issue(self):
         gap = self.kernel.compute_gap
+        queues = self.mc_queues
         for sm in self.sms:
             warp = sm.scheduler.select_warp(self.cycle)
             if warp is None:
                 continue
-            slot = warp.slots[warp.next_slot]
-            lines: dict[tuple, bool] = {}
-            for ev in slot:
-                pool, paddr = self.page_table.translate(ev.virtual_addr, sm.sm_id)
-                key = (pool, paddr // self._line)
-                if key not in lines:
-                    lines[key] = ev.is_read
-            misses = []
-            for key, is_read in lines.items():
-                if sm.l1.lookup(key):
-                    self.l1_hits += 1
-                else:
-                    self.l1_misses += 1
-                    misses.append((key, is_read))
+            lines = self._slot_lines(warp, sm.sm_id)
+            # write-through: a write goes to DRAM whether or not it hits
+            hits = 0
+            sends = []
+            for entry in lines:
+                if sm.l1.lookup(entry[0]):
+                    hits += 1
+                    if entry[1]:
+                        continue
+                sends.append(entry)
             need: dict[tuple, int] = {}
-            for (pool, line), _ in misses:
-                layout = self.pools[pool].layout
-                ch = layout.decompose(line * self._line).channel
-                need[(pool, ch)] = need.get((pool, ch), 0) + 1
-            if any(len(self.mc_queues[k]) + n > self.mc_queues[k].capacity
+            for _, _, qkey in sends:
+                need[qkey] = need.get(qkey, 0) + 1
+            if any(len(queues[k]) + n > queues[k].capacity
                    for k, n in need.items()):
-                self.issue_backpressure += 1
-                self.l1_misses -= len(misses)  # retried next cycle
-                self.l1_hits -= len(lines) - len(misses)
+                self.issue_backpressure += 1  # retried next cycle
                 continue
+            self.l1_hits += hits
+            self.l1_misses += len(lines) - hits
             self.warp_instructions += 1
             if self.issue_log is not None:
                 self.issue_log.append(
                     (self.cycle, sm.sm_id, warp.warp_id, warp.batch_id,
                      warp.next_slot))
             stalled = False
-            for (pool, line), is_read in misses:
+            for key, is_read, qkey in sends:
+                pool, line = key
                 req = self._make_request(
                     pool, line * self._line, is_read, GPU_AGENT, sm.sm_id,
                     warp.warp_id, warp.batch_id, line)
-                if not self.mc_queues[(pool, req.channel)].enqueue(req, self.cycle):
+                if not queues[qkey].enqueue(req, self.cycle):
                     raise SimulationFault(self.cycle, "queue overflow after space check")
                 self.log.append(req)
                 self.enqueued += 1
                 if is_read:
-                    warp.pending_lines.add((pool, line))
+                    warp.pending_lines.add(key)
                     stalled = True
+            warp.lines = None
             warp.next_slot += 1
             if stalled:
                 sm.scheduler.on_long_stall(warp, self.cycle)
@@ -490,23 +505,23 @@ class World:
         return min(cand) if cand else None
 
     def _can_skip(self) -> bool:
+        # a pure predicate: the cheap tests go first
         if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
             return False
-        if any(sm.scheduler.has_issuable(self.cycle) for sm in self.sms):
-            return False
-        for key in self.channel_keys:
-            q = self.mc_queues[key]
-            if q.requests and any(self.banks[key][r.bank].ready(self.cycle)
-                                  for r in q.requests):
+        for sm in self.sms:
+            if sm.reply_queue and sm.reply_queue[0][0] <= self.cycle:
                 return False
         wpb = self.kernel.warps_per_block
         if self.dispatched < len(self.blocks) \
                 and any(sm.has_slot(wpb) for sm in self.sms):
             return False
-        for sm in self.sms:
-            if sm.reply_queue and sm.reply_queue[0][0] <= self.cycle:
-                return False
-        return True
+        for key in self.channel_keys:
+            q = self.mc_queues[key]
+            if q.requests:
+                ready = ready_banks(self.banks[key], self.cycle)
+                if any(r.bank in ready for r in q.requests):
+                    return False
+        return not any(sm.scheduler.has_issuable(self.cycle) for sm in self.sms)
 
     def run(self) -> MetricsReport:
         horizon = self.cfg.horizon
@@ -526,7 +541,8 @@ class World:
 
     def _report(self, truncated: bool) -> MetricsReport:
         hw = self.cfg.hardware
-        stats = compute_metrics(self.log, self.page_table, hw.request_window)
+        stats = compute_metrics(self.log, self.page_table, hw.request_window,
+                                end=self.cycle)
         report = MetricsReport(
             workload=self.kernel.name,
             policies=policies_dict(self.cfg),

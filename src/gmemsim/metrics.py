@@ -89,14 +89,17 @@ def _merged_length(intervals: list[tuple[int, int]]) -> int:
     return total
 
 
-def bank_parallelism(requests: list[MemoryRequest]) -> float:
-    """Mean busy-bank count over cycles with any request in service."""
+def bank_parallelism(requests: list[MemoryRequest],
+                     end: int | None = None) -> float:
+    """Mean busy-bank count over cycles with any request in service.  A run
+    cut at cycle `end` counts service only up to it."""
     per_bank: dict[tuple, list[tuple[int, int]]] = {}
     for r in requests:
         if r.t_issue < 0:
             continue
+        hi = r.t_complete if end is None else min(r.t_complete, end)
         per_bank.setdefault((r.pool, r.channel, r.bank), []).append(
-            (r.t_issue, r.t_complete))
+            (r.t_issue, hi))
     if not per_bank:
         return 0.0
     busy_sum = sum(_merged_length(iv) for iv in per_bank.values())
@@ -128,8 +131,9 @@ def peak_request_window(requests: list[MemoryRequest], window: int = 100) -> int
 
 
 def compute_metrics(requests: list[MemoryRequest], page_table,
-                    window: int = 100) -> dict:
-    """DRAM-side statistics derived purely from the request log."""
+                    window: int = 100, end: int | None = None) -> dict:
+    """DRAM-side statistics derived purely from the request log of a run
+    that ended at cycle `end` (see bank_parallelism)."""
     done = [r for r in requests if r.t_complete >= 0]
     hits = sum(1 for r in done if r.was_hit)
     reads = sum(1 for r in done if r.is_read)
@@ -145,7 +149,7 @@ def compute_metrics(requests: list[MemoryRequest], page_table,
         "row_hits": hits,
         "activates": len(done) - hits,
         "rbhr": hits / len(done) if done else 0.0,
-        "blp": bank_parallelism(done),
+        "blp": bank_parallelism(done, end),
         "mean_access_delay": mean_delay(done),
         "local_accesses": local,
         "remote_accesses": len(gpu) - local,

@@ -35,10 +35,12 @@ class SchedPolicy(str, Enum):
 class WarpState:
     """A resident warp's program position and stall state.
 
-    slots is the warp's memory instruction stream: one list of lane events per
-    issue slot.  The warp may issue when it has no outstanding reads and its
-    wakeup cycle has passed; it is finished once every slot has issued and
-    completed.
+    slots is the warp's memory instruction stream: per issue slot, one
+    (virtual address, is_read) entry per distinct line its lanes touch, in
+    first-lane order.  lines is the engine's translation of the current slot,
+    None until the slot's first issue attempt.  The warp may issue when it has
+    no outstanding reads and its wakeup cycle has passed; it is finished once
+    every slot has issued and completed.
     """
 
     warp_id: int
@@ -46,6 +48,7 @@ class WarpState:
     block_linear: int
     slots: list
     next_slot: int = 0
+    lines: list | None = None
     ready_at: int = 0
     pending_lines: set = field(default_factory=set)
     finished: bool = False
@@ -114,9 +117,10 @@ class CcwsScheduler:
         self._refill(cycle)
         n = len(self.running)
         for k in range(n):
-            w = self.running[(self._rr + 1 + k) % n]
+            i = (self._rr + 1 + k) % n
+            w = self.running[i]
             if w.is_ready(cycle):
-                self._rr = self.running.index(w)
+                self._rr = i
                 return w
         return None
 
@@ -126,9 +130,6 @@ class CcwsScheduler:
             return True
         return (len(self.running) < self.capacity
                 and any(w.is_ready(cycle) for w in self.pending))
-
-    def resident_ready(self, cycle: int) -> bool:
-        return any(w.is_ready(cycle) for w in self.running + self.pending)
 
     def assert_invariants(self, cycle: int):
         if len(self.running) > self.capacity:
@@ -144,6 +145,7 @@ class TbasScheduler:
         self.policy = policy
         self.threshold = threshold
         self.batch_warps: dict[int, list[WarpState]] = {}
+        self.unfinished: dict[int, int] = {}
         self.ages: dict[int, int] = {}
         self.pending: list[int] = []
         self.running_batch: int | None = None
@@ -157,12 +159,15 @@ class TbasScheduler:
             self.batch_warps[b] = []
             self.ages[b] = self._age_seq
             self._age_seq += 1
+            self.unfinished[b] = 0
             if b != self.running_batch:
                 self.pending.append(b)
         self.batch_warps[b].append(warp)
+        if not warp.finished:
+            self.unfinished[b] += 1
 
     def _batch_finished(self, b: int) -> bool:
-        return all(w.finished for w in self.batch_warps[b])
+        return self.unfinished[b] == 0
 
     def _candidates(self, cycle: int) -> list[int]:
         return [b for b in self.pending
@@ -220,6 +225,7 @@ class TbasScheduler:
 
     def on_finish(self, warp: WarpState, cycle: int):
         b = warp.batch_id
+        self.unfinished[b] -= 1
         if self._batch_finished(b):
             if b == self.running_batch:
                 self.running_batch = None
@@ -236,9 +242,10 @@ class TbasScheduler:
         warps = self.batch_warps[self.running_batch]
         n = len(warps)
         for k in range(n):
-            w = warps[(self._rr + 1 + k) % n]
+            i = (self._rr + 1 + k) % n
+            w = warps[i]
             if w.is_ready(cycle):
-                self._rr = warps.index(w)
+                self._rr = i
                 return w
         return None
 
@@ -248,10 +255,6 @@ class TbasScheduler:
         if b is not None and not self._batch_finished(b):
             return any(w.is_ready(cycle) for w in self.batch_warps[b])
         return bool(self._candidates(cycle))
-
-    def resident_ready(self, cycle: int) -> bool:
-        return any(w.is_ready(cycle)
-                   for ws in self.batch_warps.values() for w in ws)
 
     def assert_invariants(self, cycle: int):
         if self.running_batch is not None:

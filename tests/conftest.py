@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def fixture_path(*parts) -> str:

@@ -1,0 +1,229 @@
+"""End-to-end tests of the engine: golden reports over a sampled policy
+matrix, the event-skip loop against the per-cycle loop, write-through L1 and
+runs cut at the horizon.
+
+The golden reports in tests/fixtures/golden/ must be reproduced byte for
+byte.  Re-record them only with a behaviour change that CHANGES.md names:
+
+    PYTHONPATH=src python tests/test_engine.py --record
+"""
+
+import json
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fixture_path, small_hardware
+from gmemsim.cli import EXIT_TRUNCATED, main
+from gmemsim.config import config_from_dict
+from gmemsim.engine import World
+
+SCHEDS = ("ccws", "tbas_c", "tbas_d", "tbas_e")
+ALLOCS = ("first_touch", "coloring", "bw_aware", "coloring_hetero")
+MAPPINGS = ("clustered", "interleaved")
+DISPATCHES = ("serial", "interleaved")
+
+# far above the GPU matrices, so no CPU page is first touched by an SM
+CPU_REGION = [1 << 16, (1 << 16) + 2048]
+
+
+def _matrix(base, element_size, row_len, mapping, accesses, read):
+    return {"base_addr": base, "element_size": element_size,
+            "row_len": row_len, "mapping": mapping,
+            "accesses_per_thread": accesses,
+            "read_fraction": 1.0 if read else 0.0}
+
+
+def golden_kernel(mapping: str, compute_gap: int = 2) -> dict:
+    """Small kernels whose read and written matrices are disjoint, so no
+    written line is ever in L1.  Lines are 16 bytes and pages 32: a slot of
+    8 lanes spans two lines, on one page (clustered) or two (interleaved),
+    so a controller queue of 2 always has room for one slot's misses."""
+    if mapping == "clustered":
+        # 16 blocks of 16 threads: a word read twice, another word written
+        return {"name": "golden_clustered", "grid_dim": [8, 2],
+                "block_dim": [16, 1], "warp_size": 8,
+                "compute_gap": compute_gap,
+                "matrices": [_matrix(0, 4, 256, mapping, 2, True),
+                             _matrix(1024, 4, 256, mapping, 1, False)]}
+    # 4x4 grid of 4x4 blocks over 16x16 matrices: A read once, B read
+    # twice, C written
+    return {"name": "golden_interleaved", "grid_dim": [4, 4],
+            "block_dim": [4, 4], "warp_size": 8, "compute_gap": compute_gap,
+            "matrices": [_matrix(0, 4, 16, mapping, 1, True),
+                         _matrix(1024, 4, 16, mapping, 2, True),
+                         _matrix(2048, 4, 16, mapping, 1, False)]}
+
+
+def make_config(mapping, sched, alloc, dispatch, *, cpu=False,
+                cpu_prio=False, num_sms=2, mc_queue=2, reply_queue=2,
+                l1_size=64, starvation_cap=0, compute_gap=2,
+                dispatch_seed=None, horizon=50_000) -> dict:
+    """A config dict with L1 on, tight controller and reply queues (so issue
+    back-pressure and reply stalls happen) and optional CPU traffic."""
+    workload = {"kernel": golden_kernel(mapping, compute_gap)}
+    hw = small_hardware(num_sms=num_sms, l1_size=l1_size, line_bytes=16,
+                        mc_queue_capacity=mc_queue,
+                        starvation_cap=starvation_cap)
+    hw["reply"] = {"queue_capacity": reply_queue, "drain_per_cycle": 1,
+                   "latency": 1}
+    if cpu:
+        workload["cpu_traffic"] = {"request_rate": 40,
+                                   "address_region": CPU_REGION,
+                                   "rw_ratio": 0.7, "burstiness": 2,
+                                   "seed": 3}
+        if alloc == "coloring_hetero":
+            hw["cpu_pool"] = "gddr"
+    return {"workload": workload, "horizon": horizon, "dispatch": dispatch,
+            "allocator": alloc, "scheduler": sched,
+            "arbitration": "fr_fcfs_cpu_prio" if cpu_prio else "fr_fcfs",
+            "random_dispatch_seed": dispatch_seed, "hardware": hw}
+
+
+def golden_configs() -> dict[str, dict]:
+    """Every scheduler with every allocator, once each; mapping and dispatch
+    rotate so that each scheduler sees all four of their pairings.  Six
+    cells carry CPU traffic, three of them under CPU-priority arbitration."""
+    out = {}
+    for si, sched in enumerate(SCHEDS):
+        for ai, alloc in enumerate(ALLOCS):
+            mapping = MAPPINGS[(si + ai) % 2]
+            dispatch = DISPATCHES[(si + ai // 2) % 2]
+            cpu = (si + ai) % 3 == 0
+            name = f"{mapping}-{sched}-{alloc}-{dispatch}" + ("-cpu" if cpu else "")
+            out[name] = make_config(
+                mapping, sched, alloc, dispatch, cpu=cpu,
+                cpu_prio=cpu and si % 2 == 0,
+                num_sms=3 if ai == si else 2,
+                starvation_cap=3 if (si + ai) % 4 == 1 else 0,
+                dispatch_seed=5 if si % 2 else None)
+    return out
+
+
+GOLDEN = golden_configs()
+
+
+def run_report(config: dict, *, skip: bool = True):
+    world = World(config_from_dict(config))
+    if not skip:
+        world._can_skip = lambda: False
+    return world.run(), world
+
+
+def golden_path(name: str) -> str:
+    return fixture_path("golden", f"{name}.json")
+
+
+def test_golden_matrix_shape():
+    cells = [name.split("-") for name in GOLDEN]
+    assert {(c[1], c[2]) for c in cells} == {(s, a) for s in SCHEDS
+                                             for a in ALLOCS}
+    for sched in SCHEDS:
+        assert len({(c[0], c[3]) for c in cells if c[1] == sched}) == 4
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(name):
+    report, _ = run_report(GOLDEN[name])
+    with open(golden_path(name)) as f:
+        assert report.to_json() == f.read()
+
+
+def test_goldens_exercise_the_issue_path():
+    reports = []
+    for name in sorted(GOLDEN):
+        with open(golden_path(name)) as f:
+            reports.append(json.load(f))
+    assert not any(r["truncated"] for r in reports)
+    assert all(r["issue_backpressure"] > 0 for r in reports)
+    assert sum(1 for r in reports if r["l1_hits"]) >= 12
+    assert sum(r["reply_stalls"] for r in reports) > 0
+    assert sum(r["spilled_pages"] for r in reports) == 0
+    with_cpu = [r for n, r in zip(sorted(GOLDEN), reports) if n.endswith("-cpu")]
+    assert len(with_cpu) == 6 and all(r["cpu_requests"] > 0 for r in with_cpu)
+    assert any(r["pool_pages"]["ddr"] > 0 and r["gpu_requests"] > 0
+               for r in reports)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mapping=st.sampled_from(MAPPINGS), sched=st.sampled_from(SCHEDS),
+       alloc=st.sampled_from(ALLOCS), dispatch=st.sampled_from(DISPATCHES),
+       cpu=st.booleans(), cpu_prio=st.booleans(),
+       num_sms=st.integers(1, 3), mc_queue=st.integers(2, 4),
+       reply_queue=st.integers(1, 3), l1_size=st.sampled_from([0, 32, 64]),
+       compute_gap=st.integers(0, 12),
+       dispatch_seed=st.one_of(st.none(), st.integers(0, 9)))
+def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
+                                             cpu, cpu_prio, num_sms, mc_queue,
+                                             reply_queue, l1_size,
+                                             compute_gap, dispatch_seed):
+    config = make_config(mapping, sched, alloc, dispatch, cpu=cpu,
+                         cpu_prio=cpu_prio, num_sms=num_sms,
+                         mc_queue=mc_queue, reply_queue=reply_queue,
+                         l1_size=l1_size, compute_gap=compute_gap,
+                         dispatch_seed=dispatch_seed)
+    skipped, _ = run_report(config)
+    stepped, _ = run_report(config, skip=False)
+    assert skipped.to_json() == stepped.to_json()
+
+
+def grid_kernel(matrices: list[dict]) -> dict:
+    """4x4 interleaved grid of 16x16-thread blocks over 64x64 word matrices."""
+    return {"name": "grid4", "grid_dim": [4, 4], "block_dim": [16, 16],
+            "warp_size": 32, "matrices": matrices}
+
+
+@pytest.mark.parametrize("mc_queue", [64, 2])
+@pytest.mark.parametrize("l1_size", [0, 32768])
+def test_writes_that_hit_l1_still_reach_dram(l1_size, mc_queue):
+    # reads a 64x64 matrix, then writes it in place: each of the 128 warps
+    # writes two 128-byte lines that it has just read
+    kernel = grid_kernel([_matrix(0, 4, 64, "interleaved", 1, True),
+                          _matrix(0, 4, 64, "interleaved", 1, False)])
+    report, _ = run_report({
+        "workload": {"kernel": kernel},
+        "hardware": {"l1": {"size_bytes": l1_size},
+                     "mc_queue_capacity": mc_queue}})
+    assert report.writes == 256
+    assert report.l1_hits + report.l1_misses == 512
+    # every write finds its line, filled by the warp's own read, in L1
+    assert report.l1_hits >= 256 if l1_size else report.l1_hits == 0
+
+
+def stencil_config(horizon: int) -> dict:
+    kernel = grid_kernel([_matrix(0, 4, 64, "interleaved", 1, True),
+                          _matrix(16384, 4, 64, "interleaved", 1, True),
+                          _matrix(32768, 4, 64, "interleaved", 1, False)])
+    return {"workload": {"kernel": kernel}, "horizon": horizon}
+
+
+@pytest.mark.parametrize("horizon", [100, 500, 1000])
+def test_run_cut_at_the_horizon_reports_truncated(horizon, tmp_path):
+    report, world = run_report(stencil_config(horizon))
+    assert report.truncated
+    assert report.cycles == horizon
+    assert world.in_service > 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(stencil_config(horizon)))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "report.json")]) == EXIT_TRUNCATED
+
+
+def record():
+    os.makedirs(fixture_path("golden"), exist_ok=True)
+    for name, config in sorted(GOLDEN.items()):
+        report, _ = run_report(config)
+        with open(golden_path(name), "w") as f:
+            f.write(report.to_json())
+        print(f"{name}: {report.cycles} cycles, "
+              f"{report.issue_backpressure} back-pressured, "
+              f"{report.l1_hits} L1 hits, {report.reply_stalls} reply stalls")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()
