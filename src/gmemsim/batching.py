@@ -8,18 +8,16 @@ SM-bound page coloring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .workload import KernelSpec, enumerate_blocks, gen_block_trace
+from .workload import KernelSpec, MappingKind, enumerate_blocks, owned_element
 
 PLAN_SCHEMA_VERSION = 1
 
 
 class Formation(str, Enum):
     FIXED_STRIDE = "fixed_stride"
-    MODULATION = "modulation"
     FALLBACK = "fallback"
 
 
@@ -60,8 +58,6 @@ def block_page_set(spec: KernelSpec, block_id, page_size: int,
                    zero_base: bool = False) -> frozenset[int]:
     """Virtual pages touched by one block.  zero_base applies the profiling
     convention that every matrix starts at address zero."""
-    from .workload import owned_element
-
     bdx, _ = spec.block_dim
     pages: set[int] = set()
     for m in spec.matrices:
@@ -102,7 +98,7 @@ def candidate_strides(spec: KernelSpec, search_cap: int = 64) -> list[int]:
     cands = set(range(1, min(16, total) + 1))
     per_row: set[int] = set()
     for m in spec.matrices:
-        if m.mapping_kind.value == "interleaved":
+        if m.mapping is MappingKind.INTERLEAVED:
             per_row.add(spec.grid_dim[0])
         else:
             tpb = spec.threads_per_block
@@ -169,29 +165,6 @@ def form_batches(spec: KernelSpec, stride: int, page_size: int,
                      batches=tuple(batches), page_size=page_size)
 
 
-def form_batches_modulo(spec: KernelSpec, modulo: int, page_size: int) -> BatchPlan:
-    """Modulo-based grouping: block i joins batch i % modulo.
-
-    Stand-in for kernels whose batch formation is periodic rather than a
-    fixed stride; batches are not consecutive runs of block ids here.
-    """
-    if modulo < 1:
-        raise ValueError("modulo must be >= 1")
-    blocks = enumerate_blocks(spec)
-    groups: dict[int, list] = {b: [] for b in range(min(modulo, len(blocks)))}
-    for i, blk in enumerate(blocks):
-        groups[i % modulo].append(blk)
-    batches = []
-    for bid in sorted(groups):
-        members = groups[bid]
-        pages: set[int] = set()
-        for b in members:
-            pages |= block_page_set(spec, b, page_size)
-        batches.append(ThreadBatch(bid, tuple(members), frozenset(pages)))
-    return BatchPlan(stride=modulo, formation=Formation.MODULATION,
-                     batches=tuple(batches), page_size=page_size)
-
-
 def sharing_histogram(plan: BatchPlan) -> SharingHistogram:
     """Distance histogram of page sharing across the plan's batches."""
     if not plan.batches:
@@ -228,32 +201,3 @@ def plan_to_dict(plan: BatchPlan) -> dict:
             for tb in plan.batches
         ],
     }
-
-
-def plan_from_dict(obj: dict) -> BatchPlan:
-    if obj.get("schema_version", PLAN_SCHEMA_VERSION) != PLAN_SCHEMA_VERSION:
-        raise ValueError("unsupported plan schema_version")
-    return BatchPlan(
-        stride=obj["stride"],
-        formation=Formation(obj["formation"]),
-        page_size=obj["page_size"],
-        batches=tuple(
-            ThreadBatch(
-                batch_id=raw["batch_id"],
-                block_ids=tuple(tuple(b) for b in raw["block_ids"]),
-                page_set=frozenset(raw["page_set"]),
-            )
-            for raw in obj["batches"]
-        ),
-    )
-
-
-def save_plan(plan: BatchPlan, path):
-    with open(path, "w") as f:
-        json.dump(plan_to_dict(plan), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_plan(path) -> BatchPlan:
-    with open(path) as f:
-        return plan_from_dict(json.load(f))

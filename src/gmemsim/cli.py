@@ -14,12 +14,12 @@ import itertools
 import json
 import os
 import sys
-import time
 
 from .batching import (form_batches, plan_to_dict, profile_stride,
                        sharing_histogram)
 from .config import config_from_dict, load_config, policies_dict
 from .engine import SimulationFault, World
+from .loader import reject_unknown, strip_version
 from .metrics import MetricsReport
 from .workload import load_workload
 
@@ -127,14 +127,9 @@ def cmd_profile(args) -> int:
 
 def _load_experiment(path: str) -> dict:
     with open(path) as f:
-        obj = json.load(f)
-    allowed = {"schema_version", "name", "base_config", "axes", "baseline",
-               "out_dir", "max_cells"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown field(s) in experiment: {sorted(unknown)}")
-    if obj.get("schema_version", EXPERIMENT_SCHEMA_VERSION) != EXPERIMENT_SCHEMA_VERSION:
-        raise ValueError("unsupported experiment schema_version")
+        obj = strip_version(json.load(f), "experiment", EXPERIMENT_SCHEMA_VERSION)
+    reject_unknown(obj, {"name", "base_config", "axes", "baseline", "out_dir",
+                         "max_cells"}, "experiment")
     for req in ("name", "base_config", "axes"):
         if req not in obj:
             raise ValueError(f"experiment requires {req!r}")
@@ -201,12 +196,11 @@ def cmd_compare(args) -> int:
         w = csv.writer(f)
         header = (["cell"] + cell_keys + metric_keys
                   + [f"norm_{m}" for m in SUMMARY_METRICS]
-                  + ["status", "timestamp"])
+                  + ["status"])
         w.writerow(header)
         for name in sorted(set(rows) | set(failed)):
             if name in failed:
-                w.writerow([name] + [""] * (len(header) - 3)
-                           + ["failed", int(time.time())])
+                w.writerow([name] + [""] * (len(header) - 2) + ["failed"])
                 continue
             cell, flat = rows[name]
             norm = []
@@ -214,8 +208,7 @@ def cmd_compare(args) -> int:
                 base_v = base_flat.get(m, 0)
                 norm.append(flat.get(m, 0) / base_v if base_v else "")
             w.writerow([name] + [cell[k] for k in cell_keys]
-                       + [flat[k] for k in metric_keys] + norm
-                       + ["ok", int(time.time())])
+                       + [flat[k] for k in metric_keys] + norm + ["ok"])
     print(f"{len(rows)} cells ok, {len(failed)} failed -> {csv_path}")
     return EXIT_OK if not failed else EXIT_FAULT
 

@@ -4,6 +4,14 @@ Every run is fully determined by (config, seed).  Timing and energy numbers
 are configuration defaults chosen to be representative of a GDDR-like and a
 DDR-like device; they are knobs, not measured ground truth, and experiments
 should treat derived energy figures as relative.
+
+A config file is a JSON object with the fields of RunConfig, `hardware`
+holding those of HardwareConfig, and so on down; `gmemsim.loader` reads it
+by the field annotations.  Types are strict: a count must be an integer
+(not a float, a string or a boolean), a fraction a number, a policy one of
+its enum's values.  Every field may be left out except `workload`.  A
+partial `gddr`/`ddr` object (or a partial `layout`, `timing` or `energy`
+inside it) overlays that pool's defaults field by field.
 """
 
 from __future__ import annotations
@@ -12,9 +20,9 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .batching import Formation
 from .dispatch import DispatchKind
 from .dram import Arbitration, EnergyParams, TimingParams
+from .loader import from_dict, strip_version
 from .memmap import AddressLayout, PagePolicy, Pool
 from .sched import SchedPolicy
 
@@ -164,121 +172,15 @@ class RunConfig:
         self.hardware.validate(coloring=coloring)
 
 
-def _reject_unknown(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown field(s) in {where}: {sorted(unknown)}")
-
-
-def _layout_from_dict(obj: dict, where: str) -> AddressLayout:
-    fields_ = {"byte_offset_bits", "column_bits", "channel_bits", "bank_bits",
-               "row_bits", "page_offset_bits"}
-    _reject_unknown(obj, fields_, where)
-    missing = fields_ - set(obj)
-    if missing:
-        raise ValueError(f"{where}: missing field(s) {sorted(missing)}")
-    return AddressLayout(**obj)
-
-
-def _timing_from_dict(obj: dict, base: TimingParams, where: str) -> TimingParams:
-    allowed = {"tRCD", "tRP", "tCAS", "tRC", "tBURST", "clock_period"}
-    _reject_unknown(obj, allowed, where)
-    vals = {k: getattr(base, k) for k in allowed}
-    vals.update(obj)
-    return TimingParams(**vals)
-
-
-def _energy_from_dict(obj: dict, base: EnergyParams, where: str) -> EnergyParams:
-    allowed = {"e_activate", "e_read", "e_write", "p_background"}
-    _reject_unknown(obj, allowed, where)
-    vals = {k: getattr(base, k) for k in allowed}
-    vals.update(obj)
-    return EnergyParams(**vals)
-
-
-def _pool_from_dict(obj: dict, base: PoolConfig, where: str) -> PoolConfig:
-    _reject_unknown(obj, {"layout", "timing", "energy"}, where)
-    layout = base.layout
-    if "layout" in obj:
-        layout = _layout_from_dict(obj["layout"], f"{where}.layout")
-    timing = _timing_from_dict(obj.get("timing", {}), base.timing, f"{where}.timing")
-    energy = _energy_from_dict(obj.get("energy", {}), base.energy, f"{where}.energy")
-    return PoolConfig(layout=layout, timing=timing, energy=energy)
-
-
-def hardware_from_dict(obj: dict) -> HardwareConfig:
-    base = HardwareConfig()
-    allowed = {"num_sms", "max_blocks_per_sm", "max_threads_per_sm",
-               "running_set_warps", "sufficient_active_threshold", "l1",
-               "gddr", "ddr", "reply", "mc_queue_capacity", "starvation_cap",
-               "bw_ratio", "cpu_row_fraction", "cpu_pool", "request_window",
-               "check_invariants"}
-    _reject_unknown(obj, allowed, "hardware")
-    kw: dict = {}
-    for k in ("num_sms", "max_blocks_per_sm", "max_threads_per_sm",
-              "running_set_warps", "sufficient_active_threshold",
-              "mc_queue_capacity", "starvation_cap", "cpu_row_fraction",
-              "request_window", "check_invariants"):
-        if k in obj:
-            kw[k] = obj[k]
-    if "l1" in obj:
-        _reject_unknown(obj["l1"], {"size_bytes", "assoc", "line_bytes"}, "l1")
-        l1 = {"size_bytes": base.l1.size_bytes, "assoc": base.l1.assoc,
-              "line_bytes": base.l1.line_bytes}
-        l1.update(obj["l1"])
-        kw["l1"] = L1Config(**l1)
-    if "gddr" in obj:
-        kw["gddr"] = _pool_from_dict(obj["gddr"], base.gddr, "gddr")
-    if "ddr" in obj:
-        kw["ddr"] = _pool_from_dict(obj["ddr"], base.ddr, "ddr")
-    if "reply" in obj:
-        _reject_unknown(obj["reply"],
-                        {"queue_capacity", "drain_per_cycle", "latency"}, "reply")
-        rep = {"queue_capacity": base.reply.queue_capacity,
-               "drain_per_cycle": base.reply.drain_per_cycle,
-               "latency": base.reply.latency}
-        rep.update(obj["reply"])
-        kw["reply"] = ReplyConfig(**rep)
-    if "bw_ratio" in obj:
-        kw["bw_ratio"] = tuple(obj["bw_ratio"])
-    if "cpu_pool" in obj:
-        kw["cpu_pool"] = Pool(obj["cpu_pool"])
-    return HardwareConfig(**kw)
-
-
 def config_from_dict(obj: dict, base_dir: str | None = None) -> RunConfig:
-    allowed = {"schema_version", "workload", "horizon", "seed", "dispatch",
-               "allocator", "scheduler", "arbitration", "stride", "search_cap",
-               "fallback_threshold", "random_dispatch_seed", "hardware"}
-    _reject_unknown(obj, allowed, "config")
-    version = obj.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema_version {version}")
-    if "workload" not in obj:
-        raise ValueError("config requires a workload")
-    workload = obj["workload"]
+    """A validated RunConfig; a relative workload path is taken from
+    base_dir, the directory of the config file."""
+    obj = strip_version(obj, "config", CONFIG_SCHEMA_VERSION)
+    workload = obj.get("workload")
     if isinstance(workload, str) and base_dir is not None \
             and not os.path.isabs(workload):
-        workload = os.path.join(base_dir, workload)
-    kw: dict = {"workload": workload}
-    for k in ("horizon", "seed", "stride", "search_cap", "fallback_threshold",
-              "random_dispatch_seed"):
-        if k in obj:
-            kw[k] = obj[k]
-    try:
-        if "dispatch" in obj:
-            kw["dispatch"] = DispatchKind(obj["dispatch"])
-        if "allocator" in obj:
-            kw["allocator"] = PagePolicy(obj["allocator"])
-        if "scheduler" in obj:
-            kw["scheduler"] = SchedPolicy(obj["scheduler"])
-        if "arbitration" in obj:
-            kw["arbitration"] = Arbitration(obj["arbitration"])
-    except ValueError as e:
-        raise ValueError(f"config: {e}")
-    if "hardware" in obj:
-        kw["hardware"] = hardware_from_dict(obj["hardware"])
-    cfg = RunConfig(**kw)
+        obj["workload"] = os.path.join(base_dir, workload)
+    cfg = from_dict(RunConfig, obj, "config")
     cfg.validate()
     return cfg
 

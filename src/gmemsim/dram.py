@@ -24,7 +24,6 @@ class TimingParams:
     tCAS: int
     tRC: int
     tBURST: int
-    clock_period: float = 1.0
 
     def validate(self):
         for name in ("tRCD", "tRP", "tCAS", "tRC", "tBURST"):
@@ -32,8 +31,6 @@ class TimingParams:
                 raise ValueError(f"timing {name} must be >= 1")
         if self.tRC < self.tRCD:
             raise ValueError("tRC must be >= tRCD")
-        if self.clock_period <= 0:
-            raise ValueError("clock_period must be > 0")
 
 
 @dataclass(frozen=True)

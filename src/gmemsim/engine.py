@@ -321,6 +321,13 @@ class World:
                 need[qkey] = need.get(qkey, 0) + 1
             if any(len(queues[k]) + n > queues[k].capacity
                    for k, n in need.items()):
+                for (pool, ch), n in need.items():
+                    cap = queues[(pool, ch)].capacity
+                    if n > cap:  # no retry could ever fit
+                        raise ValueError(
+                            f"a warp slot sends {n} requests into {pool.value} "
+                            f"channel {ch}, whose queue holds only {cap} "
+                            "(raise mc_queue_capacity)")
                 self.issue_backpressure += 1  # retried next cycle
                 continue
             self.l1_hits += hits

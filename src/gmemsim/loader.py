@@ -1,0 +1,136 @@
+"""Typed loading of JSON objects into frozen dataclasses.
+
+`from_dict` reads a dataclass's fields and their annotations and builds an
+instance from a parsed JSON object.  The type rules:
+
+    int, str, bool, dict   the value must be of that type; a bool is not an
+                           int, so `true` never passes for a count
+    float                  an int or a float (kept as given), not a bool
+    Enum                   one of the enum's values
+    X | None               null, or a value of X
+    tuple[X, Y]            a list of exactly that many items, each typed
+    tuple[X, ...]          a list of any length, each item of X
+    dataclass              a nested object, loaded by the same rules
+
+Unknown keys and missing required fields are rejected.  A missing optional
+field takes the value of `base` when one is given, else the field's
+default; a nested object is laid over the matching part of `base` (or of
+the field's default), so `{"timing": {"tRCD": 20}}` changes one timing and
+keeps the rest.  A field may name its own parser as
+`field(metadata={"parse": fn})`, called as `fn(value, path)`.
+
+Every error is a ValueError naming the field's path, such as
+`config.hardware.gddr.timing.tRCD must be int, not 1.5`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
+from enum import Enum
+
+
+def reject_unknown(obj, allowed, where: str):
+    """Fail unless obj is a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {obj!r}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown field(s) in {where}: {sorted(unknown)}")
+
+
+def strip_version(obj, where: str, version: int) -> dict:
+    """obj without its optional schema_version, which must equal `version`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {obj!r}")
+    got = obj.get("schema_version", version)
+    if got != version or isinstance(got, bool):
+        raise ValueError(f"unsupported {where} schema_version {got!r}")
+    return {k: v for k, v in obj.items() if k != "schema_version"}
+
+
+@functools.cache
+def _typed_fields(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+
+
+def _default(f: dataclasses.Field):
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return None if f.default is dataclasses.MISSING else f.default
+
+
+def from_dict(cls, obj, where: str, base=None):
+    """An instance of dataclass `cls` built from obj (see the module doc)."""
+    typed = _typed_fields(cls)
+    reject_unknown(obj, [f.name for f, _ in typed], where)
+    kw = {}
+    for f, tp in typed:
+        path = f"{where}.{f.name}"
+        if f.name in obj:
+            value = obj[f.name]
+            if "parse" in f.metadata:
+                kw[f.name] = f.metadata["parse"](value, path)
+            elif dataclasses.is_dataclass(tp):
+                sub = getattr(base, f.name) if base is not None else _default(f)
+                kw[f.name] = from_dict(tp, value, path, sub)
+            else:
+                kw[f.name] = _convert(tp, value, path)
+        elif base is not None:
+            kw[f.name] = getattr(base, f.name)
+        elif (f.default is dataclasses.MISSING
+              and f.default_factory is dataclasses.MISSING):
+            raise ValueError(f"{path} is required")
+    return cls(**kw)
+
+
+def _type_name(tp) -> str:
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_type_name(a) for a in typing.get_args(tp))
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            return f"a list of {_type_name(args[0])}"
+        return f"a list [{', '.join(_type_name(a) for a in args)}]"
+    if tp is type(None):
+        return "null"
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"one of {[m.value for m in tp]}"
+    return tp.__name__
+
+
+def _convert(tp, value, where: str):
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, where)
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        for arm in typing.get_args(tp):
+            if arm is type(None):
+                if value is None:
+                    return None
+                continue
+            try:
+                return _convert(arm, value, where)
+            except ValueError:
+                pass
+    elif origin is tuple:
+        args = typing.get_args(tp)
+        if isinstance(value, (list, tuple)):
+            if args[-1] is Ellipsis:
+                args = (args[0],) * len(value)
+            if len(args) == len(value):
+                return tuple(_convert(t, v, f"{where}[{i}]")
+                             for i, (t, v) in enumerate(zip(args, value)))
+    elif isinstance(tp, type) and issubclass(tp, Enum):
+        if value in [m.value for m in tp]:
+            return tp(value)
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{where} must be {_type_name(tp)}, not {value!r}")

@@ -214,10 +214,12 @@ class PageTable:
         self.spilled_pages = 0
         self.pool_pages = {Pool.GDDR: 0, Pool.DDR: 0}
         self._used: dict[Pool, set[int]] = {Pool.GDDR: set(), Pool.DDR: set()}
-        self._pool_cursor = {Pool.GDDR: 0, Pool.DDR: 0}
-        self._sm_cursor: dict[int, int] = {sm: 0 for sm in color_map}
-        self._cpu_cursor = 0
-        self._gpu_spill_cursor = 0
+        # walk positions, keyed by pool (first-touch scans), SM id (colored
+        # walks), "cpu" and "spill" (region walks)
+        self._cursors: dict = {Pool.GDDR: 0, Pool.DDR: 0}
+        gddr = layouts[Pool.GDDR]
+        self._all_pairs = [(ch, b) for ch in range(gddr.num_channels)
+                           for b in range(gddr.num_banks)]
         sizes = {layouts[p].page_size for p in layouts}
         if len(sizes) != 1:
             raise ValueError("pools must share one page size")
@@ -230,46 +232,27 @@ class PageTable:
     def _pool_scan(self, pool: Pool) -> int:
         layout = self.layouts[pool]
         used = self._used[pool]
-        f = self._pool_cursor[pool]
+        f = self._cursors[pool]
         while f < layout.num_frames and f in used:
             f += 1
         if f >= layout.num_frames:
-            raise MemoryError(f"{pool.value} pool exhausted")
-        self._pool_cursor[pool] = f + 1
+            raise ValueError(f"{pool.value} pool exhausted: every frame of "
+                             f"rows [0, {layout.num_rows}) is in use")
+        self._cursors[pool] = f + 1
         return f
 
-    def _colored_frame(self, sm: int, rows: tuple[int, int]) -> int | None:
-        layout = self.layouts[Pool.GDDR]
-        colors = self.color_map[sm]
-        slots = layout.pages_per_row
-        per_row = len(colors) * slots
-        row_lo, row_hi = rows
-        total = (row_hi - row_lo) * per_row
-        used = self._used[Pool.GDDR]
-        idx = self._sm_cursor[sm]
-        while idx < total:
-            row = row_lo + idx // per_row
-            rem = idx % per_row
-            ch, bank = colors[rem // slots]
-            frame = layout.frame_number(ch, bank, row, rem % slots)
-            idx += 1
-            if frame not in used:
-                self._sm_cursor[sm] = idx
-                return frame
-        self._sm_cursor[sm] = idx
-        return None
-
-    def _region_scan(self, rows: tuple[int, int], cursor_attr: str) -> int:
-        """Any-bank frame scan limited to a row range of the GDDR pool."""
+    def _row_walk(self, pairs, rows: tuple[int, int], cursor) -> int | None:
+        """Next free GDDR frame in (row, (channel, bank), slot) order over
+        the given pairs and row range, resuming at self._cursors[cursor]; a
+        batch's pages fill a row before the next row opens, and successive
+        rows rotate over the pairs.  None once the range is used up."""
         layout = self.layouts[Pool.GDDR]
         slots = layout.pages_per_row
-        pairs = [(ch, b) for ch in range(layout.num_channels)
-                 for b in range(layout.num_banks)]
-        row_lo, row_hi = rows
         per_row = len(pairs) * slots
+        row_lo, row_hi = rows
         total = (row_hi - row_lo) * per_row
         used = self._used[Pool.GDDR]
-        idx = getattr(self, cursor_attr)
+        idx = self._cursors.get(cursor, 0)
         while idx < total:
             row = row_lo + idx // per_row
             rem = idx % per_row
@@ -277,9 +260,18 @@ class PageTable:
             frame = layout.frame_number(ch, bank, row, rem % slots)
             idx += 1
             if frame not in used:
-                setattr(self, cursor_attr, idx)
+                self._cursors[cursor] = idx
                 return frame
-        raise MemoryError(f"row region {rows} exhausted")
+        self._cursors[cursor] = idx
+        return None
+
+    def _region_frame(self, rows: tuple[int, int], cursor) -> int:
+        """Any-bank frame limited to a row range of the GDDR pool."""
+        frame = self._row_walk(self._all_pairs, rows, cursor)
+        if frame is None:
+            raise ValueError(f"gddr pool exhausted: every frame of rows "
+                             f"[{rows[0]}, {rows[1]}) is in use")
+        return frame
 
     def _bw_pool(self) -> Pool:
         g, d = self.bw_ratio
@@ -313,7 +305,8 @@ class PageTable:
             else:
                 pool = Pool.GDDR
                 layout = self.layouts[pool]
-                frame = self._colored_frame(owner_sm, (0, layout.num_rows))
+                frame = self._row_walk(self.color_map[owner_sm],
+                                       (0, layout.num_rows), owner_sm)
                 if frame is None:
                     frame = self._pool_scan(pool)
                     self.spilled_pages += 1
@@ -321,16 +314,17 @@ class PageTable:
             if is_cpu:
                 pool = self.cpu_pool
                 if pool is Pool.GDDR:
-                    frame = self._region_scan(self.region.cpu_rows, "_cpu_cursor")
+                    frame = self._region_frame(self.region.cpu_rows, "cpu")
                 else:
                     frame = self._pool_scan(pool)
             else:
                 pool = Pool.GDDR
-                frame = self._colored_frame(owner_sm, self.region.gpu_rows)
+                frame = self._row_walk(self.color_map[owner_sm],
+                                       self.region.gpu_rows, owner_sm)
                 if frame is None:
                     # spill stays inside the GPU row region so the CPU/GPU
                     # row split is never violated
-                    frame = self._region_scan(self.region.gpu_rows, "_gpu_spill_cursor")
+                    frame = self._region_frame(self.region.gpu_rows, "spill")
                     self.spilled_pages += 1
         self._used[pool].add(frame)
         fields = self.layouts[pool].frame_fields(frame)
@@ -365,9 +359,3 @@ class PageTable:
             (vpn, e.pool.value, e.channel, e.bank, e.row, self.owner[vpn])
             for vpn, e in sorted(self.entries.items())
         ]
-
-
-def classify_access(sm_id: int, pool: Pool, channel: int, bank: int,
-                    table: PageTable) -> str:
-    """'local' when the request's bank is colored to the issuing SM."""
-    return "local" if table.is_local(sm_id, pool, channel, bank) else "remote"

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 from .dram import EnergyParams, MemoryRequest
+from .memmap import Pool
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -140,7 +141,7 @@ def compute_metrics(requests: list[MemoryRequest], page_table,
     gpu = [r for r in done if r.agent == "gpu"]
     local = sum(
         1 for r in gpu
-        if page_table.is_local(r.sm_id, _pool_of(r), r.channel, r.bank)
+        if page_table.is_local(r.sm_id, Pool(r.pool), r.channel, r.bank)
     )
     return {
         "total_accesses": len(done),
@@ -160,12 +161,6 @@ def compute_metrics(requests: list[MemoryRequest], page_table,
         "cpu_mean_delay": mean_delay(done, "cpu"),
         "peak_window_requests": peak_request_window(done, window),
     }
-
-
-def _pool_of(req: MemoryRequest):
-    from .memmap import Pool
-
-    return Pool(req.pool)
 
 
 def energy_total(counters: dict, params: EnergyParams, runtime_cycles: int,

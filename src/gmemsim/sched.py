@@ -160,8 +160,11 @@ class TbasScheduler:
             self.ages[b] = self._age_seq
             self._age_seq += 1
             self.unfinished[b] = 0
-            if b != self.running_batch:
-                self.pending.append(b)
+        # a new batch, or one whose earlier warps have all finished (it left
+        # the pending list then), waits for promotion; it keeps its first age
+        if self.unfinished[b] == 0 and b != self.running_batch \
+                and b not in self.pending:
+            self.pending.append(b)
         self.batch_warps[b].append(warp)
         if not warp.finished:
             self.unfinished[b] += 1

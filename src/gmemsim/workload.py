@@ -3,14 +3,24 @@
 A kernel is described by its thread hierarchy (2D grid of 2D blocks) plus one
 thread-data mapping per data matrix.  No instructions are modeled; the mapping
 is enough to reconstruct every memory address a thread touches.
+
+A workload file is a JSON object with a `kernel` (the fields of KernelSpec,
+`matrices` holding those of MatrixMapping) and an optional `cpu_traffic`
+(the fields of CpuTrafficSpec).  `gmemsim.loader` reads both by the field
+annotations, so types are strict: an address, size or count must be an
+integer, `read_fraction` and `request_rate` numbers, `mapping` one of
+MappingKind's values and `address_region` a list of two integers.
+`grid_dim` and `block_dim` take 1, 2 or 3 extents, the third being 1.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
+
+from .loader import from_dict, reject_unknown, strip_version
 
 WORKLOAD_SCHEMA_VERSION = 1
 
@@ -34,7 +44,7 @@ class MatrixMapping:
     base_addr: int
     element_size: int
     row_len: int
-    mapping_kind: MappingKind
+    mapping: MappingKind
     accesses_per_thread: int = 1
     read_fraction: float = 1.0
 
@@ -51,6 +61,17 @@ class MatrixMapping:
             raise ValueError("read_fraction must lie in [0, 1]")
 
 
+def _dim2(raw, where: str) -> tuple[int, int]:
+    if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2, 3):
+        raise ValueError(f"{where} must be a 1D or 2D extent list")
+    if len(raw) == 3 and raw[2] != 1:
+        raise ValueError(f"{where}: 3D shapes are not supported")
+    vals = list(raw[:2]) + [1] * (2 - len(raw[:2]))
+    if not all(type(v) is int and v >= 1 for v in vals):
+        raise ValueError(f"{where} extents must be integers >= 1")
+    return (vals[0], vals[1])
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Thread hierarchy plus per-matrix thread-data mappings.
@@ -60,12 +81,12 @@ class KernelSpec:
     warp spends between two successive memory instructions.
     """
 
-    name: str
-    grid_dim: tuple[int, int]
-    block_dim: tuple[int, int]
+    grid_dim: tuple[int, int] = field(metadata={"parse": _dim2})
+    block_dim: tuple[int, int] = field(metadata={"parse": _dim2})
     warp_size: int
-    matrices: tuple[MatrixMapping, ...]
+    matrices: tuple[MatrixMapping, ...] = ()
     compute_gap: int = 0
+    name: str = "kernel"
 
     @property
     def total_blocks(self) -> int:
@@ -94,7 +115,7 @@ class KernelSpec:
             raise ValueError("compute_gap must be >= 0")
         for m in self.matrices:
             m.validate()
-            if m.mapping_kind is MappingKind.INTERLEAVED:
+            if m.mapping is MappingKind.INTERLEAVED:
                 width = self.grid_dim[0] * self.block_dim[0]
                 if m.row_len != width:
                     raise ValueError(
@@ -134,9 +155,7 @@ class AccessEvent:
     virtual_addr: int
     is_read: bool
     warp_id: int
-    block_id: tuple[int, int, int]
     issue_slot: int
-    batch_id: int = -1
 
 
 @dataclass(frozen=True)
@@ -152,10 +171,6 @@ def enumerate_blocks(spec: KernelSpec) -> list[tuple[int, int, int]]:
     return [(x, y, 0) for y in range(gy) for x in range(gx)]
 
 
-def block_linear(spec: KernelSpec, block_id: tuple[int, int, int]) -> int:
-    return block_id[1] * spec.grid_dim[0] + block_id[0]
-
-
 def _is_read(ordinal: int, read_fraction: float) -> bool:
     # Spread reads evenly over the access ordinals; integer math keeps the
     # pattern exact and platform independent.
@@ -166,7 +181,7 @@ def _is_read(ordinal: int, read_fraction: float) -> bool:
 def owned_element(spec: KernelSpec, m: MatrixMapping, block_id, tx: int, ty: int) -> int:
     """Linear index of the matrix element owned by one thread."""
     bx, by, _ = block_id
-    if m.mapping_kind is MappingKind.CLUSTERED:
+    if m.mapping is MappingKind.CLUSTERED:
         blin = by * spec.grid_dim[0] + bx
         tlin = ty * spec.block_dim[0] + tx
         return blin * spec.threads_per_block + tlin
@@ -206,7 +221,6 @@ def gen_block_trace(spec: KernelSpec, block_id) -> dict[int, list[AccessEvent]]:
                     virtual_addr=m.base_addr + elem * m.element_size,
                     is_read=_is_read(a, m.read_fraction),
                     warp_id=warp_base + tlin // spec.warp_size,
-                    block_id=(bx, by, 0),
                     issue_slot=slot,
                 )
                 out[ev.warp_id].append(ev)
@@ -249,74 +263,8 @@ def gen_cpu_traffic(spec: CpuTrafficSpec, horizon: int) -> list[CpuRequest]:
     return out
 
 
-def _reject_unknown(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown field(s) in {where}: {sorted(unknown)}")
-
-
-def _dim2(raw, where: str) -> tuple[int, int]:
-    if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2, 3):
-        raise ValueError(f"{where} must be a 1D or 2D extent list")
-    if len(raw) == 3 and raw[2] != 1:
-        raise ValueError(f"{where}: 3D shapes are not supported")
-    vals = list(raw[:2]) + [1] * (2 - len(raw[:2]))
-    if not all(isinstance(v, int) and v >= 1 for v in vals):
-        raise ValueError(f"{where} extents must be integers >= 1")
-    return (vals[0], vals[1])
-
-
-def kernel_from_dict(obj: dict) -> KernelSpec:
-    _reject_unknown(
-        obj,
-        {"name", "grid_dim", "block_dim", "warp_size", "matrices", "compute_gap"},
-        "kernel",
-    )
-    mats = []
-    for i, raw in enumerate(obj.get("matrices", [])):
-        _reject_unknown(
-            raw,
-            {"base_addr", "element_size", "row_len", "mapping",
-             "accesses_per_thread", "read_fraction"},
-            f"matrices[{i}]",
-        )
-        try:
-            kind = MappingKind(raw["mapping"])
-        except ValueError:
-            raise ValueError(f"matrices[{i}]: unknown mapping {raw['mapping']!r}")
-        mats.append(MatrixMapping(
-            base_addr=raw["base_addr"],
-            element_size=raw["element_size"],
-            row_len=raw["row_len"],
-            mapping_kind=kind,
-            accesses_per_thread=raw.get("accesses_per_thread", 1),
-            read_fraction=raw.get("read_fraction", 1.0),
-        ))
-    spec = KernelSpec(
-        name=obj.get("name", "kernel"),
-        grid_dim=_dim2(obj["grid_dim"], "grid_dim"),
-        block_dim=_dim2(obj["block_dim"], "block_dim"),
-        warp_size=obj["warp_size"],
-        matrices=tuple(mats),
-        compute_gap=obj.get("compute_gap", 0),
-    )
-    spec.validate()
-    return spec
-
-
-def cpu_traffic_from_dict(obj: dict) -> CpuTrafficSpec:
-    _reject_unknown(
-        obj,
-        {"request_rate", "address_region", "rw_ratio", "burstiness", "seed"},
-        "cpu_traffic",
-    )
-    spec = CpuTrafficSpec(
-        request_rate=obj["request_rate"],
-        address_region=tuple(obj["address_region"]),
-        rw_ratio=obj.get("rw_ratio", 1.0),
-        burstiness=obj.get("burstiness", 1),
-        seed=obj.get("seed", 0),
-    )
+def kernel_from_dict(obj: dict, where: str = "kernel") -> KernelSpec:
+    spec = from_dict(KernelSpec, obj, where)
     spec.validate()
     return spec
 
@@ -328,12 +276,13 @@ def load_workload(source) -> tuple[KernelSpec, CpuTrafficSpec | None]:
     else:
         with open(source) as f:
             obj = json.load(f)
-    _reject_unknown(obj, {"schema_version", "kernel", "cpu_traffic"}, "workload")
-    version = obj.get("schema_version", WORKLOAD_SCHEMA_VERSION)
-    if version != WORKLOAD_SCHEMA_VERSION:
-        raise ValueError(f"unsupported workload schema_version {version}")
-    kernel = kernel_from_dict(obj["kernel"])
+    obj = strip_version(obj, "workload", WORKLOAD_SCHEMA_VERSION)
+    reject_unknown(obj, {"kernel", "cpu_traffic"}, "workload")
+    if "kernel" not in obj:
+        raise ValueError("workload.kernel is required")
+    kernel = kernel_from_dict(obj["kernel"], "workload.kernel")
     cpu = None
     if obj.get("cpu_traffic") is not None:
-        cpu = cpu_traffic_from_dict(obj["cpu_traffic"])
+        cpu = from_dict(CpuTrafficSpec, obj["cpu_traffic"], "workload.cpu_traffic")
+        cpu.validate()
     return kernel, cpu

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmemsim.batching import (Formation, block_page_set, form_batches,
-                              form_batches_modulo, plan_from_dict,
-                              plan_to_dict, profile_stride, sharing_histogram)
+                              profile_stride, sharing_histogram)
 from gmemsim.workload import enumerate_blocks, load_workload
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
@@ -124,19 +123,6 @@ def test_histogram_distance_one(clustered_spec):
     plan = form_batches(clustered_spec, 1, 32)
     hist = sharing_histogram(plan)
     assert hist.bins == {1: 2}
-
-
-def test_modulo_formation():
-    kernel, _ = load_workload(clustered_rows_workload())
-    plan = form_batches_modulo(kernel, 2, 32)
-    assert plan.formation is Formation.MODULATION
-    assert plan.batches[0].block_ids == ((0, 0, 0), (0, 1, 0))
-    assert plan.batches[1].block_ids == ((1, 0, 0), (1, 1, 0))
-
-
-def test_plan_round_trip(clustered_spec):
-    plan = form_batches(clustered_spec, 2, 32)
-    assert plan_from_dict(plan_to_dict(plan)) == plan
 
 
 @settings(max_examples=30, deadline=None)

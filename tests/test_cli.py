@@ -1,0 +1,163 @@
+"""The command line: exit codes of `run`, `validate`, `profile` and
+`compare`, and the messages of malformed input."""
+
+import copy
+import json
+
+import pytest
+
+from conftest import interleaved_grid_workload, small_hardware
+from gmemsim.batching import form_batches, plan_to_dict, sharing_histogram
+from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
+                         main)
+from gmemsim.engine import SimulationFault, World
+from gmemsim.workload import load_workload
+
+
+def base_config() -> dict:
+    workload = interleaved_grid_workload()
+    workload["cpu_traffic"] = {"request_rate": 10,
+                               "address_region": [4096, 8192]}
+    return {"workload": workload, "horizon": 10_000,
+            "hardware": small_hardware()}
+
+
+def write(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_run_exits_0_when_complete_and_2_when_truncated(tmp_path):
+    # a relative workload path is read from the config's directory
+    write(tmp_path / "workload.json", interleaved_grid_workload())
+    config = dict(base_config(), workload="workload.json")
+    path = write(tmp_path / "config.json", config)
+    out = str(tmp_path / "report.json")
+    assert main(["run", "--config", path, "--out", out]) == EXIT_OK
+    with open(out) as f:
+        assert not json.load(f)["truncated"]
+    path = write(tmp_path / "config.json", dict(config, horizon=5))
+    assert main(["run", "--config", path, "--out", out]) == EXIT_TRUNCATED
+    with open(out) as f:
+        assert json.load(f)["truncated"]
+
+
+DELETE = object()
+
+
+def _set(obj: dict, dotted: str, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        obj = obj.setdefault(key, {})
+    if value is DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+
+
+MALFORMED = {
+    "unknown key": ("bogus", 1, "unknown field(s) in config: ['bogus']"),
+    "missing warp_size": ("workload.kernel.warp_size", DELETE,
+                          "workload.kernel.warp_size is required"),
+    "string num_sms": ("hardware.num_sms", "8",
+                       "config.hardware.num_sms must be int, not '8'"),
+    "integer bw_ratio": ("hardware.bw_ratio", 5,
+                         "config.hardware.bw_ratio must be a list [int, int]"),
+    "string address_region": (
+        "workload.cpu_traffic.address_region", "ab",
+        "workload.cpu_traffic.address_region must be a list [int, int], "
+        "not 'ab'"),
+    "float stride": ("stride", 2.5, "config.stride must be int or null"),
+    "float tRCD": ("hardware.gddr.timing.tRCD", 1.5,
+                   "config.hardware.gddr.timing.tRCD must be int, not 1.5"),
+    "true horizon": ("horizon", True,
+                     "config.horizon must be int, not True"),
+    "unknown scheduler": ("scheduler", "fifo",
+                          "config.scheduler must be one of ['ccws', "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_names_the_malformed_field(case, tmp_path, capsys):
+    key, value, message = MALFORMED[case]
+    config = copy.deepcopy(base_config())
+    _set(config, key, value)
+    path = write(tmp_path / "config.json", config)
+    assert main(["validate", "--config", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_validate_accepts_the_base_config(tmp_path):
+    path = write(tmp_path / "config.json", base_config())
+    assert main(["validate", "--config", path]) == EXIT_OK
+
+
+def test_simulation_fault_exits_4(tmp_path, monkeypatch, capsys):
+    def fault(self):
+        raise SimulationFault(7, "injected")
+
+    monkeypatch.setattr(World, "run", fault)
+    path = write(tmp_path / "config.json", base_config())
+    assert main(["run", "--config", path,
+                 "--out", str(tmp_path / "r.json")]) == EXIT_FAULT
+    assert "cycle 7: injected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("allocator", ["first_touch", "coloring"])
+def test_pool_exhaustion_exits_3(allocator, tmp_path, capsys):
+    # a 64 KiB matrix (16 pages) over a GDDR pool of one row of 4 banks of
+    # 2 pages each (8 frames); the partial layout overlays the default one
+    kernel = {"name": "big", "grid_dim": [8, 8], "block_dim": [16, 16],
+              "warp_size": 32,
+              "matrices": [{"base_addr": 0, "element_size": 4,
+                            "row_len": 128, "mapping": "interleaved"}]}
+    config = {"workload": {"kernel": kernel}, "allocator": allocator,
+              "hardware": {"num_sms": 4, "gddr": {"layout": {
+                  "channel_bits": 0, "bank_bits": 2, "row_bits": 0}}}}
+    path = write(tmp_path / "config.json", config)
+    assert main(["run", "--config", path,
+                 "--out", str(tmp_path / "r.json")]) == EXIT_INVALID
+    assert "gddr pool exhausted: every frame of rows [0, 1) is in use" \
+        in capsys.readouterr().err
+
+
+def test_profile_writes_the_plan(tmp_path):
+    workload = interleaved_grid_workload()
+    path = write(tmp_path / "workload.json", workload)
+    out = tmp_path / "plan.json"
+    assert main(["profile", "--workload", path, "--page-size", "32",
+                 "--out", str(out)]) == EXIT_OK
+    plan = json.loads(out.read_text())
+    kernel, _ = load_workload(workload)
+    expected = form_batches(kernel, plan["stride"], 32)
+    assert plan["formation"] == "fixed_stride"
+    assert {k: v for k, v in plan.items() if k != "sharing_histogram"} \
+        == plan_to_dict(expected)
+    hist = sharing_histogram(expected)
+    assert plan["sharing_histogram"] == {
+        "bins": {str(k): v for k, v in hist.bins.items()},
+        "total_pages": hist.total_pages,
+        "exclusive_fraction": hist.exclusive_fraction,
+    }
+    blocks = [tuple(b) for batch in plan["batches"] for b in batch["block_ids"]]
+    assert blocks == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+
+
+def test_compare_output_is_reproducible(tmp_path):
+    write(tmp_path / "base.json", base_config())
+    write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": {"scheduler": ["ccws", "tbas_e"],
+                 "allocator": ["first_touch", "coloring"]},
+        "baseline": {"scheduler": "ccws", "allocator": "first_touch"}})
+    tables = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["compare", "--experiment", str(tmp_path / "exp.json"),
+                     "--out", str(out)]) == EXIT_OK
+        tables.append((out / "summary.csv").read_bytes())
+    assert tables[0] == tables[1]
+    header = tables[0].decode().splitlines()[0].split(",")
+    assert header[-1] == "status" and "timestamp" not in header

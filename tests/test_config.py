@@ -4,7 +4,7 @@ import pytest
 
 from conftest import interleaved_grid_workload, small_hardware
 from gmemsim.cli import EXIT_INVALID, EXIT_OK, main
-from gmemsim.config import config_from_dict
+from gmemsim.config import config_from_dict, default_ddr, default_gddr
 
 
 def config(line_bytes: int) -> dict:
@@ -26,3 +26,39 @@ def test_l1_line_larger_than_a_page_is_rejected(tmp_path):
     assert main(["validate", "--config", str(path)]) == EXIT_INVALID
     path.write_text(json.dumps(config(32)))
     assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
+def test_partial_pool_objects_overlay_the_pool_defaults():
+    cfg = config_from_dict({
+        "workload": interleaved_grid_workload(),
+        "hardware": {"gddr": {"layout": {"row_bits": 3},
+                              "timing": {"tRCD": 20},
+                              "energy": {"e_activate": 9}}}})
+    gddr, default = cfg.hardware.gddr, default_gddr()
+    assert gddr.layout.row_bits == 3 and gddr.layout.bank_bits == 4
+    assert gddr.timing.tRCD == 20 and gddr.timing.tRP == default.timing.tRP
+    # an integer is a number, kept as given
+    assert gddr.energy.e_activate == 9 and gddr.energy.e_read == 4.0
+    assert cfg.hardware.ddr == default_ddr()
+
+
+@pytest.mark.parametrize("hardware,message", [
+    ({"gddr": {"timing": {"clock_period": 1.0}}},
+     "unknown field(s) in config.hardware.gddr.timing: ['clock_period']"),
+    ({"check_invariants": 1},
+     "config.hardware.check_invariants must be bool, not 1"),
+    ({"cpu_pool": "hbm"}, "config.hardware.cpu_pool must be one of"),
+    ({"l1": []}, "config.hardware.l1 must be an object, not []"),
+])
+def test_malformed_hardware_names_its_field(hardware, message):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"workload": interleaved_grid_workload(),
+                          "hardware": hardware})
+    assert message in str(err.value)
+
+
+def test_schema_version_must_match():
+    for version in (2, True):
+        with pytest.raises(ValueError, match="unsupported config schema_version"):
+            config_from_dict({"schema_version": version,
+                              "workload": interleaved_grid_workload()})

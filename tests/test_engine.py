@@ -170,6 +170,30 @@ def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
     assert skipped.to_json() == stepped.to_json()
 
 
+@pytest.mark.parametrize("sched", SCHEDS)
+def test_batch_whose_blocks_arrive_after_it_finished_still_runs(sched):
+    # stride 2 and one resident block per SM: a batch's second block is
+    # dispatched after its first block's warps have all finished
+    config = make_config("interleaved", sched, "coloring", "serial",
+                         horizon=20_000)
+    config["stride"] = 2
+    config["hardware"]["max_blocks_per_sm"] = 1
+    report, _ = run_report(config)
+    assert not report.truncated
+    assert report.warp_instructions == 128
+
+
+def test_slot_larger_than_its_queue_is_rejected():
+    # 8-byte elements: a slot of 8 lanes reads four 16-byte lines of one
+    # channel, which a 2-deep controller queue can never take at once
+    config = make_config("clustered", "ccws", "first_touch", "serial",
+                         horizon=20_000)
+    config["workload"]["kernel"]["matrices"][0]["element_size"] = 8
+    with pytest.raises(ValueError, match="sends 4 requests into gddr "
+                       "channel 0, whose queue holds only 2"):
+        run_report(config)
+
+
 def grid_kernel(matrices: list[dict]) -> dict:
     """4x4 interleaved grid of 16x16-thread blocks over 64x64 word matrices."""
     return {"name": "grid4", "grid_dim": [4, 4], "block_dim": [16, 16],

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmemsim.memmap import (CPU_OWNER, AddressLayout, FrameRegion, PagePolicy,
-                            PageTable, Pool, build_color_map, classify_access)
+                            PageTable, Pool, build_color_map)
 
 DEFAULT = AddressLayout(byte_offset_bits=6, column_bits=7, channel_bits=1,
                         bank_bits=4, row_bits=14, page_offset_bits=12)
@@ -174,15 +174,15 @@ def test_translate_allocates_once():
 def test_classification():
     t = make_table(PagePolicy.COLORING)
     e0 = t.allocate_page(0, 0)
-    assert classify_access(0, e0.pool, e0.channel, e0.bank, t) == "local"
-    assert classify_access(1, e0.pool, e0.channel, e0.bank, t) == "remote"
+    assert t.is_local(0, e0.pool, e0.channel, e0.bank)
+    assert not t.is_local(1, e0.pool, e0.channel, e0.bank)
 
 
 def test_ddr_never_local():
     t = make_table(PagePolicy.FIRST_TOUCH)
     e = t.allocate_page(5, CPU_OWNER)
     assert e.pool is Pool.DDR
-    assert classify_access(0, e.pool, e.channel, e.bank, t) == "remote"
+    assert not t.is_local(0, e.pool, e.channel, e.bank)
 
 
 def test_pool_exhaustion_faults():
@@ -191,7 +191,7 @@ def test_pool_exhaustion_faults():
     t = PageTable(PagePolicy.FIRST_TOUCH, layouts, {0: ((0, 0),)})
     t.allocate_page(0, 0)  # 2 rows x 1 page per row
     t.allocate_page(1, 0)
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match=r"gddr pool exhausted.*rows \[0, 2\)"):
         t.allocate_page(2, 0)
 
 

@@ -127,6 +127,18 @@ def test_loader_rejects_unknown_fields():
         load_workload(wl)
 
 
+def test_loader_names_the_matrix_field():
+    wl = clustered_rows_workload()
+    wl["kernel"]["matrices"][0]["mapping"] = "diagonal"
+    with pytest.raises(ValueError, match=r"workload\.kernel\.matrices\[0\]"
+                       r"\.mapping must be one of \['clustered', "):
+        load_workload(wl)
+    wl["kernel"]["matrices"][0]["mapping"] = "clustered"
+    wl["kernel"]["grid_dim"] = [2, True]
+    with pytest.raises(ValueError, match="grid_dim extents must be integers"):
+        load_workload(wl)
+
+
 def test_loader_rejects_degenerate_interleaved():
     wl = interleaved_grid_workload()
     wl["kernel"]["matrices"][0]["row_len"] = 8
