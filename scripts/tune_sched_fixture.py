@@ -10,9 +10,11 @@ rbhr tbas_e > ccws) holds.
 """
 
 import itertools
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from gmemsim.config import config_from_dict
 from gmemsim.engine import run

@@ -19,7 +19,7 @@ from .batching import (form_batches, plan_to_dict, profile_stride,
                        sharing_histogram)
 from .config import config_from_dict, load_config, policies_dict
 from .engine import SimulationFault, World
-from .loader import reject_unknown, strip_version
+from .loader import from_dict, strip_version
 from .metrics import MetricsReport
 from .workload import load_workload
 
@@ -125,28 +125,41 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _load_experiment(path: str) -> dict:
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """A `compare` sweep: each combination of the axes' values laid over
+    the base config is one cell, and each cell's metrics are divided by the
+    baseline cell's.  base_config is read relative to the experiment file."""
+
+    name: str
+    base_config: str
+    axes: dict[str, list]
+    baseline: dict | None = None
+    out_dir: str | None = None
+    max_cells: int = 64
+
+
+def _load_experiment(path: str) -> Experiment:
     with open(path) as f:
         obj = strip_version(json.load(f), "experiment", EXPERIMENT_SCHEMA_VERSION)
-    reject_unknown(obj, {"name", "base_config", "axes", "baseline", "out_dir",
-                         "max_cells"}, "experiment")
-    for req in ("name", "base_config", "axes"):
-        if req not in obj:
-            raise ValueError(f"experiment requires {req!r}")
-    obj["_dir"] = os.path.dirname(os.path.abspath(path))
-    return obj
+    exp = from_dict(Experiment, obj, "experiment")
+    here = os.path.dirname(os.path.abspath(path))
+    return dataclasses.replace(
+        exp, base_config=os.path.join(here, exp.base_config))
 
 
-def _experiment_cells(exp: dict) -> list[dict]:
-    axes = exp["axes"]
-    if not isinstance(axes, dict) or not axes:
-        raise ValueError("experiment axes must be a non-empty mapping")
-    keys = sorted(axes)
+def _experiment_cells(exp: Experiment) -> list[dict]:
+    if not exp.axes:
+        raise ValueError("experiment.axes must name at least one field")
+    for key, values in exp.axes.items():
+        if not values:
+            raise ValueError(f"experiment.axes.{key} must not be empty")
+    keys = sorted(exp.axes)
     cells = [dict(zip(keys, combo))
-             for combo in itertools.product(*(axes[k] for k in keys))]
-    cap = exp.get("max_cells", 64)
-    if len(cells) > cap:
-        raise ValueError(f"experiment has {len(cells)} cells, cap is {cap}")
+             for combo in itertools.product(*(exp.axes[k] for k in keys))]
+    if len(cells) > exp.max_cells:
+        raise ValueError(
+            f"experiment has {len(cells)} cells, cap is {exp.max_cells}")
     return cells
 
 
@@ -156,15 +169,12 @@ def _cell_name(cell: dict) -> str:
 
 def cmd_compare(args) -> int:
     exp = _load_experiment(args.experiment)
-    base_path = exp["base_config"]
-    if not os.path.isabs(base_path):
-        base_path = os.path.join(exp["_dir"], base_path)
-    with open(base_path) as f:
+    with open(exp.base_config) as f:
         base_obj = json.load(f)
+    base_dir = os.path.dirname(exp.base_config)
     cells = _experiment_cells(exp)
-    baseline_cell = exp.get("baseline") or {"scheduler": "ccws"}
-    out_dir = args.out or exp.get("out_dir") or os.path.join(
-        _default_out(), exp["name"])
+    baseline_cell = exp.baseline or {"scheduler": "ccws"}
+    out_dir = args.out or exp.out_dir or os.path.join(_default_out(), exp.name)
     os.makedirs(out_dir, exist_ok=True)
 
     rows, failed = {}, {}
@@ -173,7 +183,7 @@ def cmd_compare(args) -> int:
         obj.update(cell)
         name = _cell_name(cell)
         try:
-            cfg = config_from_dict(obj, base_dir=os.path.dirname(base_path))
+            cfg = config_from_dict(obj, base_dir=base_dir)
             world = World(cfg)
             report = world.run()
             _write_report(report, os.path.join(out_dir, f"{name}.json"))
@@ -229,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one simulation run")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", help="report JSON path")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
+    run_p.add_argument(
+        "--seed", type=int,
+        help="override the config's seed, which only labels the report; "
+             "the random inputs take theirs from the workload's "
+             "cpu_traffic.seed and the config's random_dispatch_seed")
     run_p.add_argument("--trace", action="store_true",
                        help="also write request/dispatch/issue CSV traces")
     run_p.set_defaults(func=cmd_run)

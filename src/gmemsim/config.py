@@ -1,6 +1,6 @@
 """Run configuration: policy selections plus hardware parameters.
 
-Every run is fully determined by (config, seed).  Timing and energy numbers
+Every run is fully determined by its config.  Timing and energy numbers
 are configuration defaults chosen to be representative of a GDDR-like and a
 DDR-like device; they are knobs, not measured ground truth, and experiments
 should treat derived energy figures as relative.
@@ -146,6 +146,15 @@ class HardwareConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One simulation run: the workload, the policies and the hardware.
+
+    `seed` only labels the report: no random number is drawn from it, so
+    two runs that differ only in `seed` simulate the same thing.  The
+    inputs that do draw random numbers have their own seeds: the workload's
+    `cpu_traffic.seed` (the CPU request stream) and `random_dispatch_seed`
+    (the idle-SM order of interleaved dispatch).
+    """
+
     workload: str | dict
     horizon: int = 1_000_000
     seed: int = 0

@@ -306,6 +306,10 @@ class World:
             warp = sm.scheduler.select_warp(self.cycle)
             if warp is None:
                 continue
+            if self._check and not warp.is_ready(self.cycle):
+                raise SimulationFault(
+                    self.cycle, f"SM {sm.sm_id} picked warp {warp.warp_id}, "
+                    "which is not ready")
             lines = self._slot_lines(warp, sm.sm_id)
             # write-through: a write goes to DRAM whether or not it hits
             hits = 0
@@ -352,12 +356,14 @@ class World:
                     stalled = True
             warp.lines = None
             warp.next_slot += 1
+            sm.scheduler.on_issue(warp, self.cycle)
             if stalled:
                 sm.scheduler.on_long_stall(warp, self.cycle)
+            elif warp.next_slot >= len(warp.slots):
+                self._finish_warp(sm, warp)
             else:
                 warp.ready_at = self.cycle + 1 + gap
-            if warp.next_slot >= len(warp.slots) and not warp.pending_lines:
-                self._finish_warp(sm, warp)
+                sm.scheduler.wake(warp, self.cycle)
             if self._check:
                 sm.scheduler.assert_invariants(self.cycle)
 
@@ -426,6 +432,7 @@ class World:
                 self._finish_warp(sm, warp)
             else:
                 warp.ready_at = self.cycle + 1 + self.kernel.compute_gap
+                sm.scheduler.wake(warp, self.cycle)
 
     def _phase_reply(self):
         hw = self.cfg.hardware.reply
@@ -502,11 +509,9 @@ class World:
         for sm in self.sms:
             if sm.reply_queue:
                 cand.append(sm.reply_queue[0][0])
-            for warps in sm.resident_blocks.values():
-                for w in warps:
-                    if not w.finished and not w.pending_lines \
-                            and w.ready_at > self.cycle:
-                        cand.append(w.ready_at)
+            wake = sm.scheduler.next_wake(self.cycle)
+            if wake is not None:
+                cand.append(wake)
         if self.cpu_next < len(self.cpu_stream):
             cand.append(self.cpu_stream[self.cpu_next].cycle)
         return min(cand) if cand else None

@@ -10,6 +10,7 @@ instance from a parsed JSON object.  The type rules:
     X | None               null, or a value of X
     tuple[X, Y]            a list of exactly that many items, each typed
     tuple[X, ...]          a list of any length, each item of X
+    dict[str, X]           an object whose every value is of X
     dataclass              a nested object, loaded by the same rules
 
 Unknown keys and missing required fields are rejected.  A missing optional
@@ -125,6 +126,11 @@ def _convert(tp, value, where: str):
             if len(args) == len(value):
                 return tuple(_convert(t, v, f"{where}[{i}]")
                              for i, (t, v) in enumerate(zip(args, value)))
+    elif origin is dict:
+        if isinstance(value, dict):
+            item = typing.get_args(tp)[1]
+            return {k: _convert(item, v, f"{where}.{k}")
+                    for k, v in value.items()}
     elif isinstance(tp, type) and issubclass(tp, Enum):
         if value in [m.value for m in tp]:
             return tp(value)

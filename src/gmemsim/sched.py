@@ -16,10 +16,32 @@ and in who gets promoted:
     tbas_e  as tbas_c, but promote the oldest pending batch (earliest first
             dispatch) with a ready warp, damping request bursts by finishing
             old batches before touching new rows.
+
+Readiness is event-driven.  A warp is ready when it has no outstanding reads
+and its `ready_at` cycle has passed (`WarpState.is_ready`).  Rather than ask
+every warp on every query, each scheduler keeps an index of its ready warps
+(a ready bitmask per batch under tbas_*, a ready set under ccws), and the
+engine reports each change of a warp's readiness:
+
+    add_warp(w, c)    w arrives at dispatch; the scheduler indexes it itself
+    on_issue(w, c)    w issued an instruction at c, so it is not ready; the
+                      engine calls this before on_long_stall
+    wake(w, c)        w has no pending lines and a new ready_at: after an
+                      issue that sent no read, and at the delivery that
+                      cleared its last pending line
+    on_finish(w, c)   w finished; the scheduler forgets it
+
+A warp woken with `ready_at` after c waits in a heap of wake-ups and joins
+the index when a query reaches that cycle.  Every query (select_warp,
+has_issuable, on_long_stall, demote_and_promote, next_wake) first moves the
+due wake-ups into the index, so queries must come in non-decreasing cycle
+order.  `is_ready` stays the oracle that invariant checks and tests compare
+the index against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,18 +80,42 @@ class WarpState:
                 and cycle >= self.ready_at)
 
 
-def sufficient_active(warps: list[WarpState], threshold: int, cycle: int) -> bool:
-    """True when at least `threshold` warps of the batch are ready to issue."""
-    count = 0
-    for w in warps:
-        if w.is_ready(cycle):
-            count += 1
-            if count >= threshold:
-                return True
-    return False
+class _WakeupHeap:
+    """The wake-ups shared by both schedulers: (ready_at, seq, warp) for each
+    warp with no pending lines whose ready_at is still ahead.  A subclass
+    keeps the ready warps themselves in `_set_ready` and `on_issue`."""
+
+    def __init__(self):
+        self._wakeups: list[tuple[int, int, WarpState]] = []
+        self._wake_seq = 0
+
+    def wake(self, warp: WarpState, cycle: int):
+        if warp.ready_at <= cycle:
+            self._set_ready(warp)
+        else:
+            heapq.heappush(self._wakeups,
+                           (warp.ready_at, self._wake_seq, warp))
+            self._wake_seq += 1
+
+    def _advance(self, cycle: int):
+        """Index every warp whose wake-up is due by `cycle`."""
+        heap = self._wakeups
+        while heap and heap[0][0] <= cycle:
+            warp = heapq.heappop(heap)[2]
+            if warp.is_ready(cycle):  # a finished warp's wake-up is stale
+                self._set_ready(warp)
+
+    def next_wake(self, cycle: int) -> int | None:
+        """The earliest cycle after `cycle` at which a waiting warp becomes
+        ready, or None when no warp waits."""
+        self._advance(cycle)
+        heap = self._wakeups
+        while heap and heap[0][2].finished:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
 
-class CcwsScheduler:
+class CcwsScheduler(_WakeupHeap):
     """Static wavefront limiting with demote-on-stall.
 
     The running set holds at most `capacity` warps; a long (memory) stall
@@ -82,69 +128,100 @@ class CcwsScheduler:
     def __init__(self, capacity: int = 2):
         if capacity < 1:
             raise ValueError("running set capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
         self.running: list[WarpState] = []
         self.pending: list[WarpState] = []
+        # the ready warps, each of them either running or pending
+        self.ready: set[WarpState] = set()
         self._rr = 0
+
+    def _set_ready(self, warp: WarpState):
+        self.ready.add(warp)
 
     def add_warp(self, warp: WarpState, cycle: int):
         self.pending.append(warp)
+        if not warp.finished:
+            self.wake(warp, cycle)
 
-    def _refill(self, cycle: int):
-        while len(self.running) < self.capacity:
-            idx = next((i for i, w in enumerate(self.pending)
-                        if w.is_ready(cycle)), None)
-            if idx is None:
-                return
-            self.running.append(self.pending.pop(idx))
+    def on_issue(self, warp: WarpState, cycle: int):
+        self.ready.discard(warp)
+
+    def _pending_ready(self) -> bool:
+        # every ready warp is either running or pending
+        n = len(self.ready)
+        for w in self.running:
+            if w in self.ready:
+                n -= 1
+        return n > 0
+
+    def _refill(self):
+        while len(self.running) < self.capacity and self._pending_ready():
+            i = next(i for i, w in enumerate(self.pending) if w in self.ready)
+            self.running.append(self.pending.pop(i))
 
     def demote_and_promote(self, warp: WarpState, cycle: int):
+        self._advance(cycle)
         if warp in self.running:
             self.running.remove(warp)
             self.pending.append(warp)
-        self._refill(cycle)
+        self._refill()
 
     def on_long_stall(self, warp: WarpState, cycle: int):
         self.demote_and_promote(warp, cycle)
 
     def on_finish(self, warp: WarpState, cycle: int):
+        self.ready.discard(warp)
         if warp in self.running:
             self.running.remove(warp)
         elif warp in self.pending:
             self.pending.remove(warp)
 
     def select_warp(self, cycle: int) -> WarpState | None:
-        self._refill(cycle)
+        self._advance(cycle)
+        self._refill()
         n = len(self.running)
         for k in range(n):
             i = (self._rr + 1 + k) % n
             w = self.running[i]
-            if w.is_ready(cycle):
+            if w in self.ready:
                 self._rr = i
                 return w
         return None
 
     def has_issuable(self, cycle: int) -> bool:
-        """Whether select_warp would return a warp now; never mutates state."""
-        if any(w.is_ready(cycle) for w in self.running):
-            return True
-        return (len(self.running) < self.capacity
-                and any(w.is_ready(cycle) for w in self.pending))
+        """Whether select_warp would return a warp now; it only brings the
+        ready index up to `cycle` and never changes the schedule."""
+        self._advance(cycle)
+        for w in self.running:
+            if w in self.ready:
+                return True
+        # no running warp is ready, so every ready warp is pending
+        return len(self.running) < self.capacity and bool(self.ready)
 
     def assert_invariants(self, cycle: int):
         if len(self.running) > self.capacity:
             raise AssertionError("running set exceeds capacity")
+        self._advance(cycle)
+        for w in self.running:
+            if (w in self.ready) != w.is_ready(cycle):
+                raise AssertionError(
+                    f"ready index disagrees with running warp {w.warp_id}")
 
 
-class TbasScheduler:
+class TbasScheduler(_WakeupHeap):
     """Batch-granularity running set with pluggable promotion order."""
 
     def __init__(self, policy: SchedPolicy, threshold: int = 1):
         if policy is SchedPolicy.CCWS:
             raise ValueError("use CcwsScheduler for ccws")
+        super().__init__()
         self.policy = policy
         self.threshold = threshold
         self.batch_warps: dict[int, list[WarpState]] = {}
+        # bit i of ready_mask[b] is set when batch_warps[b][i] is ready
+        self.ready_mask: dict[int, int] = {}
+        self._bit: dict[WarpState, int] = {}
         self.unfinished: dict[int, int] = {}
         self.ages: dict[int, int] = {}
         self.pending: list[int] = []
@@ -153,10 +230,17 @@ class TbasScheduler:
         self._age_seq = 0
         self._rr = 0
 
+    def _set_ready(self, warp: WarpState):
+        self.ready_mask[warp.batch_id] |= self._bit[warp]
+
+    def on_issue(self, warp: WarpState, cycle: int):
+        self.ready_mask[warp.batch_id] &= ~self._bit[warp]
+
     def add_warp(self, warp: WarpState, cycle: int):
         b = warp.batch_id
         if b not in self.batch_warps:
             self.batch_warps[b] = []
+            self.ready_mask[b] = 0
             self.ages[b] = self._age_seq
             self._age_seq += 1
             self.unfinished[b] = 0
@@ -165,37 +249,34 @@ class TbasScheduler:
         if self.unfinished[b] == 0 and b != self.running_batch \
                 and b not in self.pending:
             self.pending.append(b)
+        self._bit[warp] = 1 << len(self.batch_warps[b])
         self.batch_warps[b].append(warp)
         if not warp.finished:
             self.unfinished[b] += 1
+            self.wake(warp, cycle)
 
     def _batch_finished(self, b: int) -> bool:
         return self.unfinished[b] == 0
 
-    def _candidates(self, cycle: int) -> list[int]:
-        return [b for b in self.pending
-                if not self._batch_finished(b)
-                and sufficient_active(self.batch_warps[b], 1, cycle)]
+    def _candidates(self) -> list[int]:
+        return [b for b in self.pending if self.ready_mask[b]]
 
-    def _pick_promotion(self, cycle: int) -> int | None:
-        cands = self._candidates(cycle)
+    def _pick_promotion(self) -> int | None:
+        cands = self._candidates()
         if not cands:
             return None
         if self.policy is SchedPolicy.TBAS_C:
             # locality-blind pick: the batch offering the most ready warps,
             # pending order breaking ties
-            def ready_count(b):
-                return sum(1 for w in self.batch_warps[b] if w.is_ready(cycle))
-            return max(cands, key=ready_count)
+            return max(cands, key=lambda b: self.ready_mask[b].bit_count())
         if self.policy is SchedPolicy.TBAS_E:
-            best = min(cands, key=lambda b: self.ages[b])
-            assert self.ages[best] == min(self.ages[b] for b in cands)
-            return best
-        # tbas_d: walk the dispatch sequence starting after the demoted batch
-        seq = sorted(self.ages, key=lambda b: self.ages[b])
+            return min(cands, key=lambda b: self.ages[b])
+        # tbas_d: walk the dispatch sequence starting after the demoted
+        # batch; ages are handed out in insertion order
         anchor = self.last_demoted if self.last_demoted in self.ages else None
         if anchor is None:
             return min(cands, key=lambda b: self.ages[b])
+        seq = list(self.ages)
         i = seq.index(anchor)
         order = seq[i + 1:] + seq[:i + 1]
         for b in order:
@@ -203,8 +284,8 @@ class TbasScheduler:
                 return b
         return None
 
-    def _promote(self, cycle: int):
-        b = self._pick_promotion(cycle)
+    def _promote(self):
+        b = self._pick_promotion()
         if b is not None:
             self.pending.remove(b)
             self.running_batch = b
@@ -213,21 +294,24 @@ class TbasScheduler:
     def demote_and_promote(self, batch_id: int, cycle: int):
         if batch_id != self.running_batch:
             return
+        self._advance(cycle)
         self.running_batch = None
         self.last_demoted = batch_id
         if not self._batch_finished(batch_id):
             self.pending.append(batch_id)
-        self._promote(cycle)
+        self._promote()
 
     def on_long_stall(self, warp: WarpState, cycle: int):
         b = self.running_batch
         if b is None or warp.batch_id != b:
             return
-        if not sufficient_active(self.batch_warps[b], self.threshold, cycle):
+        self._advance(cycle)
+        if self.ready_mask[b].bit_count() < self.threshold:
             self.demote_and_promote(b, cycle)
 
     def on_finish(self, warp: WarpState, cycle: int):
         b = warp.batch_id
+        self.ready_mask[b] &= ~self._bit[warp]
         self.unfinished[b] -= 1
         if self._batch_finished(b):
             if b == self.running_batch:
@@ -236,34 +320,49 @@ class TbasScheduler:
                 self.pending.remove(b)
 
     def select_warp(self, cycle: int) -> WarpState | None:
+        self._advance(cycle)
         if self.running_batch is None or self._batch_finished(self.running_batch):
             if self.running_batch is not None:
                 self.running_batch = None
-            self._promote(cycle)
+            self._promote()
         if self.running_batch is None:
             return None
-        warps = self.batch_warps[self.running_batch]
-        n = len(warps)
-        for k in range(n):
-            i = (self._rr + 1 + k) % n
-            w = warps[i]
-            if w.is_ready(cycle):
-                self._rr = i
-                return w
-        return None
+        mask = self.ready_mask[self.running_batch]
+        if not mask:
+            return None
+        # round-robin: the next ready warp after the last pick, cyclically
+        after = mask >> (self._rr + 1)
+        if after:
+            i = self._rr + (after & -after).bit_length()
+        else:
+            i = (mask & -mask).bit_length() - 1
+        self._rr = i
+        return self.batch_warps[self.running_batch][i]
 
     def has_issuable(self, cycle: int) -> bool:
-        """Whether select_warp would return a warp now; never mutates state."""
+        """Whether select_warp would return a warp now; it only brings the
+        ready index up to `cycle` and never changes the schedule."""
+        self._advance(cycle)
         b = self.running_batch
         if b is not None and not self._batch_finished(b):
-            return any(w.is_ready(cycle) for w in self.batch_warps[b])
-        return bool(self._candidates(cycle))
+            return self.ready_mask[b] != 0
+        return any(self.ready_mask[b] for b in self.pending)
 
     def assert_invariants(self, cycle: int):
-        if self.running_batch is not None:
-            batches = {w.batch_id for w in self.batch_warps[self.running_batch]}
-            if batches - {self.running_batch}:
+        b = self.running_batch
+        if b is None:
+            return
+        self._advance(cycle)
+        want = 0
+        for i, w in enumerate(self.batch_warps[b]):
+            if w.batch_id != b:
                 raise AssertionError("running set mixes thread batches")
+            if w.is_ready(cycle):
+                want |= 1 << i
+        if self.ready_mask[b] != want:
+            raise AssertionError(
+                f"ready mask of batch {b} is {self.ready_mask[b]:#b}, "
+                f"its warps say {want:#b}")
 
 
 def make_scheduler(policy: SchedPolicy, *, capacity: int = 2, threshold: int = 1):

@@ -161,3 +161,27 @@ def test_compare_output_is_reproducible(tmp_path):
     assert tables[0] == tables[1]
     header = tables[0].decode().splitlines()[0].split(",")
     assert header[-1] == "status" and "timestamp" not in header
+
+
+MALFORMED_EXPERIMENTS = {
+    "axis value not a list": ({"axes": {"horizon": 100}},
+                              "experiment.axes.horizon must be list, not 100"),
+    "string max_cells": ({"max_cells": "9"},
+                         "experiment.max_cells must be int, not '9'"),
+    "empty axis": ({"axes": {"scheduler": []}},
+                   "experiment.axes.scheduler must not be empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EXPERIMENTS))
+def test_compare_names_the_malformed_experiment_field(case, tmp_path, capsys):
+    change, message = MALFORMED_EXPERIMENTS[case]
+    write(tmp_path / "base.json", base_config())
+    exp = dict({"name": "sweep", "base_config": "base.json",
+                "axes": {"scheduler": ["ccws", "tbas_e"]}}, **change)
+    path = write(tmp_path / "exp.json", exp)
+    assert main(["compare", "--experiment", path,
+                 "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
