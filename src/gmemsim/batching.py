@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .workload import KernelSpec, MappingKind, enumerate_blocks, owned_element
+from .workload import (KernelSpec, MappingKind, element_runs, enumerate_blocks,
+                       first_byte_units)
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -56,25 +57,19 @@ class SharingHistogram:
 
 def block_page_set(spec: KernelSpec, block_id, page_size: int,
                    zero_base: bool = False) -> frozenset[int]:
-    """Virtual pages touched by one block.  zero_base applies the profiling
+    """Virtual pages touched by one block: the pages of its elements' first
+    bytes, taken from its element runs.  zero_base applies the profiling
     convention that every matrix starts at address zero."""
-    bdx, _ = spec.block_dim
+    threads = range(spec.threads_per_block)
     pages: set[int] = set()
     for m in spec.matrices:
         if m.accesses_per_thread == 0:
             continue
         base = 0 if zero_base else m.base_addr
-        for tlin in range(spec.threads_per_block):
-            elem = owned_element(spec, m, block_id, tlin % bdx, tlin // bdx)
-            pages.add((base + elem * m.element_size) // page_size)
+        for start, count in element_runs(spec, m, block_id, threads, base):
+            pages.update(p for p, _ in first_byte_units(
+                start, count, m.element_size, page_size))
     return frozenset(pages)
-
-
-def _all_block_pages(spec: KernelSpec, page_size: int, zero_base: bool):
-    return [
-        block_page_set(spec, b, page_size, zero_base=zero_base)
-        for b in enumerate_blocks(spec)
-    ]
 
 
 def _shared_page_count(block_pages, stride: int) -> tuple[int, int]:
@@ -125,7 +120,8 @@ def profile_stride(spec: KernelSpec, page_size: int, *,
     all pages shared between batches, the kernel is marked FALLBACK: its
     mapping cannot be captured by a fixed stride.
     """
-    block_pages = _all_block_pages(spec, page_size, zero_base=True)
+    block_pages = [block_page_set(spec, b, page_size, zero_base=True)
+                   for b in enumerate_blocks(spec)]
     if not any(block_pages):
         raise ValueError("kernel issues no memory accesses")
     best_stride, best_shared, total_pages = None, None, 0
@@ -153,13 +149,11 @@ def form_batches(spec: KernelSpec, stride: int, page_size: int,
     batches = []
     for i in range(0, len(blocks), stride):
         members = blocks[i:i + stride]
-        pages: set[int] = set()
-        for b in members:
-            pages |= block_page_set(spec, b, page_size)
         batches.append(ThreadBatch(
             batch_id=len(batches),
             block_ids=tuple(members),
-            page_set=frozenset(pages),
+            page_set=frozenset().union(
+                *(block_page_set(spec, b, page_size) for b in members)),
         ))
     return BatchPlan(stride=stride, formation=formation,
                      batches=tuple(batches), page_size=page_size)

@@ -85,7 +85,8 @@ class SmModel:
         self.l1 = L1Cache(l1cfg)
         self.max_blocks = max_blocks
         self.max_warps = max_warps
-        self.resident_blocks: dict[int, list[WarpState]] = {}
+        # block linear id -> its warps that have not finished
+        self.resident_blocks: dict[int, int] = {}
         self.resident_warps = 0
         self.reply_queue: deque = deque()
         self.reply_overflow: deque = deque()
@@ -208,33 +209,20 @@ class World:
     def _instantiate_block(self, sm: SmModel, blin: int):
         block_id = self.blocks[blin]
         batch = self.batch_of_block[block_id]
-        per_warp = gen_block_trace(self.kernel, block_id)
-        line_bytes = self._line
-        warps = []
-        for wid in sorted(per_warp):
-            # virtual line -> (vaddr, is_read) of the first lane touching it;
-            # a line never spans two pages, so distinct virtual lines stay
-            # distinct after translation
-            slots: list[dict] = []
-            for ev in per_warp[wid]:
-                if ev.issue_slot == len(slots):
-                    slots.append({})
-                slots[ev.issue_slot].setdefault(
-                    ev.virtual_addr // line_bytes, (ev.virtual_addr, ev.is_read))
-            w = WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
-                          slots=[list(s.values()) for s in slots],
-                          ready_at=self.cycle)
+        live = 0
+        for wid, slots in gen_block_trace(self.kernel, block_id,
+                                          self._line).items():
             if not slots:
-                w.finished = True
                 self.finished_warps += 1
-            warps.append(w)
-        live = [w for w in warps if not w.finished]
+                continue
+            w = WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
+                          slots=slots, ready_at=self.cycle)
+            self.warp_index[wid] = w
+            sm.scheduler.add_warp(w, self.cycle)
+            live += 1
         if live:
             sm.resident_blocks[blin] = live
-            sm.resident_warps += len(live)
-            for w in live:
-                self.warp_index[w.warp_id] = w
-                sm.scheduler.add_warp(w, self.cycle)
+            sm.resident_warps += live
         self.dispatch_log.append((self.cycle, sm.sm_id, blin, batch))
         self.dispatched += 1
 
@@ -371,14 +359,12 @@ class World:
         warp.finished = True
         self.finished_warps += 1
         sm.scheduler.on_finish(warp, self.cycle)
-        blk = sm.resident_blocks.get(warp.block_linear)
-        if blk is not None:
-            sm.resident_warps -= 1
-            live = [w for w in blk if not w.finished]
-            if live:
-                sm.resident_blocks[warp.block_linear] = live
-            else:
-                del sm.resident_blocks[warp.block_linear]
+        sm.resident_warps -= 1
+        left = sm.resident_blocks[warp.block_linear] - 1
+        if left:
+            sm.resident_blocks[warp.block_linear] = left
+        else:
+            del sm.resident_blocks[warp.block_linear]
 
     # cpu traffic ------------------------------------------------------------
 

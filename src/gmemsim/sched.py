@@ -57,12 +57,15 @@ class SchedPolicy(str, Enum):
 class WarpState:
     """A resident warp's program position and stall state.
 
-    slots is the warp's memory instruction stream: per issue slot, one
-    (virtual address, is_read) entry per distinct line its lanes touch, in
-    first-lane order.  lines is the engine's translation of the current slot,
-    None until the slot's first issue attempt.  The warp may issue when it has
-    no outstanding reads and its wakeup cycle has passed; it is finished once
-    every slot has issued and completed.
+    slots is the warp's memory instruction stream, which gen_block_trace
+    works out from the warp's element runs: per issue slot, one (virtual
+    address, is_read) per distinct line its lanes touch (a lane touches the
+    line of its element's first byte), in first-lane order, with the first
+    such lane's address.  A line never spans two pages, so the lines stay
+    distinct after translation.  lines is the engine's translation of the
+    current slot, None until the slot's first issue attempt.  The warp may
+    issue when it has no outstanding reads and its wakeup cycle has passed;
+    it is finished once every slot has issued and completed.
     """
 
     warp_id: int

@@ -2,7 +2,10 @@
 
 A kernel is described by its thread hierarchy (2D grid of 2D blocks) plus one
 thread-data mapping per data matrix.  No instructions are modeled; the mapping
-is enough to reconstruct every memory address a thread touches.
+is enough to reconstruct every memory address a thread touches.  A warp's
+or block's threads own runs of consecutive elements (`element_runs`), whose
+lines and pages follow by address arithmetic, not lane by lane.  A lane
+touches the line and page of its element's first byte only.
 
 A workload file is a JSON object with a `kernel` (the fields of KernelSpec,
 `matrices` holding those of MatrixMapping) and an optional `cpu_traffic`
@@ -30,9 +33,13 @@ class MappingKind(str, Enum):
 
     CLUSTERED: each block's threads cover one contiguous element range, so
     consecutive blocks walk consecutive address ranges (1D record kernels).
+    A warp owns one run of elements.
     INTERLEAVED: thread (tx, ty) of block (bx, by) owns the element at global
     coordinates (bx*bdim.x + tx, by*bdim.y + ty), so blocks that are neighbors
     along x interleave within the same matrix rows (2D stencil/grid kernels).
+    A warp owns one run per block row its lanes reach, at least
+    ceil(warp_size / bdim.x) of them.  Either way a thread's access touches
+    the line and the page of its element's first byte.
     """
 
     CLUSTERED = "clustered"
@@ -148,17 +155,6 @@ class CpuTrafficSpec:
 
 
 @dataclass(frozen=True)
-class AccessEvent:
-    """One lane's memory access.  Lanes of the same warp instruction share an
-    issue_slot; slots strictly increase along a warp's stream."""
-
-    virtual_addr: int
-    is_read: bool
-    warp_id: int
-    issue_slot: int
-
-
-@dataclass(frozen=True)
 class CpuRequest:
     cycle: int
     virtual_addr: int
@@ -180,51 +176,72 @@ def _is_read(ordinal: int, read_fraction: float) -> bool:
 
 def owned_element(spec: KernelSpec, m: MatrixMapping, block_id, tx: int, ty: int) -> int:
     """Linear index of the matrix element owned by one thread."""
-    bx, by, _ = block_id
+    (bx, by, _), (bdx, bdy) = block_id, spec.block_dim
     if m.mapping is MappingKind.CLUSTERED:
-        blin = by * spec.grid_dim[0] + bx
-        tlin = ty * spec.block_dim[0] + tx
-        return blin * spec.threads_per_block + tlin
-    gx = bx * spec.block_dim[0] + tx
-    gy = by * spec.block_dim[1] + ty
-    return gy * m.row_len + gx
+        return (by * spec.grid_dim[0] + bx) * bdx * bdy + ty * bdx + tx
+    return (by * bdy + ty) * m.row_len + bx * bdx + tx
 
 
-def gen_block_trace(spec: KernelSpec, block_id) -> dict[int, list[AccessEvent]]:
-    """Per-warp access streams for one block.
+def element_runs(spec: KernelSpec, m: MatrixMapping, block_id,
+                 threads: range, base: int) -> list[tuple[int, int]]:
+    """The elements that the block's threads `threads` own, as (start
+    address, count) runs in thread order, with the matrix placed at `base`.
+    CLUSTERED threads own one run; INTERLEAVED ones one per block row."""
+    bdx = spec.block_dim[0]
+    runs, t = [], threads.start
+    while t < threads.stop:
+        end = (threads.stop if m.mapping is MappingKind.CLUSTERED
+               else min(threads.stop, (t // bdx + 1) * bdx))
+        elem = owned_element(spec, m, block_id, t % bdx, t // bdx)
+        runs.append((base + elem * m.element_size, end - t))
+        t = end
+    return runs
 
-    Each thread owns exactly one element per matrix (see MappingKind) and
-    accesses it accesses_per_thread times.  A warp's slot k holds one event
-    per active lane; matrices contribute their slots in declaration order.
-    Pure: identical output for identical inputs.
-    """
+
+def first_byte_units(start: int, count: int, size: int,
+                     unit: int) -> list[tuple[int, int]]:
+    """(unit index, address of its first element) for each `unit`-byte line
+    or page holding the first byte of one of `count` consecutive `size`-byte
+    elements from `start`, in address order.  Elements no larger than a unit
+    touch every unit from the first to the last; larger ones skip some."""
+    if size >= unit:
+        return [((start + i * size) // unit, start + i * size)
+                for i in range(count)]
+    last = start + (count - 1) * size
+    return [(u, start + max(0, -(-(u * unit - start) // size)) * size)
+            for u in range(start // unit, last // unit + 1)]
+
+
+def gen_block_trace(spec: KernelSpec, block_id,
+                    line_bytes: int) -> dict[int, list[list[tuple[int, bool]]]]:
+    """Per warp id, in id order, the warp's memory instruction stream (see
+    WarpState.slots), worked out from its element runs, not lane by lane.
+    Each thread accesses its element of each matrix accesses_per_thread
+    times, matrices in declaration order.  A slot holds one (address,
+    is_read) per distinct line its lanes touch, in first-lane order, with
+    the first such lane's address; a lane touches the line of its element's
+    first byte only.  Pure."""
     bx, by, _ = block_id
     gx, gy = spec.grid_dim
     if not (0 <= bx < gx and 0 <= by < gy):
         raise ValueError(f"block id {block_id} outside grid {spec.grid_dim}")
-    blin = by * gx + bx
-    bdx, bdy = spec.block_dim
-    tpb = spec.threads_per_block
-    warp_base = blin * spec.warps_per_block
-
-    out: dict[int, list[AccessEvent]] = {
-        warp_base + w: [] for w in range(spec.warps_per_block)
-    }
-    slot_offset = 0
+    tpb, ws = spec.threads_per_block, spec.warp_size
+    warp_base = (by * gx + bx) * spec.warps_per_block
+    out: dict[int, list] = {
+        warp_base + w: [] for w in range(spec.warps_per_block)}
     for m in spec.matrices:
-        for a in range(m.accesses_per_thread):
-            slot = slot_offset + a
-            for tlin in range(tpb):
-                tx, ty = tlin % bdx, tlin // bdx
-                elem = owned_element(spec, m, block_id, tx, ty)
-                ev = AccessEvent(
-                    virtual_addr=m.base_addr + elem * m.element_size,
-                    is_read=_is_read(a, m.read_fraction),
-                    warp_id=warp_base + tlin // spec.warp_size,
-                    issue_slot=slot,
-                )
-                out[ev.warp_id].append(ev)
-        slot_offset += m.accesses_per_thread
+        flags = [_is_read(a, m.read_fraction)
+                 for a in range(m.accesses_per_thread)]
+        for w, slots in enumerate(out.values()):
+            lanes = range(w * ws, min((w + 1) * ws, tpb))
+            first: dict[int, int] = {}
+            for start, count in element_runs(spec, m, block_id, lanes,
+                                             m.base_addr):
+                for line, addr in first_byte_units(start, count,
+                                                   m.element_size, line_bytes):
+                    first.setdefault(line, addr)
+            slots.extend([(addr, is_read) for addr in first.values()]
+                         for is_read in flags)
     return out
 
 

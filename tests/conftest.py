@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import os
 
 import pytest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 def fixture_path(*parts) -> str:
@@ -13,6 +15,16 @@ def fixture_path(*parts) -> str:
 def load_fixture(*parts) -> dict:
     with open(fixture_path(*parts)) as f:
         return json.load(f)
+
+
+def bench_workloads() -> dict:
+    """The benchmark's workload builders, name -> builder(seed), imported
+    from bench/workloads.py without touching the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(BENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def clustered_rows_workload(accesses_per_thread=2, compute_gap=2,

@@ -1,6 +1,6 @@
 """End-to-end tests of the engine: golden reports over a sampled policy
-matrix, the event-skip loop against the per-cycle loop, write-through L1 and
-runs cut at the horizon.
+matrix and the benchmark's three workloads, the event-skip loop against the
+per-cycle loop, write-through L1 and runs cut at the horizon.
 
 The golden reports in tests/fixtures/golden/ must be reproduced byte for
 byte.  Re-record them only with a behaviour change that CHANGES.md names:
@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path, small_hardware
+from conftest import bench_workloads, fixture_path, small_hardware
 from gmemsim.cli import EXIT_TRUNCATED, main
 from gmemsim.config import config_from_dict
 from gmemsim.engine import World
+from gmemsim.workload import load_workload
+from lane_model import assert_matches_lane_model
 
 SCHEDS = ("ccws", "tbas_c", "tbas_d", "tbas_e")
 ALLOCS = ("first_touch", "coloring", "bw_aware", "coloring_hetero")
@@ -104,6 +106,10 @@ def golden_configs() -> dict[str, dict]:
 
 
 GOLDEN = golden_configs()
+# the benchmark's workloads at seed 1, at the size the benchmark runs them
+BENCH_GOLDEN = {f"bench-{name}": build(1)
+                for name, build in bench_workloads().items()}
+ALL_GOLDEN = {**GOLDEN, **BENCH_GOLDEN}
 
 
 def run_report(config: dict, *, skip: bool = True):
@@ -125,11 +131,22 @@ def test_golden_matrix_shape():
         assert len({(c[0], c[3]) for c in cells if c[1] == sched}) == 4
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
 def test_golden_report(name):
-    report, _ = run_report(GOLDEN[name])
+    report, _ = run_report(ALL_GOLDEN[name])
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
+
+
+@pytest.mark.parametrize("name", ["clustered-ccws-bw_aware-interleaved",
+                                  "interleaved-ccws-coloring-serial",
+                                  *sorted(BENCH_GOLDEN)])
+def test_kernel_traces_match_the_lane_model(name):
+    # every golden cell of one mapping runs the same kernel
+    cfg = config_from_dict(ALL_GOLDEN[name])
+    kernel, _ = load_workload(cfg.workload)
+    assert_matches_lane_model(kernel, cfg.hardware.l1.line_bytes,
+                              cfg.page_size)
 
 
 def test_goldens_exercise_the_issue_path():
@@ -238,7 +255,7 @@ def test_run_cut_at_the_horizon_reports_truncated(horizon, tmp_path):
 
 def record():
     os.makedirs(fixture_path("golden"), exist_ok=True)
-    for name, config in sorted(GOLDEN.items()):
+    for name, config in sorted(ALL_GOLDEN.items()):
         report, _ = run_report(config)
         with open(golden_path(name), "w") as f:
             f.write(report.to_json())

@@ -1,11 +1,22 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmemsim.workload import (CpuTrafficSpec, MappingKind, enumerate_blocks,
-                              gen_block_trace, gen_cpu_traffic, load_workload)
+from gmemsim.workload import (CpuTrafficSpec, KernelSpec, MappingKind,
+                              MatrixMapping, enumerate_blocks, gen_block_trace,
+                              gen_cpu_traffic, load_workload)
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
+from lane_model import assert_matches_lane_model
+
+# The test kernels use 4-byte elements: with 4-byte lines every lane has a
+# line of its own, so a slot lists every lane's address.
+WORD = 4
+
+
+def entries(trace):
+    """Every (address, is_read) entry of every slot of every warp."""
+    return [e for slots in trace.values() for slot in slots for e in slot]
 
 
 def test_enumerate_blocks_2x2(clustered_spec):
@@ -31,25 +42,26 @@ def test_enumerate_blocks_1d_row_major():
 def test_clustered_block_covers_its_matrix_row():
     kernel, _ = load_workload(clustered_rows_workload(accesses_per_thread=1))
     # row_len=4 elements of 4 bytes: matrix row i spans [16*i, 16*(i+1))
-    trace = gen_block_trace(kernel, (1, 0, 0))
-    addrs = {e.virtual_addr for evs in trace.values() for e in evs}
-    assert addrs == {16, 20, 24, 28}
+    trace = gen_block_trace(kernel, (1, 0, 0), WORD)
+    assert {addr for addr, _ in entries(trace)} == {16, 20, 24, 28}
 
 
 def test_interleaved_x_neighbors_share_rows():
     kernel, _ = load_workload(interleaved_grid_workload())
     rows = {}
     for b in enumerate_blocks(kernel):
-        trace = gen_block_trace(kernel, b)
-        rows[b] = {e.virtual_addr // 16 for evs in trace.values() for e in evs}
+        # 16-byte lines are the matrix rows
+        trace = gen_block_trace(kernel, b, 16)
+        rows[b] = {addr // 16 for addr, _ in entries(trace)}
     assert rows[(0, 0, 0)] == rows[(1, 0, 0)] == {0, 1}
     assert rows[(0, 1, 0)] == rows[(1, 1, 0)] == {2, 3}
 
 
 def test_zero_accesses_gives_empty_trace():
     kernel, _ = load_workload(clustered_rows_workload(accesses_per_thread=0))
-    trace = gen_block_trace(kernel, (0, 0, 0))
-    assert all(evs == [] for evs in trace.values())
+    trace = gen_block_trace(kernel, (0, 0, 0), WORD)
+    assert len(trace) == kernel.warps_per_block
+    assert all(slots == [] for slots in trace.values())
 
 
 def test_trace_covers_every_element_apt_times():
@@ -57,9 +69,8 @@ def test_trace_covers_every_element_apt_times():
     kernel, _ = load_workload(clustered_rows_workload(accesses_per_thread=apt))
     counts = {}
     for b in enumerate_blocks(kernel):
-        for evs in gen_block_trace(kernel, b).values():
-            for e in evs:
-                counts[e.virtual_addr] = counts.get(e.virtual_addr, 0) + 1
+        for addr, _ in entries(gen_block_trace(kernel, b, WORD)):
+            counts[addr] = counts.get(addr, 0) + 1
     assert len(counts) == 16
     assert all(c == apt for c in counts.values())
 
@@ -68,8 +79,7 @@ def test_clustered_blocks_are_disjoint():
     kernel, _ = load_workload(clustered_rows_workload())
     seen = {}
     for b in enumerate_blocks(kernel):
-        addrs = {e.virtual_addr
-                 for evs in gen_block_trace(kernel, b).values() for e in evs}
+        addrs = {addr for addr, _ in entries(gen_block_trace(kernel, b, WORD))}
         for other, oaddrs in seen.items():
             assert not (addrs & oaddrs), f"{b} overlaps {other}"
         seen[b] = addrs
@@ -79,36 +89,39 @@ def test_interleaved_rows_depend_only_on_by():
     kernel, _ = load_workload(interleaved_grid_workload())
     by_rows = {}
     for b in enumerate_blocks(kernel):
-        rows = frozenset(e.virtual_addr // 16
-                         for evs in gen_block_trace(kernel, b).values()
-                         for e in evs)
+        rows = frozenset(addr // 16
+                         for addr, _ in entries(gen_block_trace(kernel, b, 16)))
         by_rows.setdefault(b[1], set()).add(rows)
     assert all(len(v) == 1 for v in by_rows.values())
 
 
 def test_trace_is_pure():
     kernel, _ = load_workload(clustered_rows_workload())
-    a = gen_block_trace(kernel, (1, 1, 0))
-    b = gen_block_trace(kernel, (1, 1, 0))
+    a = gen_block_trace(kernel, (1, 1, 0), WORD)
+    b = gen_block_trace(kernel, (1, 1, 0), WORD)
     assert a == b
 
 
 def test_issue_slots_increase_per_warp():
+    # slots are positions in the warp's list: one per access, none empty,
+    # each listing the same lanes in lane order
     kernel, _ = load_workload(clustered_rows_workload(accesses_per_thread=4))
-    for evs in gen_block_trace(kernel, (0, 0, 0)).values():
-        slots = [e.issue_slot for e in evs]
-        assert slots == sorted(slots)
-        instr = sorted(set(slots))
-        assert instr == list(range(len(instr)))
+    for slots in gen_block_trace(kernel, (0, 0, 0), WORD).values():
+        assert len(slots) == 4
+        lanes = [addr for addr, _ in slots[0]]
+        assert lanes == sorted(lanes) and len(lanes) == kernel.warp_size
+        assert all([addr for addr, _ in slot] == lanes for slot in slots)
 
 
 def test_read_fraction_pattern():
     kernel, _ = load_workload(
         clustered_rows_workload(accesses_per_thread=4, read_fraction=0.5))
-    for evs in gen_block_trace(kernel, (0, 0, 0)).values():
+    for slots in gen_block_trace(kernel, (0, 0, 0), WORD).values():
         per_thread = {}
-        for e in evs:
-            per_thread.setdefault(e.virtual_addr, []).append(e.is_read)
+        for slot in slots:
+            for addr, is_read in slot:
+                per_thread.setdefault(addr, []).append(is_read)
+        assert per_thread
         for flags in per_thread.values():
             assert sum(flags) == 2
 
@@ -185,11 +198,55 @@ def test_clustered_coverage_property(gx, gy, bx, apt):
     })
     counts = {}
     for b in enumerate_blocks(kernel):
-        for evs in gen_block_trace(kernel, b).values():
-            for e in evs:
-                counts[e.virtual_addr] = counts.get(e.virtual_addr, 0) + 1
+        for addr, _ in entries(gen_block_trace(kernel, b, WORD)):
+            counts[addr] = counts.get(addr, 0) + 1
     if apt == 0:
         assert counts == {}
     else:
         assert len(counts) == kernel.total_threads
         assert all(c == apt for c in counts.values())
+
+
+READ_FRACTIONS = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def random_kernels(draw):
+    """Kernels of one mapping over 1D or 2D grids and blocks, with warps that
+    need not divide the block's rows or fill the last warp, and elements from
+    one byte to more than a line, sizes that do not divide a line included."""
+    mapping = draw(st.sampled_from(MappingKind))
+    gx, gy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bdx, bdy = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    matrices = tuple(
+        MatrixMapping(
+            base_addr=draw(st.integers(0, 3)) * 4096,
+            element_size=draw(st.integers(1, 150)),
+            row_len=gx * bdx if mapping is MappingKind.INTERLEAVED
+            else draw(st.integers(1, 64)),
+            mapping=mapping,
+            accesses_per_thread=draw(st.integers(0, 3)),
+            read_fraction=draw(st.sampled_from(READ_FRACTIONS)))
+        for _ in range(draw(st.integers(1, 3))))
+    spec = KernelSpec(grid_dim=(gx, gy), block_dim=(bdx, bdy),
+                      warp_size=draw(st.integers(1, 12)), matrices=matrices)
+    spec.validate()
+    return spec
+
+
+# a warp of 4 over 6-wide rows of 3-byte elements: warps start mid-row,
+# span two rows, and the last of the block's 18 threads fill half a warp
+ODD_WARPS = KernelSpec(
+    grid_dim=(2, 2), block_dim=(6, 3), warp_size=4, matrices=(
+        MatrixMapping(0, 3, 12, MappingKind.INTERLEAVED, 2, 0.5),
+        MatrixMapping(4096, 40, 12, MappingKind.INTERLEAVED, 1, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=random_kernels(),
+       line_bytes=st.sampled_from([1, 2, 4, 8, 16, 32, 128]),
+       page_size=st.sampled_from([8, 32, 64, 256, 4096]))
+@example(spec=ODD_WARPS, line_bytes=8, page_size=32)
+@example(spec=ODD_WARPS, line_bytes=32, page_size=64)
+def test_runs_match_the_lane_model(spec, line_bytes, page_size):
+    assert_matches_lane_model(spec, line_bytes, page_size)
