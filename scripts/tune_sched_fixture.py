@@ -39,8 +39,7 @@ def workload(blocks, threads, apt, gap):
 def hardware(drain, rlat, trcd, trp, tcas, tburst, capacity):
     layout = {"byte_offset_bits": 2, "column_bits": 3, "channel_bits": 0,
               "bank_bits": 0, "row_bits": 8, "page_offset_bits": 4}
-    timing = {"tRCD": trcd, "tRP": trp, "tCAS": tcas, "tRC": trcd + trp + 4,
-              "tBURST": tburst}
+    timing = {"tRCD": trcd, "tRP": trp, "tCAS": tcas, "tBURST": tburst}
     return {
         "num_sms": 1,
         "max_blocks_per_sm": 8,

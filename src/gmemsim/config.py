@@ -78,7 +78,7 @@ def default_gddr() -> PoolConfig:
     return PoolConfig(
         layout=AddressLayout(byte_offset_bits=6, column_bits=7, channel_bits=1,
                              bank_bits=4, row_bits=14, page_offset_bits=12),
-        timing=TimingParams(tRCD=12, tRP=12, tCAS=12, tRC=40, tBURST=4),
+        timing=TimingParams(tRCD=12, tRP=12, tCAS=12, tBURST=4),
         energy=EnergyParams(e_activate=15.0, e_read=4.0, e_write=4.0,
                             p_background=0.05),
     )
@@ -88,7 +88,7 @@ def default_ddr() -> PoolConfig:
     return PoolConfig(
         layout=AddressLayout(byte_offset_bits=6, column_bits=7, channel_bits=0,
                              bank_bits=3, row_bits=14, page_offset_bits=12),
-        timing=TimingParams(tRCD=11, tRP=11, tCAS=11, tRC=39, tBURST=4),
+        timing=TimingParams(tRCD=11, tRP=11, tCAS=11, tBURST=4),
         energy=EnergyParams(e_activate=10.0, e_read=3.0, e_write=3.0,
                             p_background=0.03),
     )

@@ -8,7 +8,11 @@ the service time is
     row miss, row open      : tRP + tRCD + tCAS + tBURST
     row miss, bank idle     : tRCD + tCAS + tBURST
 
-and every access is exactly one of {row hit, activate}.
+and every access is exactly one of {row hit, activate}.  A bank serves one
+access at a time, and an activate that closes a row waits tRP first, so two
+activates of one bank are at least tRCD + tCAS + tBURST + tRP apart.  That
+spacing stands in for the row cycle time tRC, which has no parameter of its
+own.
 """
 
 from __future__ import annotations
@@ -22,15 +26,12 @@ class TimingParams:
     tRCD: int
     tRP: int
     tCAS: int
-    tRC: int
     tBURST: int
 
     def validate(self):
-        for name in ("tRCD", "tRP", "tCAS", "tRC", "tBURST"):
+        for name in ("tRCD", "tRP", "tCAS", "tBURST"):
             if getattr(self, name) < 1:
                 raise ValueError(f"timing {name} must be >= 1")
-        if self.tRC < self.tRCD:
-            raise ValueError("tRC must be >= tRCD")
 
 
 @dataclass(frozen=True)

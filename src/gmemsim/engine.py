@@ -8,10 +8,10 @@ controller queues, (4) each channel's controller picks and issues one request,
 bandwidth, (6) counters update.  Given one config and seed the whole run is
 bit-reproducible.
 
-Cycles in which provably nothing can change (no issuable warp, no due
-completion or delivery, no pending arrival) are skipped in one jump; the jump
-never crosses an event boundary, so per-cycle state along the executed prefix
-is identical to the unskipped loop.
+Cycles in which provably nothing can change are skipped in one jump to the
+next event.  `World._next_event_cycle` is the one list of event sources that
+decides both; the jump never crosses an event boundary, so per-cycle state
+along the executed prefix is identical to the unskipped loop.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .metrics import MetricsReport, compute_metrics, energy_total
 from .sched import WarpState, make_scheduler
 from .workload import (enumerate_blocks, gen_block_trace, gen_cpu_traffic,
                        load_workload)
+
+
+# the BankState counters that _report sums per pool
+BANK_COUNTERS = ("activates", "reads", "writes", "row_hits")
 
 
 class SimulationFault(AssertionError):
@@ -175,9 +179,8 @@ class World:
         self.total_warps = len(self.blocks) * self.kernel.warps_per_block
         self.log: list[MemoryRequest] = []
         self.completions: dict[int, list] = {}
-        self.busy_banks = 0
+        # requests in service, one per busy bank
         self.in_service = 0
-        self.enqueued = 0
         self.completed = 0
         self.blp_sum = 0
         self.blp_cycles = 0
@@ -338,7 +341,6 @@ class World:
                 if not queues[qkey].enqueue(req, self.cycle):
                     raise SimulationFault(self.cycle, "queue overflow after space check")
                 self.log.append(req)
-                self.enqueued += 1
                 if is_read:
                     warp.pending_lines.add(key)
                     stalled = True
@@ -385,7 +387,6 @@ class World:
                 break
             self.cpu_deferred.popleft()
             self.log.append(req)
-            self.enqueued += 1
 
     # memory controllers ------------------------------------------------------
 
@@ -400,7 +401,6 @@ class World:
                 continue
             done = bank_advance(banks[req.bank], req,
                                 self.pools[key[0]].timing, self.cycle)
-            self.busy_banks += 1
             self.in_service += 1
             self.completions.setdefault(done, []).append((key, req))
 
@@ -434,7 +434,6 @@ class World:
                 sm.reply_queue.append((self.cycle + hw.latency, req))
         due = self.completions.pop(self.cycle, [])
         for key, req in due:
-            self.busy_banks -= 1
             self.in_service -= 1
             self.completed += 1
             if req.agent == GPU_AGENT and req.is_read:
@@ -448,31 +447,34 @@ class World:
 
     # main loop ------------------------------------------------------------
 
-    def gpu_done(self) -> bool:
-        if self.dispatched < len(self.blocks):
-            return False
-        return self.finished_warps >= self.total_warps
-
-    def drained(self) -> bool:
-        if self.in_service or self.completions:
-            return False
-        if any(q.requests for q in self.mc_queues.values()):
-            return False
-        return not any(sm.reply_queue or sm.reply_overflow for sm in self.sms)
-
     def done(self) -> bool:
-        return self.gpu_done() and self.drained() and not self.cpu_deferred
+        """The GPU has finished and every request has drained; CPU arrivals
+        still to come do not hold the run open."""
+        return (self.dispatched >= len(self.blocks)
+                and self.finished_warps >= self.total_warps
+                and not (self.in_service or self.cpu_deferred)
+                and not any(q.requests for q in self.mc_queues.values())
+                and not any(sm.reply_queue or sm.reply_overflow
+                            for sm in self.sms))
 
     def _conservation_check(self):
+        # every logged request was enqueued once
         queued = sum(len(q) for q in self.mc_queues.values())
-        waiting = sum(len(sm.reply_queue) + len(sm.reply_overflow)
-                      for sm in self.sms)
-        if self.enqueued != self.completed + queued + self.in_service:
+        if len(self.log) != self.completed + queued + self.in_service:
+            waiting = sum(len(sm.reply_queue) + len(sm.reply_overflow)
+                          for sm in self.sms)
             raise SimulationFault(
                 self.cycle,
-                f"request conservation broke: enqueued {self.enqueued} != "
+                f"request conservation broke: enqueued {len(self.log)} != "
                 f"completed {self.completed} + queued {queued} + "
                 f"in service {self.in_service} (replies waiting {waiting})")
+
+    def _tick(self, cycles: int):
+        """Advance the clock, counting the banks in service meanwhile."""
+        if self.in_service:
+            self.blp_sum += self.in_service * cycles
+            self.blp_cycles += cycles
+        self.cycle += cycles
 
     def step(self):
         self._phase_dispatch()
@@ -480,59 +482,59 @@ class World:
         self._phase_cpu()
         self._phase_mc()
         self._phase_reply()
-        if self.busy_banks:
-            self.blp_sum += self.busy_banks
-            self.blp_cycles += 1
         if self._check:
             self._conservation_check()
-        self.cycle += 1
+        self._tick(1)
 
     def _next_event_cycle(self) -> int | None:
-        """Earliest future cycle at which anything can change state."""
-        cand = []
-        if self.completions:
-            cand.append(min(self.completions))
-        for sm in self.sms:
-            if sm.reply_queue:
-                cand.append(sm.reply_queue[0][0])
-            wake = sm.scheduler.next_wake(self.cycle)
-            if wake is not None:
-                cand.append(wake)
-        if self.cpu_next < len(self.cpu_stream):
-            cand.append(self.cpu_stream[self.cpu_next].cycle)
-        return min(cand) if cand else None
-
-    def _can_skip(self) -> bool:
-        # a pure predicate: the cheap tests go first
+        """The current cycle if a step now could change any state, else the
+        earliest cycle at which one could, or None when no event is pending.
+        Each event source is listed once, the cheap tests first."""
+        now = self.cycle
+        # CPU requests held back by a full queue, and overflowed replies
         if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
-            return False
-        for sm in self.sms:
-            if sm.reply_queue and sm.reply_queue[0][0] <= self.cycle:
-                return False
+            return now
+        # reply deliveries, bank completions and CPU arrivals
+        events = [sm.reply_queue[0][0] for sm in self.sms if sm.reply_queue]
+        if self.completions:
+            events.append(min(self.completions))
+        if self.cpu_next < len(self.cpu_stream):
+            events.append(self.cpu_stream[self.cpu_next].cycle)
+        if events and min(events) <= now:
+            return now
+        # a block left and an SM with room for it
         wpb = self.kernel.warps_per_block
         if self.dispatched < len(self.blocks) \
                 and any(sm.has_slot(wpb) for sm in self.sms):
-            return False
+            return now
+        # a queued request whose bank is free
         for key in self.channel_keys:
             q = self.mc_queues[key]
             if q.requests:
-                ready = ready_banks(self.banks[key], self.cycle)
+                ready = ready_banks(self.banks[key], now)
                 if any(r.bank in ready for r in q.requests):
-                    return False
-        return not any(sm.scheduler.has_issuable(self.cycle) for sm in self.sms)
+                    return now
+        # a warp to issue now, else each SM's next wake-up
+        if any(sm.scheduler.has_issuable(now) for sm in self.sms):
+            return now
+        for sm in self.sms:
+            wake = sm.scheduler.next_wake(now)
+            if wake is not None:
+                events.append(wake)
+        return min(events, default=None)
 
     def run(self) -> MetricsReport:
         horizon = self.cfg.horizon
         while self.cycle < horizon and not self.done():
-            self.step()
-            if self.cycle < horizon and not self.done() and self._can_skip():
-                nxt = self._next_event_cycle()
-                if nxt is not None and nxt > self.cycle:
-                    jump = min(nxt, horizon) - self.cycle
-                    if self.busy_banks:
-                        self.blp_sum += self.busy_banks * jump
-                        self.blp_cycles += jump
-                    self.cycle += jump
+            self.step()  # the first cycle and each jump's target are stepped
+            # done() before a jump: a drained GPU ends the run even when the
+            # CPU stream has later arrivals
+            if self.cycle >= horizon or self.done():
+                break
+            nxt = self._next_event_cycle()
+            if nxt != self.cycle:  # None: nothing changes before the horizon
+                self._tick((horizon if nxt is None else min(nxt, horizon))
+                           - self.cycle)
         return self._report(truncated=not self.done())
 
     # reporting ---------------------------------------------------------------
@@ -561,33 +563,30 @@ class World:
             degenerate=not self.log,
             **stats,
         )
-        energy = {"activate": 0.0, "read_write": 0.0, "background": 0.0,
-                  "total": 0.0}
+        # each pool's bank counters, summed once for energy and the crosscheck
+        totals = {pool: dict.fromkeys(BANK_COUNTERS, 0) for pool in self.pools}
+        for (pool, _), banks in self.banks.items():
+            t = totals[pool]
+            for bank in banks.values():
+                for k in BANK_COUNTERS:
+                    t[k] += getattr(bank, k)
+        energy = dict.fromkeys(("activate", "read_write", "background",
+                                "total"), 0.0)
         for pool, pc in self.pools.items():
-            counters = {"activates": 0, "reads": 0, "writes": 0}
-            nbanks = 0
-            for ch in range(pc.layout.num_channels):
-                for bank in self.banks[(pool, ch)].values():
-                    counters["activates"] += bank.activates
-                    counters["reads"] += bank.reads
-                    counters["writes"] += bank.writes
-                    nbanks += 1
-            part = energy_total(counters, pc.energy, self.cycle, nbanks)
-            for k in ("activate", "read_write", "background", "total"):
-                energy[k] += part[k]
+            part = energy_total(totals[pool], pc.energy, self.cycle,
+                                pc.layout.num_channels * pc.layout.num_banks)
+            for k, v in part.items():
+                energy[k] += v
             energy[f"{pool.value}_total"] = part["total"]
         report.energy = energy
         if self._check:
-            self._crosscheck(report)
+            self._crosscheck(report, totals.values())
         return report
 
-    def _crosscheck(self, report: MetricsReport):
-        hits = sum(b.row_hits for banks in self.banks.values()
-                   for b in banks.values())
-        accesses = sum(b.accesses for banks in self.banks.values()
-                       for b in banks.values())
-        activates = sum(b.activates for banks in self.banks.values()
-                        for b in banks.values())
+    def _crosscheck(self, report: MetricsReport, totals):
+        activates, reads, writes, hits = (sum(t[k] for t in totals)
+                                          for k in BANK_COUNTERS)
+        accesses = reads + writes
         if activates + hits != accesses:
             raise SimulationFault(
                 self.cycle, "bank counters: activates + hits != accesses")

@@ -108,13 +108,6 @@ def bank_parallelism(requests: list[MemoryRequest],
     return busy_sum / any_busy if any_busy else 0.0
 
 
-def row_hit_rate(requests: list[MemoryRequest]) -> float:
-    done = [r for r in requests if r.t_complete >= 0]
-    if not done:
-        return 0.0
-    return sum(1 for r in done if r.was_hit) / len(done)
-
-
 def mean_delay(requests: list[MemoryRequest], agent: str | None = None) -> float:
     done = [r for r in requests
             if r.t_complete >= 0 and (agent is None or r.agent == agent)]

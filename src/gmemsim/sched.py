@@ -37,6 +37,10 @@ has_issuable, on_long_stall, demote_and_promote, next_wake) first moves the
 due wake-ups into the index, so queries must come in non-decreasing cycle
 order.  `is_ready` stays the oracle that invariant checks and tests compare
 the index against.
+
+The engine's `World._next_event_cycle` asks `has_issuable` whether a step
+now could issue, and if none can, `next_wake` when one next could; neither
+query changes the schedule.
 """
 
 from __future__ import annotations

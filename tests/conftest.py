@@ -75,7 +75,7 @@ def small_hardware(num_sms=2, banks_bits=2, channel_bits=1, page_offset=5,
                    "channel_bits": channel_bits, "bank_bits": banks_bits,
                    "row_bits": row_bits, "page_offset_bits": page_offset}
     ddr_layout = dict(gddr_layout, channel_bits=0, bank_bits=1)
-    timing = {"tRCD": 4, "tRP": 4, "tCAS": 4, "tRC": 12, "tBURST": 2}
+    timing = {"tRCD": 4, "tRP": 4, "tCAS": 4, "tBURST": 2}
     hw = {
         "num_sms": num_sms,
         "max_blocks_per_sm": 8,

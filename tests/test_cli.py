@@ -70,6 +70,9 @@ MALFORMED = {
     "float stride": ("stride", 2.5, "config.stride must be int or null"),
     "float tRCD": ("hardware.gddr.timing.tRCD", 1.5,
                    "config.hardware.gddr.timing.tRCD must be int, not 1.5"),
+    "removed tRC": ("hardware.gddr.timing.tRC", 40,
+                    "unknown field(s) in config.hardware.gddr.timing: "
+                    "['tRC']"),
     "true horizon": ("horizon", True,
                      "config.horizon must be int, not True"),
     "unknown scheduler": ("scheduler", "fifo",

@@ -114,8 +114,8 @@ ALL_GOLDEN = {**GOLDEN, **BENCH_GOLDEN}
 
 def run_report(config: dict, *, skip: bool = True):
     world = World(config_from_dict(config))
-    if not skip:
-        world._can_skip = lambda: False
+    if not skip:  # every cycle looks eventful, so none is skipped
+        world._next_event_cycle = lambda: world.cycle
     return world.run(), world
 
 
@@ -172,19 +172,48 @@ def test_goldens_exercise_the_issue_path():
        num_sms=st.integers(1, 3), mc_queue=st.integers(2, 4),
        reply_queue=st.integers(1, 3), l1_size=st.sampled_from([0, 32, 64]),
        compute_gap=st.integers(0, 12),
-       dispatch_seed=st.one_of(st.none(), st.integers(0, 9)))
+       dispatch_seed=st.one_of(st.none(), st.integers(0, 9)),
+       horizon=st.sampled_from([100, 300, 700, 50_000]))
 def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
                                              cpu, cpu_prio, num_sms, mc_queue,
                                              reply_queue, l1_size,
-                                             compute_gap, dispatch_seed):
+                                             compute_gap, dispatch_seed,
+                                             horizon):
+    # the short horizons cut runs mid-flight, so truncated reports are
+    # compared too
     config = make_config(mapping, sched, alloc, dispatch, cpu=cpu,
                          cpu_prio=cpu_prio, num_sms=num_sms,
                          mc_queue=mc_queue, reply_queue=reply_queue,
                          l1_size=l1_size, compute_gap=compute_gap,
-                         dispatch_seed=dispatch_seed)
+                         dispatch_seed=dispatch_seed, horizon=horizon)
     skipped, _ = run_report(config)
     stepped, _ = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+
+
+@pytest.mark.parametrize("name", ["clustered-ccws-bw_aware-interleaved",
+                                  "interleaved-ccws-coloring_hetero-"
+                                  "interleaved-cpu"])
+def test_a_run_cut_inside_a_jump_matches_the_per_cycle_loop(name):
+    # jumps here last a few cycles, so a fixed horizon rarely falls inside
+    # one; cutting the run one cycle into each jump makes the horizon cap it
+    world = World(config_from_dict(GOLDEN[name]))
+    jumps, tick = [], world._tick
+
+    def recording_tick(cycles):
+        if cycles > 1:
+            jumps.append(world.cycle)
+        tick(cycles)
+
+    world._tick = recording_tick
+    world.run()
+    assert jumps
+    for start in jumps:
+        config = dict(GOLDEN[name], horizon=start + 1)
+        skipped, _ = run_report(config)
+        stepped, _ = run_report(config, skip=False)
+        assert skipped.truncated and skipped.cycles == start + 1
+        assert skipped.to_json() == stepped.to_json()
 
 
 @pytest.mark.parametrize("sched", SCHEDS)

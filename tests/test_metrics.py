@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from gmemsim.dram import BankState, EnergyParams, MemoryRequest, TimingParams, bank_advance
 from gmemsim.memmap import AddressLayout, PagePolicy, PageTable, Pool, build_color_map
 from gmemsim.metrics import (MetricsReport, bank_parallelism, compute_metrics,
-                             energy_total, mean_delay, peak_request_window,
-                             row_hit_rate)
+                             energy_total, mean_delay, peak_request_window)
 
-TIMING = TimingParams(tRCD=4, tRP=4, tCAS=4, tRC=12, tBURST=2)
+TIMING = TimingParams(tRCD=4, tRP=4, tCAS=4, tBURST=2)
 ENERGY = EnergyParams(e_activate=15.0, e_read=4.0, e_write=4.0, p_background=0.05)
 
 
@@ -53,7 +52,7 @@ def test_single_row_single_bank():
         cycle_done = bank_advance(bank, r, TIMING, cycle)
         cycle = cycle_done
         reqs.append(r)
-    assert row_hit_rate(reqs) == (n - 1) / n
+    assert compute_metrics(reqs, reference_table())["rbhr"] == (n - 1) / n
     assert bank_parallelism(reqs) == 1.0
 
 
@@ -89,7 +88,7 @@ def test_rbhr_matches_second_pass_random():
         if r.row == open_row:
             hits += 1
         open_row = r.row
-    assert row_hit_rate(reqs) == hits / len(reqs)
+    assert compute_metrics(reqs, reference_table())["rbhr"] == hits / len(reqs)
     assert bank.activates + bank.row_hits == len(reqs)
 
 
