@@ -76,9 +76,8 @@ def _write_traces(world: World, out_dir: str):
         w = csv.writer(f)
         w.writerow(["pool", "channel", "bank", "activates", "reads", "writes",
                     "row_hits"])
-        for (pool, ch), banks in sorted(
-                world.banks.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-            for b, st in banks.items():
+        for (pool, ch), q in world.mc_queues.items():
+            for b, st in enumerate(q.banks):
                 w.writerow([pool.value, ch, b, st.activates, st.reads,
                             st.writes, st.row_hits])
 

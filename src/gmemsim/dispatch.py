@@ -1,15 +1,19 @@
-"""Thread block dispatch: interleaved baseline vs. serial per-SM queues.
+"""Thread block dispatch: interleaved baseline vs. serial per-SM ranges.
 
 Serial dispatch gives every SM a contiguous [head, tail) range of block ids,
 computed once before launch so that batch boundaries are respected and the
 maximum per-SM block load is minimal.  Each SM then pops ids locally and never
 waits on a central dispatcher.
+
+Both dispatchers answer the same three calls: `has_block(sm_id)`, whether a
+block is left for that SM; `next_block(sm_id)`, which hands it out (None
+exactly when `has_block` is false); and `order_idle_sms(idle)`, the order in
+which SMs with room are served.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .batching import BatchPlan
@@ -18,27 +22,6 @@ from .batching import BatchPlan
 class DispatchKind(str, Enum):
     INTERLEAVED = "interleaved"
     SERIAL = "serial"
-
-
-@dataclass
-class DispatchQueue:
-    """Head/tail pair over the global block-id sequence; popping increments
-    head until it meets tail."""
-
-    sm_id: int
-    head: int
-    tail: int
-
-    def next_block(self) -> int | None:
-        if self.head >= self.tail:
-            return None
-        out = self.head
-        self.head += 1
-        return out
-
-    @property
-    def exhausted(self) -> bool:
-        return self.head >= self.tail
 
 
 def _batch_sizes(total_blocks: int, plan: BatchPlan | None) -> list[int]:
@@ -109,8 +92,25 @@ def partition_blocks(total_blocks: int, num_sms: int,
     return ranges
 
 
-def make_queues(ranges: list[tuple[int, int]]) -> list[DispatchQueue]:
-    return [DispatchQueue(sm, head, tail) for sm, (head, tail) in enumerate(ranges)]
+class SerialDispatcher:
+    """Serial dispatch: each SM pops ids from its own [head, tail) range,
+    kept as `ranges[sm_id] == [head, tail]`."""
+
+    def __init__(self, ranges: list[tuple[int, int]]):
+        self.ranges = [[head, tail] for head, tail in ranges]
+
+    def order_idle_sms(self, idle_sms: list[int]) -> list[int]:
+        return idle_sms
+
+    def has_block(self, sm_id: int) -> bool:
+        head, tail = self.ranges[sm_id]
+        return head < tail
+
+    def next_block(self, sm_id: int) -> int | None:
+        if not self.has_block(sm_id):
+            return None
+        self.ranges[sm_id][0] += 1
+        return self.ranges[sm_id][0] - 1
 
 
 class InterleavedDispatcher:
@@ -130,13 +130,11 @@ class InterleavedDispatcher:
             self._rng.shuffle(idle)
         return idle
 
-    def next_block(self) -> int | None:
-        if self.next_id >= self.total_blocks:
-            return None
-        out = self.next_id
-        self.next_id += 1
-        return out
+    def has_block(self, sm_id: int) -> bool:
+        return self.next_id < self.total_blocks
 
-    @property
-    def exhausted(self) -> bool:
-        return self.next_id >= self.total_blocks
+    def next_block(self, sm_id: int) -> int | None:
+        if not self.has_block(sm_id):
+            return None
+        self.next_id += 1
+        return self.next_id - 1

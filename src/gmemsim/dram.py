@@ -60,9 +60,6 @@ class BankState:
     def accesses(self) -> int:
         return self.reads + self.writes
 
-    def ready(self, cycle: int) -> bool:
-        return cycle >= self.busy_until
-
 
 GPU_AGENT = "gpu"
 CPU_AGENT = "cpu"
@@ -97,45 +94,52 @@ class Arbitration(str, Enum):
 
 
 class McQueue:
-    """Bounded per-channel request queue.  A full queue back-pressures the
-    requester; nothing is ever dropped."""
+    """One channel's FR-FCFS controller: a bounded request queue and the
+    channel's banks, indexed by bank id.  A full queue back-pressures the
+    requester; nothing is ever dropped.  `has_ready` answers whether
+    `mc_pick` would issue now, without picking."""
 
     def __init__(self, capacity: int = 64,
                  arbitration: Arbitration = Arbitration.FR_FCFS,
-                 starvation_cap: int = 0):
+                 starvation_cap: int = 0, num_banks: int = 1):
         self.capacity = capacity
         self.arbitration = arbitration
         self.starvation_cap = starvation_cap
         self.requests: list[MemoryRequest] = []
+        self.banks = [BankState() for _ in range(num_banks)]
 
     def __len__(self):
         return len(self.requests)
 
-    @property
-    def full(self) -> bool:
-        return len(self.requests) >= self.capacity
-
     def enqueue(self, req: MemoryRequest, cycle: int) -> bool:
-        if self.full:
+        if len(self.requests) >= self.capacity:
             return False
         req.t_enqueue = cycle
         self.requests.append(req)
         return True
 
+    def free_banks(self, cycle: int) -> set[int]:
+        """Ids of the banks that can take a request this cycle."""
+        return {b for b, st in enumerate(self.banks) if st.busy_until <= cycle}
 
-def ready_banks(banks: dict[int, BankState], cycle: int) -> set[int]:
-    """Ids of a channel's banks that can take a request this cycle."""
-    return {b for b, st in banks.items() if st.ready(cycle)}
+    def has_ready(self, cycle: int) -> bool:
+        """Whether some queued request's bank is free, i.e. whether
+        `mc_pick` would return a request this cycle."""
+        if not self.requests:
+            return False
+        free = self.free_banks(cycle)
+        return any(r.bank in free for r in self.requests)
 
 
-def mc_pick(queue: McQueue, banks: dict[int, BankState], cycle: int) -> MemoryRequest | None:
+def mc_pick(queue: McQueue, cycle: int) -> MemoryRequest | None:
     """First-ready FCFS pick: row-buffer hits beat older misses; age breaks
     ties.  CPU-priority arbitration applies the same rule to ready CPU
     requests first, so any ready CPU request outranks every GPU request.
     With a starvation cap > 0, a request bypassed that many times is forced
     ahead of younger hits.
     """
-    free = ready_banks(banks, cycle)
+    banks = queue.banks
+    free = queue.free_banks(cycle)
     ready = [r for r in queue.requests if r.bank in free]
     if not ready:
         return None
@@ -172,7 +176,7 @@ def bank_advance(bank: BankState, req: MemoryRequest, timing: TimingParams,
     The bank must be ready; issuing into a busy bank is an engine bug, not a
     recoverable condition.
     """
-    if not bank.ready(cycle):
+    if cycle < bank.busy_until:
         raise AssertionError(
             f"request issued to busy bank (cycle {cycle} < busy_until {bank.busy_until})")
     if bank.open_row == req.row:

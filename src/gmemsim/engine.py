@@ -10,8 +10,11 @@ bit-reproducible.
 
 Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
-decides both; the jump never crosses an event boundary, so per-cycle state
-along the executed prefix is identical to the unskipped loop.
+decides both, and each source answers for itself: the dispatcher through
+`has_block`, the schedulers through `has_issuable` and `next_wake`, the
+controllers through `has_ready`.  The cheap tests are asked first.  The jump
+never crosses an event boundary, so per-cycle state along the executed prefix
+is identical to the unskipped loop.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from collections import deque
 
 from .batching import BatchPlan, form_batches, profile_stride
 from .config import L1Config, RunConfig, policies_dict
-from .dispatch import (DispatchKind, InterleavedDispatcher, make_queues,
+from .dispatch import (DispatchKind, InterleavedDispatcher, SerialDispatcher,
                        partition_blocks)
-from .dram import (CPU_AGENT, GPU_AGENT, BankState, McQueue, MemoryRequest,
-                   bank_advance, mc_pick, ready_banks)
-from .memmap import (CPU_OWNER, FrameRegion, PagePolicy, PageTable, Pool,
-                     build_color_map)
+from .dram import (CPU_AGENT, GPU_AGENT, McQueue, MemoryRequest, bank_advance,
+                   mc_pick)
+from .memmap import (CPU_OWNER, DecodedAddress, FrameRegion, PagePolicy,
+                     PageTable, Pool, build_color_map)
 from .metrics import MetricsReport, compute_metrics, energy_total
 from .sched import WarpState, make_scheduler
 from .workload import (enumerate_blocks, gen_block_trace, gen_cpu_traffic,
@@ -144,28 +147,21 @@ class World:
         ]
 
         if cfg.dispatch is DispatchKind.SERIAL:
-            ranges = partition_blocks(len(self.blocks), hw.num_sms, self.plan)
-            self.queues_dispatch = make_queues(ranges)
-            self.interleaver = None
+            self.dispatcher = SerialDispatcher(
+                partition_blocks(len(self.blocks), hw.num_sms, self.plan))
         else:
-            self.queues_dispatch = None
-            self.interleaver = InterleavedDispatcher(
+            self.dispatcher = InterleavedDispatcher(
                 len(self.blocks), seed=cfg.random_dispatch_seed)
 
         self.pools = {Pool.GDDR: hw.gddr, Pool.DDR: hw.ddr}
-        self.mc_queues: dict[tuple, McQueue] = {}
-        self.banks: dict[tuple, dict[int, BankState]] = {}
-        for pool, pc in self.pools.items():
-            for ch in range(pc.layout.num_channels):
-                self.mc_queues[(pool, ch)] = McQueue(
-                    capacity=hw.mc_queue_capacity,
-                    arbitration=cfg.arbitration,
-                    starvation_cap=hw.starvation_cap,
-                )
-                self.banks[(pool, ch)] = {
-                    b: BankState() for b in range(pc.layout.num_banks)
-                }
-        self.channel_keys = sorted(self.mc_queues, key=lambda k: (k[0].value, k[1]))
+        # one controller per (pool, channel), in (pool name, channel) order
+        self.mc_queues: dict[tuple, McQueue] = {
+            (pool, ch): McQueue(capacity=hw.mc_queue_capacity,
+                                arbitration=cfg.arbitration,
+                                starvation_cap=hw.starvation_cap,
+                                num_banks=self.pools[pool].layout.num_banks)
+            for pool in sorted(self.pools, key=lambda p: p.value)
+            for ch in range(self.pools[pool].layout.num_channels)}
 
         self.cpu_stream = []
         if self.cpu_spec is not None and cfg.horizon > 0:
@@ -230,35 +226,26 @@ class World:
         self.dispatched += 1
 
     def _phase_dispatch(self):
+        """Rounds in which every SM with room and a block left takes one."""
         wpb = self.kernel.warps_per_block
-        if self.cfg.dispatch is DispatchKind.SERIAL:
-            progress = True
-            while progress:
-                progress = False
-                for sm in self.sms:
-                    q = self.queues_dispatch[sm.sm_id]
-                    if not q.exhausted and sm.has_slot(wpb):
-                        blin = q.next_block()
-                        self._instantiate_block(sm, blin)
-                        progress = True
-        else:
-            progress = True
-            while progress and not self.interleaver.exhausted:
-                progress = False
-                idle = [sm.sm_id for sm in self.sms if sm.has_slot(wpb)]
-                for sm_id in self.interleaver.order_idle_sms(idle):
-                    blin = self.interleaver.next_block()
-                    if blin is None:
-                        break
-                    self._instantiate_block(self.sms[sm_id], blin)
-                    progress = True
+        dispatcher = self.dispatcher
+        progress = True
+        while progress and self.dispatched < len(self.blocks):
+            progress = False
+            idle = [sm.sm_id for sm in self.sms
+                    if dispatcher.has_block(sm.sm_id) and sm.has_slot(wpb)]
+            for sm_id in dispatcher.order_idle_sms(idle):
+                blin = dispatcher.next_block(sm_id)
+                if blin is None:  # interleaved: the shared range ran out
+                    break
+                self._instantiate_block(self.sms[sm_id], blin)
+                progress = True
 
     # issue ------------------------------------------------------------------
 
-    def _make_request(self, pool: Pool, paddr: int, is_read: bool, agent: str,
-                      sm_id: int, warp_id: int, batch_id: int, line: int) -> MemoryRequest:
-        layout = self.pools[pool].layout
-        d = layout.decompose(paddr)
+    def _make_request(self, pool: Pool, d: DecodedAddress, is_read: bool,
+                      agent: str, sm_id: int, warp_id: int, batch_id: int,
+                      line: int) -> MemoryRequest:
         if self._check and self._region is not None and pool is Pool.GDDR:
             lo, hi = (self._region.cpu_rows if agent == CPU_AGENT
                       else self._region.gpu_rows)
@@ -274,7 +261,8 @@ class World:
         )
 
     def _slot_lines(self, warp: WarpState, sm_id: int) -> list[tuple]:
-        """The current slot's lines as ((pool, line), is_read, queue key).
+        """The current slot's lines as ((pool, line), is_read, queue key,
+        decoded line address).
 
         Translated on the slot's first issue attempt, which keeps first-touch
         allocation in lane order and at the same cycle, and kept for every
@@ -285,8 +273,8 @@ class World:
             for vaddr, is_read in warp.slots[warp.next_slot]:
                 pool, paddr = self.page_table.translate(vaddr, sm_id)
                 line = paddr // self._line
-                ch = self.pools[pool].layout.decompose(line * self._line).channel
-                lines.append(((pool, line), is_read, (pool, ch)))
+                d = self.pools[pool].layout.decompose(line * self._line)
+                lines.append(((pool, line), is_read, (pool, d.channel), d))
             warp.lines = lines
         return lines
 
@@ -312,7 +300,7 @@ class World:
                         continue
                 sends.append(entry)
             need: dict[tuple, int] = {}
-            for _, _, qkey in sends:
+            for _, _, qkey, _ in sends:
                 need[qkey] = need.get(qkey, 0) + 1
             if any(len(queues[k]) + n > queues[k].capacity
                    for k, n in need.items()):
@@ -333,11 +321,11 @@ class World:
                     (self.cycle, sm.sm_id, warp.warp_id, warp.batch_id,
                      warp.next_slot))
             stalled = False
-            for key, is_read, qkey in sends:
+            for key, is_read, qkey, d in sends:
                 pool, line = key
                 req = self._make_request(
-                    pool, line * self._line, is_read, GPU_AGENT, sm.sm_id,
-                    warp.warp_id, warp.batch_id, line)
+                    pool, d, is_read, GPU_AGENT, sm.sm_id, warp.warp_id,
+                    warp.batch_id, line)
                 if not queues[qkey].enqueue(req, self.cycle):
                     raise SimulationFault(self.cycle, "queue overflow after space check")
                 self.log.append(req)
@@ -379,8 +367,9 @@ class World:
             ev = self.cpu_deferred[0]
             pool, paddr = self.page_table.translate(ev.virtual_addr, CPU_OWNER)
             line = paddr // self._line
-            req = self._make_request(pool, line * self._line, ev.is_read,
-                                     CPU_AGENT, -1, -1, -1, line)
+            d = self.pools[pool].layout.decompose(line * self._line)
+            req = self._make_request(pool, d, ev.is_read, CPU_AGENT, -1, -1,
+                                     -1, line)
             req.t_arrival = ev.cycle
             q = self.mc_queues[(pool, req.channel)]
             if not q.enqueue(req, self.cycle):
@@ -391,18 +380,16 @@ class World:
     # memory controllers ------------------------------------------------------
 
     def _phase_mc(self):
-        for key in self.channel_keys:
-            q = self.mc_queues[key]
+        for (pool, _), q in self.mc_queues.items():
             if not q.requests:
                 continue
-            banks = self.banks[key]
-            req = mc_pick(q, banks, self.cycle)
+            req = mc_pick(q, self.cycle)
             if req is None:
                 continue
-            done = bank_advance(banks[req.bank], req,
-                                self.pools[key[0]].timing, self.cycle)
+            done = bank_advance(q.banks[req.bank], req,
+                                self.pools[pool].timing, self.cycle)
             self.in_service += 1
-            self.completions.setdefault(done, []).append((key, req))
+            self.completions.setdefault(done, []).append(req)
 
     # reply network ------------------------------------------------------------
 
@@ -433,7 +420,7 @@ class World:
                 req = sm.reply_overflow.popleft()
                 sm.reply_queue.append((self.cycle + hw.latency, req))
         due = self.completions.pop(self.cycle, [])
-        for key, req in due:
+        for req in due:
             self.in_service -= 1
             self.completed += 1
             if req.agent == GPU_AGENT and req.is_read:
@@ -489,7 +476,11 @@ class World:
     def _next_event_cycle(self) -> int | None:
         """The current cycle if a step now could change any state, else the
         earliest cycle at which one could, or None when no event is pending.
-        Each event source is listed once, the cheap tests first."""
+
+        Each event source is listed once and answers for itself: the
+        dispatcher through `has_block`, the schedulers through `has_issuable`
+        and `next_wake`, the controllers through `has_ready`.  The cheap
+        tests come first, so the controllers' queue scan runs last."""
         now = self.cycle
         # CPU requests held back by a full queue, and overflowed replies
         if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
@@ -502,21 +493,18 @@ class World:
             events.append(self.cpu_stream[self.cpu_next].cycle)
         if events and min(events) <= now:
             return now
-        # a block left and an SM with room for it
+        # an SM with room and a block left for it
         wpb = self.kernel.warps_per_block
-        if self.dispatched < len(self.blocks) \
-                and any(sm.has_slot(wpb) for sm in self.sms):
+        if self.dispatched < len(self.blocks) and any(
+                self.dispatcher.has_block(sm.sm_id) and sm.has_slot(wpb)
+                for sm in self.sms):
             return now
-        # a queued request whose bank is free
-        for key in self.channel_keys:
-            q = self.mc_queues[key]
-            if q.requests:
-                ready = ready_banks(self.banks[key], now)
-                if any(r.bank in ready for r in q.requests):
-                    return now
-        # a warp to issue now, else each SM's next wake-up
+        # a warp to issue, then a queued request whose bank is free
         if any(sm.scheduler.has_issuable(now) for sm in self.sms):
             return now
+        if any(q.has_ready(now) for q in self.mc_queues.values()):
+            return now
+        # each SM's next wake-up
         for sm in self.sms:
             wake = sm.scheduler.next_wake(now)
             if wake is not None:
@@ -565,9 +553,9 @@ class World:
         )
         # each pool's bank counters, summed once for energy and the crosscheck
         totals = {pool: dict.fromkeys(BANK_COUNTERS, 0) for pool in self.pools}
-        for (pool, _), banks in self.banks.items():
+        for (pool, _), q in self.mc_queues.items():
             t = totals[pool]
-            for bank in banks.values():
+            for bank in q.banks:
                 for k in BANK_COUNTERS:
                     t[k] += getattr(bank, k)
         energy = dict.fromkeys(("activate", "read_write", "background",

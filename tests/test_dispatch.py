@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmemsim.batching import form_batches
-from gmemsim.dispatch import (DispatchQueue, InterleavedDispatcher,
-                              make_queues, partition_blocks)
+from gmemsim.dispatch import (InterleavedDispatcher, SerialDispatcher,
+                              partition_blocks)
 from gmemsim.workload import load_workload
 
 from conftest import clustered_rows_workload
@@ -87,30 +87,48 @@ def test_split_falls_back_when_batch_exceeds_even_share():
 
 
 def test_queue_pop_sequence():
-    q = DispatchQueue(sm_id=0, head=4, tail=8)
-    assert q.next_block() == 4
-    assert q.head == 5
-    assert [q.next_block() for _ in range(3)] == [5, 6, 7]
-    assert q.exhausted
-    assert q.next_block() is None
+    d = SerialDispatcher([(4, 8)])
+    assert d.next_block(0) == 4
+    assert d.ranges[0][0] == 5
+    assert [d.next_block(0) for _ in range(3)] == [5, 6, 7]
+    assert not d.has_block(0)
+    assert d.next_block(0) is None
 
 
 def test_queue_empty_range():
-    q = DispatchQueue(sm_id=1, head=3, tail=3)
-    assert q.exhausted
-    assert q.next_block() is None
+    d = SerialDispatcher([(0, 3), (3, 3)])
+    assert not d.has_block(1)
+    assert d.next_block(1) is None
 
 
-def test_make_queues():
-    queues = make_queues([(0, 4), (4, 8)])
-    assert [(q.sm_id, q.head, q.tail) for q in queues] == [(0, 0, 4), (1, 4, 8)]
+def test_serial_dispatcher_ranges():
+    d = SerialDispatcher([(0, 4), (4, 8)])
+    assert d.ranges == [[0, 4], [4, 8]]
+    # SMs pop from their own ranges, and serve in the order they come
+    assert d.order_idle_sms([1, 0]) == [1, 0]
+    assert (d.next_block(1), d.next_block(0)) == (4, 0)
 
 
 def test_interleaved_counter_and_tiebreak():
     disp = InterleavedDispatcher(4)
     assert disp.order_idle_sms([1, 0]) == [0, 1]
-    assert [disp.next_block() for _ in range(5)] == [0, 1, 2, 3, None]
-    assert disp.exhausted
+    assert [disp.next_block(i % 2) for i in range(5)] == [0, 1, 2, 3, None]
+    assert not disp.has_block(0) and not disp.has_block(1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ranges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                       min_size=1, max_size=4),
+       seed=st.one_of(st.none(), st.integers(0, 9)),
+       pops=st.lists(st.integers(0, 3), max_size=20))
+def test_next_block_is_none_exactly_when_no_block_is_left(ranges, seed, pops):
+    serial = SerialDispatcher([(h, h + n) for h, n in ranges])
+    interleaved = InterleavedDispatcher(sum(n for _, n in ranges), seed=seed)
+    for d in (serial, interleaved):
+        for sm_id in pops:
+            sm_id %= len(ranges)
+            had = d.has_block(sm_id)
+            assert (d.next_block(sm_id) is not None) == had
 
 
 def test_interleaved_seeded_mode_is_reproducible():

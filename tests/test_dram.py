@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -13,6 +14,13 @@ TIMING = TimingParams(tRCD=4, tRP=4, tCAS=4, tBURST=2)
 def req(row, *, bank=0, is_read=True, agent="gpu", channel=0):
     return MemoryRequest(pool="gddr", channel=channel, bank=bank, row=row,
                          column=0, is_read=is_read, agent=agent)
+
+
+def controller(*banks, **kw):
+    """A controller over the given bank states, bank i being banks[i]."""
+    q = McQueue(num_banks=len(banks), **kw)
+    q.banks[:] = banks
+    return q
 
 
 def straight_line(rows, timing, start=0):
@@ -109,53 +117,73 @@ def test_bank_matches_straight_line_oracle():
 
 
 def test_mc_pick_prefers_row_hit():
-    q = McQueue()
-    banks = {0: BankState(open_row=7)}
+    q = controller(BankState(open_row=7))
     older, younger = req(5), req(7)
     q.enqueue(older, 0)
     q.enqueue(younger, 1)
-    assert mc_pick(q, banks, 10) is younger
+    assert mc_pick(q, 10) is younger
 
 
 def test_mc_pick_fcfs_among_hits():
-    q = McQueue()
-    banks = {0: BankState(open_row=7)}
+    q = controller(BankState(open_row=7))
     first, second = req(7), req(7)
     q.enqueue(first, 0)
     q.enqueue(second, 1)
-    assert mc_pick(q, banks, 10) is first
+    assert mc_pick(q, 10) is first
 
 
 def test_mc_pick_oldest_miss_when_no_hit():
-    q = McQueue()
-    banks = {0: BankState(open_row=1)}
+    q = controller(BankState(open_row=1))
     a, b = req(5), req(6)
     q.enqueue(a, 0)
     q.enqueue(b, 1)
-    assert mc_pick(q, banks, 10) is a
+    assert mc_pick(q, 10) is a
 
 
 def test_mc_pick_skips_busy_banks():
-    q = McQueue()
-    banks = {0: BankState(busy_until=100), 1: BankState()}
+    q = controller(BankState(busy_until=100), BankState())
     blocked, free = req(5, bank=0), req(6, bank=1)
     q.enqueue(blocked, 0)
     q.enqueue(free, 1)
-    assert mc_pick(q, banks, 10) is free
+    assert mc_pick(q, 10) is free
 
 
 def test_mc_pick_empty_queue():
-    assert mc_pick(McQueue(), {0: BankState()}, 0) is None
+    assert mc_pick(controller(BankState()), 0) is None
 
 
 def test_cpu_priority_beats_gpu_row_hit():
-    q = McQueue(arbitration=Arbitration.FR_FCFS_CPU_PRIO)
-    banks = {0: BankState(open_row=7)}
+    q = controller(BankState(open_row=7),
+                   arbitration=Arbitration.FR_FCFS_CPU_PRIO)
     gpu_hit = req(7, agent="gpu")
     cpu_miss = req(3, agent="cpu")
     q.enqueue(gpu_hit, 0)
     q.enqueue(cpu_miss, 1)
-    assert mc_pick(q, banks, 10) is cpu_miss
+    assert mc_pick(q, 10) is cpu_miss
+
+
+@st.composite
+def controllers(draw):
+    """A controller of 1-4 banks in random states, holding 0-12 requests."""
+    banks = [BankState(open_row=draw(st.one_of(st.none(), st.integers(0, 3))),
+                       busy_until=draw(st.integers(0, 20)))
+             for _ in range(draw(st.integers(1, 4)))]
+    q = controller(*banks,
+                   arbitration=draw(st.sampled_from(list(Arbitration))),
+                   starvation_cap=draw(st.integers(0, 3)))
+    for i in range(draw(st.integers(0, 12))):
+        r = req(draw(st.integers(0, 3)),
+                bank=draw(st.integers(0, len(banks) - 1)),
+                agent=draw(st.sampled_from(["gpu", "cpu"])))
+        r.bypasses = draw(st.integers(0, 4))
+        q.enqueue(r, i)
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=controllers(), cycle=st.integers(0, 24))
+def test_has_ready_answers_whether_mc_pick_picks(q, cycle):
+    assert q.has_ready(cycle) == (mc_pick(copy.deepcopy(q), cycle) is not None)
 
 
 def test_queue_capacity_backpressure():
@@ -168,31 +196,29 @@ def test_queue_capacity_backpressure():
 
 def test_starvation_without_cap():
     # continuous row hits starve the lone miss under pure first-ready
-    q = McQueue()
-    banks = {0: BankState(open_row=1)}
+    q = controller(BankState(open_row=1))
     miss = req(2)
     q.enqueue(miss, 0)
     for i in range(20):
         q.enqueue(req(1), i + 1)
-        picked = mc_pick(q, banks, 100 + i)
+        picked = mc_pick(q, 100 + i)
         assert picked.row == 1
-        banks[0].open_row = 1
-        banks[0].busy_until = 0
+        q.banks[0].open_row = 1
+        q.banks[0].busy_until = 0
     assert miss in q.requests
 
 
 def test_starvation_cap_forces_miss():
-    q = McQueue(starvation_cap=4)
-    banks = {0: BankState(open_row=1)}
+    q = controller(BankState(open_row=1), starvation_cap=4)
     miss = req(2)
     q.enqueue(miss, 0)
     picked_rows = []
     for i in range(8):
         q.enqueue(req(1), i + 1)
-        picked = mc_pick(q, banks, 100 + i)
+        picked = mc_pick(q, 100 + i)
         picked_rows.append(picked.row)
-        banks[0].open_row = 1
-        banks[0].busy_until = 0
+        q.banks[0].open_row = 1
+        q.banks[0].busy_until = 0
     assert 2 in picked_rows
 
 

@@ -193,7 +193,8 @@ def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
 
 @pytest.mark.parametrize("name", ["clustered-ccws-bw_aware-interleaved",
                                   "interleaved-ccws-coloring_hetero-"
-                                  "interleaved-cpu"])
+                                  "interleaved-cpu",
+                                  "clustered-tbas_e-coloring_hetero-serial-cpu"])
 def test_a_run_cut_inside_a_jump_matches_the_per_cycle_loop(name):
     # jumps here last a few cycles, so a fixed horizon rarely falls inside
     # one; cutting the run one cycle into each jump makes the horizon cap it
@@ -214,6 +215,34 @@ def test_a_run_cut_inside_a_jump_matches_the_per_cycle_loop(name):
         stepped, _ = run_report(config, skip=False)
         assert skipped.truncated and skipped.cycles == start + 1
         assert skipped.to_json() == stepped.to_json()
+
+
+def test_an_sm_whose_range_ran_out_is_no_dispatch_event():
+    # five blocks in batches of two give SM 0 blocks [0, 2) and SM 1 blocks
+    # [2, 5); with one resident block per SM, SM 0 runs out of blocks while
+    # SM 1 still holds one and has another left
+    config = make_config("clustered", "ccws", "first_touch", "serial",
+                         compute_gap=40, horizon=20_000)
+    config["workload"]["kernel"]["grid_dim"] = [5, 1]
+    config["stride"] = 2
+    config["hardware"]["max_blocks_per_sm"] = 1
+    world = World(config_from_dict(config))
+    assert world.dispatcher.ranges == [[0, 2], [2, 5]]
+    wpb = world.kernel.warps_per_block
+    sm0, sm1 = world.sms
+    jumps = []
+    while not world.done():
+        world.step()
+        if (sm0.has_slot(wpb) and not world.dispatcher.has_block(0)
+                and not sm1.has_slot(wpb) and world.dispatcher.has_block(1)):
+            # blocks are left and SM 0 has room, but none is SM 0's
+            nxt = world._next_event_cycle()
+            if nxt > world.cycle:
+                jumps.append((world.cycle, nxt))
+    assert jumps
+    skipped, _ = run_report(config)
+    stepped, _ = run_report(config, skip=False)
+    assert skipped.to_json() == stepped.to_json()
 
 
 @pytest.mark.parametrize("sched", SCHEDS)
