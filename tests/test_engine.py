@@ -8,6 +8,7 @@ byte.  Re-record them only with a behaviour change that CHANGES.md names:
     PYTHONPATH=src python tests/test_engine.py --record
 """
 
+import copy
 import json
 import os
 import sys
@@ -106,10 +107,20 @@ def golden_configs() -> dict[str, dict]:
 
 
 GOLDEN = golden_configs()
+# 8-deep queues and a starvation cap of 1: the cap forces a few picks ahead
+# of younger row hits, which the 2-deep queues of GOLDEN never make happen
+STARVATION_GOLDEN = {
+    "starve-clustered-tbas_e-first_touch-interleaved": make_config(
+        "clustered", "tbas_e", "first_touch", "interleaved", mc_queue=8,
+        starvation_cap=1),
+    "starve-interleaved-tbas_e-first_touch-interleaved-cpu": make_config(
+        "interleaved", "tbas_e", "first_touch", "interleaved", cpu=True,
+        cpu_prio=True, mc_queue=8, starvation_cap=1),
+}
 # the benchmark's workloads at seed 1, at the size the benchmark runs them
 BENCH_GOLDEN = {f"bench-{name}": build(1)
                 for name, build in bench_workloads().items()}
-ALL_GOLDEN = {**GOLDEN, **BENCH_GOLDEN}
+ALL_GOLDEN = {**GOLDEN, **STARVATION_GOLDEN, **BENCH_GOLDEN}
 
 
 def run_report(config: dict, *, skip: bool = True):
@@ -136,6 +147,18 @@ def test_golden_report(name):
     report, _ = run_report(ALL_GOLDEN[name])
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
+
+
+@pytest.mark.parametrize("name", sorted(STARVATION_GOLDEN))
+def test_the_starvation_cap_shapes_its_goldens(name):
+    # without the cap the same cell runs another schedule: the cap forced
+    # at least one pick
+    config = copy.deepcopy(STARVATION_GOLDEN[name])
+    config["hardware"]["starvation_cap"] = 0
+    uncapped, _ = run_report(config)
+    with open(golden_path(name)) as f:
+        capped = json.load(f)
+    assert uncapped.cycles != capped["cycles"]
 
 
 @pytest.mark.parametrize("name", ["clustered-ccws-bw_aware-interleaved",
