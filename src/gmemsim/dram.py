@@ -13,11 +13,20 @@ access at a time, and an activate that closes a row waits tRP first, so two
 activates of one bank are at least tRCD + tCAS + tBURST + tRP apart.  That
 spacing stands in for the row cycle time tRC, which has no parameter of its
 own.
+
+Each controller keeps one FIFO per bank, its waiting requests in arrival
+order, each tagged with the controller's arrival number.  A pick visits only
+the ready banks (waiting requests, bank free): in each it scans from the head
+to the first request to the open row, and it takes the smallest arrival
+number among those hits, else among the ready banks' heads.  It costs
+O(banks) plus those scans, not O(queue); only a starvation cap above 0 adds
+a pass over the ready banks' requests, to find the starved one and count
+bypasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -85,6 +94,8 @@ class MemoryRequest:
     t_issue: int = -1
     t_complete: int = -1
     was_hit: bool = False
+    # times a younger request was picked while this one's bank was free;
+    # counted only under a starvation cap above 0, the one reader
     bypasses: int = 0
 
 
@@ -96,8 +107,16 @@ class Arbitration(str, Enum):
 class McQueue:
     """One channel's FR-FCFS controller: a bounded request queue and the
     channel's banks, indexed by bank id.  A full queue back-pressures the
-    requester; nothing is ever dropped.  `has_ready` answers whether
-    `mc_pick` would issue now, without picking."""
+    requester; nothing is ever dropped.
+
+    `fifos[b]` holds bank b's waiting requests in arrival order as
+    (arrival number, request) pairs; `len` is a running count.  `has_ready`
+    answers whether `mc_pick` would issue now from a cached next-ready
+    cycle, the smallest `busy_until` among the banks with waiting requests.
+    An enqueue lowers the cache and a pick drops it, to be recomputed in
+    O(banks) when next asked.  The cache relies on one condition: bank state
+    changes only through `bank_advance`, on the bank just picked, before
+    `has_ready` is asked again."""
 
     def __init__(self, capacity: int = 64,
                  arbitration: Arbitration = Arbitration.FR_FCFS,
@@ -105,30 +124,69 @@ class McQueue:
         self.capacity = capacity
         self.arbitration = arbitration
         self.starvation_cap = starvation_cap
-        self.requests: list[MemoryRequest] = []
         self.banks = [BankState() for _ in range(num_banks)]
+        self.fifos: list[list[tuple[int, MemoryRequest]]] = [
+            [] for _ in range(num_banks)]
+        self._count = 0
+        self._arrivals = 0
+        self._next_ready: int | None = None  # None: recompute when asked
 
     def __len__(self):
-        return len(self.requests)
+        return self._count
 
     def enqueue(self, req: MemoryRequest, cycle: int) -> bool:
-        if len(self.requests) >= self.capacity:
+        if self._count >= self.capacity:
             return False
         req.t_enqueue = cycle
-        self.requests.append(req)
+        self.fifos[req.bank].append((self._arrivals, req))
+        self._arrivals += 1
+        self._count += 1
+        if self._next_ready is not None:
+            self._next_ready = min(self._next_ready,
+                                   self.banks[req.bank].busy_until)
         return True
 
-    def free_banks(self, cycle: int) -> set[int]:
-        """Ids of the banks that can take a request this cycle."""
-        return {b for b, st in enumerate(self.banks) if st.busy_until <= cycle}
-
     def has_ready(self, cycle: int) -> bool:
-        """Whether some queued request's bank is free, i.e. whether
+        """Whether some waiting request's bank is free, i.e. whether
         `mc_pick` would return a request this cycle."""
-        if not self.requests:
+        if not self._count:
             return False
-        free = self.free_banks(cycle)
-        return any(r.bank in free for r in self.requests)
+        if self._next_ready is None:
+            self._next_ready = min(self.banks[b].busy_until
+                                   for b, fifo in enumerate(self.fifos) if fifo)
+        return self._next_ready <= cycle
+
+    def take(self, bank: int, idx: int) -> MemoryRequest:
+        """Remove and return bank `bank`'s `idx`-th waiting request.  The
+        bank is about to be advanced, so the cache is dropped."""
+        self._count -= 1
+        self._next_ready = None
+        return self.fifos[bank].pop(idx)[1]
+
+
+def _frfcfs(queue: McQueue, ready: list[int], agent: str | None):
+    """(arrival number, bank, FIFO index) of the first-ready FCFS pick among
+    the ready banks' requests of `agent` (any agent when None), or None when
+    there is no such request."""
+    fifos, banks, cap = queue.fifos, queue.banks, queue.starvation_cap
+    head = hit = starved = None
+    for b in ready:
+        row = banks[b].open_row
+        for i, (seq, r) in enumerate(fifos[b]):
+            if agent is not None and r.agent != agent:
+                continue
+            if head is None or seq < head[0]:
+                head = (seq, b, i)
+            if cap > 0:
+                if r.bypasses >= cap and (starved is None or seq < starved[0]):
+                    starved = (seq, b, i)
+            elif hit is not None and seq > hit[0]:
+                break  # no later hit of this bank can be older
+            if r.row == row and (hit is None or seq < hit[0]):
+                hit = (seq, b, i)
+                if not cap:
+                    break
+    return starved or hit or head
 
 
 def mc_pick(queue: McQueue, cycle: int) -> MemoryRequest | None:
@@ -136,37 +194,27 @@ def mc_pick(queue: McQueue, cycle: int) -> MemoryRequest | None:
     ties.  CPU-priority arbitration applies the same rule to ready CPU
     requests first, so any ready CPU request outranks every GPU request.
     With a starvation cap > 0, a request bypassed that many times is forced
-    ahead of younger hits.
+    ahead of younger hits, and each older request in a ready bank counts one
+    more bypass.  Returns None when no waiting request's bank is free.
     """
     banks = queue.banks
-    free = queue.free_banks(cycle)
-    ready = [r for r in queue.requests if r.bank in free]
+    ready = [b for b, fifo in enumerate(queue.fifos)
+             if fifo and banks[b].busy_until <= cycle]
     if not ready:
         return None
-
-    def frfcfs(cands: list[MemoryRequest]) -> MemoryRequest | None:
-        if not cands:
-            return None
-        if queue.starvation_cap > 0:
-            starved = [r for r in cands if r.bypasses >= queue.starvation_cap]
-            if starved:
-                return starved[0]
-        hits = [r for r in cands if banks[r.bank].open_row == r.row]
-        return hits[0] if hits else cands[0]
-
+    pick = None
     if queue.arbitration is Arbitration.FR_FCFS_CPU_PRIO:
-        pick = frfcfs([r for r in ready if r.agent == CPU_AGENT])
-        if pick is None:
-            pick = frfcfs(ready)
-    else:
-        pick = frfcfs(ready)
-    if pick is not None:
-        idx = next(i for i, r in enumerate(queue.requests) if r is pick)
-        for r in queue.requests[:idx]:
-            if r.bank in free:
+        pick = _frfcfs(queue, ready, CPU_AGENT)
+    if pick is None:
+        pick = _frfcfs(queue, ready, None)
+    seq, bank, idx = pick
+    if queue.starvation_cap > 0:
+        for b in ready:
+            for older, r in queue.fifos[b]:
+                if older >= seq:
+                    break
                 r.bypasses += 1
-        del queue.requests[idx]
-    return pick
+    return queue.take(bank, idx)
 
 
 def bank_advance(bank: BankState, req: MemoryRequest, timing: TimingParams,

@@ -3,19 +3,20 @@
 Each cycle runs a fixed phase order: (1) dispatch fills idle SM slots, (2)
 every SM's scheduler issues at most one warp instruction, with L1 lookup and
 back-pressure aware request injection, (3) pending CPU traffic enters the
-controller queues, (4) each channel's controller picks and issues one request,
-(5) bank completions traverse the reply network subject to its drain
-bandwidth, (6) counters update.  Given one config and seed the whole run is
-bit-reproducible.
+controller queues, (4) each controller that is due (`has_ready`: a waiting
+request's bank is free) picks and issues one request, and the others are
+not visited, (5) bank completions traverse the reply network subject to its
+drain bandwidth, (6) counters update.  Given one config and seed the whole
+run is bit-reproducible.
 
 Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
 decides both, and each source answers for itself: the dispatcher through
-`has_block`, the schedulers through `has_issuable` and `next_wake`, the
-controllers through `has_ready`.  The cheap tests are asked first.  The jump
-never crosses an event boundary, so per-cycle state along the executed prefix
-is identical to the unskipped loop.
-"""
+`has_block` (asked only after a warp finished, since nothing else frees an
+SM's room), the schedulers through `has_issuable` and `next_wake`, the
+controllers through their cached `has_ready`.  The jump never crosses an
+event boundary, so per-cycle state along the executed prefix is identical to
+the unskipped loop."""
 
 from __future__ import annotations
 
@@ -186,6 +187,8 @@ class World:
         self.issue_backpressure = 0
         self.reply_stalls = 0
         self.dispatch_log: list[tuple] = []
+        # set when an SM may have gained room since the last dispatch phase
+        self.room_freed = True
         self.warp_index: dict[int, WarpState] = {}
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._check = hw.check_invariants
@@ -226,7 +229,13 @@ class World:
         self.dispatched += 1
 
     def _phase_dispatch(self):
-        """Rounds in which every SM with room and a block left takes one."""
+        """Rounds in which every SM with room and a block left takes one.
+
+        Afterwards no SM has both, until `_finish_warp` frees room and sets
+        `room_freed`; until then the phase has nothing to do."""
+        if not self.room_freed:
+            return
+        self.room_freed = False
         wpb = self.kernel.warps_per_block
         dispatcher = self.dispatcher
         progress = True
@@ -348,6 +357,7 @@ class World:
     def _finish_warp(self, sm: SmModel, warp: WarpState):
         warp.finished = True
         self.finished_warps += 1
+        self.room_freed = True
         sm.scheduler.on_finish(warp, self.cycle)
         sm.resident_warps -= 1
         left = sm.resident_blocks[warp.block_linear] - 1
@@ -381,11 +391,9 @@ class World:
 
     def _phase_mc(self):
         for (pool, _), q in self.mc_queues.items():
-            if not q.requests:
+            if not q.has_ready(self.cycle):
                 continue
             req = mc_pick(q, self.cycle)
-            if req is None:
-                continue
             done = bank_advance(q.banks[req.bank], req,
                                 self.pools[pool].timing, self.cycle)
             self.in_service += 1
@@ -440,7 +448,7 @@ class World:
         return (self.dispatched >= len(self.blocks)
                 and self.finished_warps >= self.total_warps
                 and not (self.in_service or self.cpu_deferred)
-                and not any(q.requests for q in self.mc_queues.values())
+                and not any(len(q) for q in self.mc_queues.values())
                 and not any(sm.reply_queue or sm.reply_overflow
                             for sm in self.sms))
 
@@ -479,8 +487,9 @@ class World:
 
         Each event source is listed once and answers for itself: the
         dispatcher through `has_block`, the schedulers through `has_issuable`
-        and `next_wake`, the controllers through `has_ready`.  The cheap
-        tests come first, so the controllers' queue scan runs last."""
+        and `next_wake`, the controllers through `has_ready`.  A controller
+        becomes ready only when a bank completes, which `completions`
+        already lists."""
         now = self.cycle
         # CPU requests held back by a full queue, and overflowed replies
         if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
@@ -495,7 +504,7 @@ class World:
             return now
         # an SM with room and a block left for it
         wpb = self.kernel.warps_per_block
-        if self.dispatched < len(self.blocks) and any(
+        if self.room_freed and self.dispatched < len(self.blocks) and any(
                 self.dispatcher.has_block(sm.sm_id) and sm.has_slot(wpb)
                 for sm in self.sms):
             return now

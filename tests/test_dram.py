@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fr_fcfs_reference import ReferenceController, reference_pick
 from gmemsim.dram import (Arbitration, BankState, EnergyParams, McQueue,
                           MemoryRequest, TimingParams, bank_advance, mc_pick)
 
@@ -21,6 +22,12 @@ def controller(*banks, **kw):
     q = McQueue(num_banks=len(banks), **kw)
     q.banks[:] = banks
     return q
+
+
+def queued(q: McQueue) -> list[MemoryRequest]:
+    """The controller's waiting requests in arrival order."""
+    return [r for _, r in sorted((e for fifo in q.fifos for e in fifo),
+                                 key=lambda e: e[0])]
 
 
 def straight_line(rows, timing, start=0):
@@ -140,6 +147,18 @@ def test_mc_pick_oldest_miss_when_no_hit():
     assert mc_pick(q, 10) is a
 
 
+def test_mc_pick_oldest_hit_across_banks():
+    # banks are visited in id order; age, not bank id, decides
+    q = controller(BankState(open_row=1), BankState(open_row=2),
+                   BankState(open_row=3))
+    miss, old_hit, young_hit = req(9, bank=0), req(3, bank=2), req(1, bank=0)
+    for i, r in enumerate((miss, old_hit, young_hit)):
+        q.enqueue(r, i)
+    assert mc_pick(q, 10) is old_hit
+    assert mc_pick(q, 10) is young_hit
+    assert mc_pick(q, 10) is miss
+
+
 def test_mc_pick_skips_busy_banks():
     q = controller(BankState(busy_until=100), BankState())
     blocked, free = req(5, bank=0), req(6, bank=1)
@@ -175,6 +194,7 @@ def controllers(draw):
         r = req(draw(st.integers(0, 3)),
                 bank=draw(st.integers(0, len(banks) - 1)),
                 agent=draw(st.sampled_from(["gpu", "cpu"])))
+        r.column = i  # a tag that the reference's twin shares
         r.bypasses = draw(st.integers(0, 4))
         q.enqueue(r, i)
     return q
@@ -184,6 +204,81 @@ def controllers(draw):
 @given(q=controllers(), cycle=st.integers(0, 24))
 def test_has_ready_answers_whether_mc_pick_picks(q, cycle):
     assert q.has_ready(cycle) == (mc_pick(copy.deepcopy(q), cycle) is not None)
+    # and the pick is the reference's
+    ref = ReferenceController(q.capacity, q.arbitration, q.starvation_cap,
+                              copy.deepcopy(q.banks))
+    ref.requests = [copy.copy(r) for r in queued(q)]
+    got, want = mc_pick(q, cycle), reference_pick(ref, cycle)
+    assert (got and got.column) == (want and want.column)
+    assert [r.column for r in queued(q)] == [r.column for r in ref.requests]
+    if q.starvation_cap:
+        assert ([r.bypasses for r in queued(q)]
+                == [r.bypasses for r in ref.requests])
+
+
+@st.composite
+def controller_runs(draw):
+    """Random bank states and a random sequence of steps: enqueue a request,
+    pick (then, as the engine does, advance the picked request's bank, or
+    leave the bank alone), or advance the clock."""
+    banks = [(draw(st.one_of(st.none(), st.integers(0, 1))),
+              draw(st.integers(0, 12)))
+             for _ in range(draw(st.integers(1, 5)))]
+    # two rows make row hits common; enqueues outnumber picks, so that
+    # queues grow several deep
+    enqueue = st.tuples(st.just("enqueue"), st.integers(0, len(banks) - 1),
+                        st.integers(0, 1), st.sampled_from(["gpu", "cpu"]),
+                        st.integers(0, 4))
+    step = st.one_of(enqueue, enqueue, enqueue,
+                     st.tuples(st.just("pick"), st.booleans()),
+                     st.tuples(st.just("tick"), st.integers(1, 20)))
+    return (banks, draw(st.integers(4, 16)),
+            draw(st.sampled_from(list(Arbitration))),
+            draw(st.one_of(st.just(0), st.integers(1, 3))),
+            draw(st.lists(step, min_size=10, max_size=60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=controller_runs())
+def test_indexed_controller_matches_the_reference(run):
+    banks, capacity, arbitration, cap, steps = run
+    q = McQueue(capacity=capacity, arbitration=arbitration,
+                starvation_cap=cap, num_banks=len(banks))
+    q.banks[:] = [BankState(open_row=o, busy_until=b) for o, b in banks]
+    ref = ReferenceController(capacity, arbitration, cap,
+                              [BankState(open_row=o, busy_until=b)
+                               for o, b in banks])
+    drawn = {}  # request tag (its column) -> bypasses it was enqueued with
+    cycle = 0
+    for step in steps:
+        if step[0] == "enqueue":
+            _, bank, row, agent, bypasses = step
+            tag = len(drawn)
+            drawn[tag] = bypasses
+            pair = []
+            for c in (q, ref):
+                r = req(row, bank=bank, agent=agent)
+                r.column, r.bypasses = tag, bypasses
+                pair.append(c.enqueue(r, cycle))
+            assert pair[0] == pair[1]
+        elif step[0] == "pick":
+            got, want = mc_pick(q, cycle), reference_pick(ref, cycle)
+            assert (got and got.column) == (want and want.column)
+            if got is not None and step[1]:
+                bank_advance(q.banks[got.bank], got, TIMING, cycle)
+                bank_advance(ref.banks[want.bank], want, TIMING, cycle)
+        else:
+            cycle += step[1]
+        assert q.has_ready(cycle) == ref.has_ready(cycle)
+        assert q.banks == ref.banks
+        waiting = queued(q)
+        assert len(q) == len(waiting)
+        assert [r.column for r in waiting] == [r.column for r in ref.requests]
+        if cap:
+            assert ([r.bypasses for r in waiting]
+                    == [r.bypasses for r in ref.requests])
+        else:  # bypasses are counted only under a cap
+            assert all(r.bypasses == drawn[r.column] for r in waiting)
 
 
 def test_queue_capacity_backpressure():
@@ -205,7 +300,7 @@ def test_starvation_without_cap():
         assert picked.row == 1
         q.banks[0].open_row = 1
         q.banks[0].busy_until = 0
-    assert miss in q.requests
+    assert miss in queued(q)
 
 
 def test_starvation_cap_forces_miss():

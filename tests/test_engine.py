@@ -192,21 +192,23 @@ def test_goldens_exercise_the_issue_path():
 @given(mapping=st.sampled_from(MAPPINGS), sched=st.sampled_from(SCHEDS),
        alloc=st.sampled_from(ALLOCS), dispatch=st.sampled_from(DISPATCHES),
        cpu=st.booleans(), cpu_prio=st.booleans(),
-       num_sms=st.integers(1, 3), mc_queue=st.integers(2, 4),
+       num_sms=st.integers(1, 3), mc_queue=st.integers(2, 8),
+       starvation_cap=st.integers(0, 2),
        reply_queue=st.integers(1, 3), l1_size=st.sampled_from([0, 32, 64]),
        compute_gap=st.integers(0, 12),
        dispatch_seed=st.one_of(st.none(), st.integers(0, 9)),
        horizon=st.sampled_from([100, 300, 700, 50_000]))
 def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
                                              cpu, cpu_prio, num_sms, mc_queue,
-                                             reply_queue, l1_size,
-                                             compute_gap, dispatch_seed,
-                                             horizon):
+                                             starvation_cap, reply_queue,
+                                             l1_size, compute_gap,
+                                             dispatch_seed, horizon):
     # the short horizons cut runs mid-flight, so truncated reports are
-    # compared too
+    # compared too; a controller's cached readiness feeds the skip check
     config = make_config(mapping, sched, alloc, dispatch, cpu=cpu,
                          cpu_prio=cpu_prio, num_sms=num_sms,
-                         mc_queue=mc_queue, reply_queue=reply_queue,
+                         mc_queue=mc_queue, starvation_cap=starvation_cap,
+                         reply_queue=reply_queue,
                          l1_size=l1_size, compute_gap=compute_gap,
                          dispatch_seed=dispatch_seed, horizon=horizon)
     skipped, _ = run_report(config)
@@ -266,6 +268,39 @@ def test_an_sm_whose_range_ran_out_is_no_dispatch_event():
     skipped, _ = run_report(config)
     stepped, _ = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+
+
+def test_dispatch_asks_for_blocks_only_after_a_warp_finished():
+    # once the first dispatch round is over, only a finished warp can give
+    # an SM room, so a step after one in which no warp finished asks no SM
+    # for a block; 16 blocks on 2 SMs of 4 resident blocks leave 8 waiting
+    world = World(config_from_dict(GOLDEN["clustered-tbas_d-first_touch-"
+                                          "serial"]))
+    calls = {"has_block": 0, "finish": 0}
+    has_block, finish = world.dispatcher.has_block, world._finish_warp
+
+    def counting_has_block(sm_id):
+        calls["has_block"] += 1
+        return has_block(sm_id)
+
+    def counting_finish(sm, warp):
+        calls["finish"] += 1
+        finish(sm, warp)
+
+    world.dispatcher.has_block = counting_has_block
+    world._finish_warp = counting_finish
+    steps = []  # per step: warps finished, has_block calls, blocks left
+    while not world.done():
+        finished, asked = calls["finish"], calls["has_block"]
+        left = world.dispatched < len(world.blocks)
+        world.step()
+        steps.append((calls["finish"] - finished,
+                      calls["has_block"] - asked, left))
+    # the first step is the first round
+    quiet = [asked for (finished, _, _), (_, asked, left)
+             in zip(steps, steps[1:]) if not finished and left]
+    assert quiet and not any(quiet)
+    assert world.dispatched == len(world.blocks)
 
 
 @pytest.mark.parametrize("sched", SCHEDS)
