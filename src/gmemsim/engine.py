@@ -16,7 +16,8 @@ decides both, and each source answers for itself: the dispatcher through
 SM's room), the schedulers through `has_issuable` and `next_wake`, the
 controllers through their cached `has_ready`.  The jump never crosses an
 event boundary, so per-cycle state along the executed prefix is identical to
-the unskipped loop."""
+the unskipped loop.
+"""
 
 from __future__ import annotations
 
