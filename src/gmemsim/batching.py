@@ -4,6 +4,11 @@ A thread batch is a group of consecutive thread blocks that touch the same set
 of virtual pages.  Profiling searches for the block stride that minimizes
 cross-batch page sharing; the resulting plan drives serial dispatch and
 SM-bound page coloring.
+
+One rule defines the batches: block `i`, in `enumerate_blocks` order, belongs
+to batch `i // stride`.  A batch is the tuple of its block ids, and its id is
+its position in `BatchPlan.batches`.  Page sets are worked out only where they
+are written out: by `batch_page_sets`, `plan_to_dict` and `sharing_histogram`.
 """
 
 from __future__ import annotations
@@ -23,21 +28,14 @@ class Formation(str, Enum):
 
 
 @dataclass(frozen=True)
-class ThreadBatch:
-    batch_id: int
-    block_ids: tuple[tuple[int, int, int], ...]
-    page_set: frozenset[int]
-
-
-@dataclass(frozen=True)
 class BatchPlan:
+    """`batches[k]` holds the block ids of batch k: blocks k*stride up to
+    (k+1)*stride in `enumerate_blocks` order; the last batch may be short."""
+
     stride: int
     formation: Formation
-    batches: tuple[ThreadBatch, ...]
+    batches: tuple[tuple[tuple[int, int, int], ...], ...]
     page_size: int
-
-    def batch_of_block(self) -> dict[tuple[int, int, int], int]:
-        return {b: tb.batch_id for tb in self.batches for b in tb.block_ids}
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,9 @@ def block_page_set(spec: KernelSpec, block_id, page_size: int,
     return frozenset(pages)
 
 
-def _shared_page_count(block_pages, stride: int) -> tuple[int, int]:
-    """(pages shared across batches, total distinct pages) for a fixed stride."""
+def _span_bins(block_pages, stride: int) -> dict[int, int]:
+    """bins[d] counts the pages whose accessor batches span a distance of d,
+    block `i` of `block_pages` belonging to batch `i // stride`."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for blin, pages in enumerate(block_pages):
@@ -82,8 +81,16 @@ def _shared_page_count(block_pages, stride: int) -> tuple[int, int]:
             if p not in first:
                 first[p] = batch
             last[p] = batch
-    shared = sum(1 for p in first if last[p] != first[p])
-    return shared, len(first)
+    bins: dict[int, int] = {}
+    for p, f in first.items():
+        d = last[p] - f
+        bins[d] = bins.get(d, 0) + 1
+    return bins
+
+
+def _check_page_size(page_size: int):
+    if page_size < 1:
+        raise ValueError("page size must be >= 1")
 
 
 def candidate_strides(spec: KernelSpec, search_cap: int = 64) -> list[int]:
@@ -120,13 +127,16 @@ def profile_stride(spec: KernelSpec, page_size: int, *,
     all pages shared between batches, the kernel is marked FALLBACK: its
     mapping cannot be captured by a fixed stride.
     """
+    _check_page_size(page_size)
     block_pages = [block_page_set(spec, b, page_size, zero_base=True)
                    for b in enumerate_blocks(spec)]
     if not any(block_pages):
         raise ValueError("kernel issues no memory accesses")
     best_stride, best_shared, total_pages = None, None, 0
     for s in candidate_strides(spec, search_cap):
-        shared, total_pages = _shared_page_count(block_pages, s)
+        bins = _span_bins(block_pages, s)
+        total_pages = sum(bins.values())
+        shared = total_pages - bins.get(0, 0)
         if best_shared is None or shared < best_shared:
             best_stride, best_shared = s, shared
     formation = Formation.FIXED_STRIDE
@@ -139,48 +149,38 @@ def form_batches(spec: KernelSpec, stride: int, page_size: int,
                  formation: Formation = Formation.FIXED_STRIDE) -> BatchPlan:
     """Group consecutive blocks `stride` at a time; the last batch may be short.
 
-    Page sets use the declared matrix base addresses (the runtime view).
+    A stride above the block count is clamped to it, so block `i` is in
+    batch `i // plan.stride` for every plan.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    _check_page_size(page_size)
     blocks = enumerate_blocks(spec)
-    if stride > len(blocks):
-        stride = len(blocks)
-    batches = []
-    for i in range(0, len(blocks), stride):
-        members = blocks[i:i + stride]
-        batches.append(ThreadBatch(
-            batch_id=len(batches),
-            block_ids=tuple(members),
-            page_set=frozenset().union(
-                *(block_page_set(spec, b, page_size) for b in members)),
-        ))
-    return BatchPlan(stride=stride, formation=formation,
-                     batches=tuple(batches), page_size=page_size)
+    stride = min(stride, len(blocks))
+    batches = tuple(tuple(blocks[i:i + stride])
+                    for i in range(0, len(blocks), stride))
+    return BatchPlan(stride=stride, formation=formation, batches=batches,
+                     page_size=page_size)
 
 
-def sharing_histogram(plan: BatchPlan) -> SharingHistogram:
+def batch_page_sets(spec: KernelSpec, plan: BatchPlan) -> list[frozenset[int]]:
+    """Each batch's virtual pages, at the declared matrix base addresses
+    (the runtime view)."""
+    return [frozenset().union(*(block_page_set(spec, b, plan.page_size)
+                                for b in batch))
+            for batch in plan.batches]
+
+
+def sharing_histogram(spec: KernelSpec, plan: BatchPlan) -> SharingHistogram:
     """Distance histogram of page sharing across the plan's batches."""
     if not plan.batches:
         raise ValueError("plan has no batches")
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for tb in plan.batches:
-        for p in tb.page_set:
-            if p not in first:
-                first[p] = tb.batch_id
-                last[p] = tb.batch_id
-            else:
-                first[p] = min(first[p], tb.batch_id)
-                last[p] = max(last[p], tb.batch_id)
-    bins: dict[int, int] = {}
-    for p in first:
-        d = last[p] - first[p]
-        bins[d] = bins.get(d, 0) + 1
-    return SharingHistogram(bins=bins, total_pages=len(first))
+    bins = _span_bins([block_page_set(spec, b, plan.page_size)
+                       for batch in plan.batches for b in batch], plan.stride)
+    return SharingHistogram(bins=bins, total_pages=sum(bins.values()))
 
 
-def plan_to_dict(plan: BatchPlan) -> dict:
+def plan_to_dict(spec: KernelSpec, plan: BatchPlan) -> dict:
     return {
         "schema_version": PLAN_SCHEMA_VERSION,
         "stride": plan.stride,
@@ -188,10 +188,11 @@ def plan_to_dict(plan: BatchPlan) -> dict:
         "page_size": plan.page_size,
         "batches": [
             {
-                "batch_id": tb.batch_id,
-                "block_ids": [list(b) for b in tb.block_ids],
-                "page_set": sorted(tb.page_set),
+                "batch_id": k,
+                "block_ids": [list(b) for b in batch],
+                "page_set": sorted(pages),
             }
-            for tb in plan.batches
+            for k, (batch, pages) in enumerate(
+                zip(plan.batches, batch_page_sets(spec, plan)))
         ],
     }

@@ -103,13 +103,13 @@ def cmd_profile(args) -> int:
     kernel, _ = load_workload(args.workload)
     stride, formation = profile_stride(kernel, args.page_size)
     plan = form_batches(kernel, stride, args.page_size, formation)
-    hist = sharing_histogram(plan)
+    hist = sharing_histogram(kernel, plan)
     if formation.value == "fallback":
         print("warning: no fixed stride suppresses page sharing well; "
               "plan marked fallback", file=sys.stderr)
     out = args.out or os.path.join(_default_out(), f"{kernel.name}_plan.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    payload = plan_to_dict(plan)
+    payload = plan_to_dict(kernel, plan)
     payload["sharing_histogram"] = {
         "bins": {str(k): v for k, v in sorted(hist.bins.items())},
         "total_pages": hist.total_pages,

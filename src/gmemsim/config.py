@@ -126,6 +126,10 @@ class HardwareConfig:
             raise ValueError("sufficient_active_threshold must be >= 1")
         if self.mc_queue_capacity < 1:
             raise ValueError("mc_queue_capacity must be >= 1")
+        if self.starvation_cap < 0:
+            raise ValueError("starvation_cap must be >= 0")
+        if self.request_window < 1:
+            raise ValueError("request_window must be >= 1")
         if self.bw_ratio[0] < 1 or self.bw_ratio[1] < 1:
             raise ValueError("bw_ratio parts must be >= 1")
         if not 0.0 < self.cpu_row_fraction < 1.0:

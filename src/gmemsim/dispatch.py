@@ -2,8 +2,10 @@
 
 Serial dispatch gives every SM a contiguous [head, tail) range of block ids,
 computed once before launch so that batch boundaries are respected and the
-maximum per-SM block load is minimal.  Each SM then pops ids locally and never
-waits on a central dispatcher.
+maximum per-SM block load is minimal.  Block `i` belongs to batch
+`i // stride`, so every batch holds `stride` blocks but the last, which holds
+the rest.  Each SM then pops ids locally and never waits on a central
+dispatcher.
 
 Both dispatchers answer the same three calls: `has_block(sm_id)`, whether a
 block is left for that SM; `next_block(sm_id)`, which hands it out (None
@@ -16,21 +18,10 @@ from __future__ import annotations
 import random
 from enum import Enum
 
-from .batching import BatchPlan
-
 
 class DispatchKind(str, Enum):
     INTERLEAVED = "interleaved"
     SERIAL = "serial"
-
-
-def _batch_sizes(total_blocks: int, plan: BatchPlan | None) -> list[int]:
-    if plan is None:
-        return [1] * total_blocks
-    sizes = [len(tb.block_ids) for tb in plan.batches]
-    if sum(sizes) != total_blocks:
-        raise ValueError("plan does not cover the block range")
-    return sizes
 
 
 def _fits(sizes: list[int], num_sms: int, cap: int) -> bool:
@@ -47,7 +38,7 @@ def _fits(sizes: list[int], num_sms: int, cap: int) -> bool:
 
 
 def partition_blocks(total_blocks: int, num_sms: int,
-                     plan: BatchPlan | None = None) -> list[tuple[int, int]]:
+                     stride: int = 1) -> list[tuple[int, int]]:
     """Contiguous per-SM [head, tail) block ranges balanced at batch granularity.
 
     The split minimizes the maximum per-SM block count without cutting a batch
@@ -59,7 +50,8 @@ def partition_blocks(total_blocks: int, num_sms: int,
         raise ValueError("num_sms must be >= 1")
     if total_blocks == 0:
         return [(0, 0)] * num_sms
-    sizes = _batch_sizes(total_blocks, plan)
+    full, rest = divmod(total_blocks, stride)
+    sizes = [stride] * full + ([rest] if rest else [])
     even_share = -(-total_blocks // num_sms)
     if max(sizes) > even_share:
         ranges = []

@@ -122,7 +122,6 @@ class World:
                     f"{cfg.page_size}-byte page size")
 
         self.plan = self._make_plan()
-        self.batch_of_block = self.plan.batch_of_block()
         self.blocks = enumerate_blocks(self.kernel)
 
         region = None
@@ -150,7 +149,7 @@ class World:
 
         if cfg.dispatch is DispatchKind.SERIAL:
             self.dispatcher = SerialDispatcher(
-                partition_blocks(len(self.blocks), hw.num_sms, self.plan))
+                partition_blocks(len(self.blocks), hw.num_sms, self.plan.stride))
         else:
             self.dispatcher = InterleavedDispatcher(
                 len(self.blocks), seed=cfg.random_dispatch_seed)
@@ -210,8 +209,10 @@ class World:
     # dispatch -------------------------------------------------------------
 
     def _instantiate_block(self, sm: SmModel, blin: int):
+        """Start block `blin` (its index in `enumerate_blocks` order) on `sm`;
+        its warps belong to batch `blin // plan.stride`."""
         block_id = self.blocks[blin]
-        batch = self.batch_of_block[block_id]
+        batch = blin // self.plan.stride
         live = 0
         for wid, slots in gen_block_trace(self.kernel, block_id,
                                           self._line).items():

@@ -33,7 +33,7 @@ engine reports each change of a warp's readiness:
 
 A warp woken with `ready_at` after c waits in a heap of wake-ups and joins
 the index when a query reaches that cycle.  Every query (select_warp,
-has_issuable, on_long_stall, demote_and_promote, next_wake) first moves the
+has_issuable, on_long_stall, next_wake) first moves the
 due wake-ups into the index, so queries must come in non-decreasing cycle
 order.  `is_ready` stays the oracle that invariant checks and tests compare
 the index against.
@@ -167,15 +167,12 @@ class CcwsScheduler(_WakeupHeap):
             i = next(i for i, w in enumerate(self.pending) if w in self.ready)
             self.running.append(self.pending.pop(i))
 
-    def demote_and_promote(self, warp: WarpState, cycle: int):
+    def on_long_stall(self, warp: WarpState, cycle: int):
         self._advance(cycle)
         if warp in self.running:
             self.running.remove(warp)
             self.pending.append(warp)
         self._refill()
-
-    def on_long_stall(self, warp: WarpState, cycle: int):
-        self.demote_and_promote(warp, cycle)
 
     def on_finish(self, warp: WarpState, cycle: int):
         self.ready.discard(warp)
@@ -262,34 +259,22 @@ class TbasScheduler(_WakeupHeap):
             self.unfinished[b] += 1
             self.wake(warp, cycle)
 
-    def _batch_finished(self, b: int) -> bool:
-        return self.unfinished[b] == 0
-
-    def _candidates(self) -> list[int]:
-        return [b for b in self.pending if self.ready_mask[b]]
-
     def _pick_promotion(self) -> int | None:
-        cands = self._candidates()
+        cands = [b for b in self.pending if self.ready_mask[b]]
         if not cands:
             return None
         if self.policy is SchedPolicy.TBAS_C:
             # locality-blind pick: the batch offering the most ready warps,
             # pending order breaking ties
             return max(cands, key=lambda b: self.ready_mask[b].bit_count())
-        if self.policy is SchedPolicy.TBAS_E:
-            return min(cands, key=lambda b: self.ages[b])
-        # tbas_d: walk the dispatch sequence starting after the demoted
-        # batch; ages are handed out in insertion order
-        anchor = self.last_demoted if self.last_demoted in self.ages else None
-        if anchor is None:
-            return min(cands, key=lambda b: self.ages[b])
-        seq = list(self.ages)
-        i = seq.index(anchor)
-        order = seq[i + 1:] + seq[:i + 1]
-        for b in order:
-            if b in cands:
-                return b
-        return None
+        # the first candidate in age order (ages are 0, 1, ... in dispatch
+        # order): from age 0 under tbas_e, and under tbas_d cyclically from
+        # the batch after the demoted one
+        start = 0
+        if self.policy is SchedPolicy.TBAS_D and self.last_demoted is not None:
+            start = self.ages[self.last_demoted] + 1
+        n = len(self.ages)
+        return min(cands, key=lambda b: (self.ages[b] - start) % n)
 
     def _promote(self):
         b = self._pick_promotion()
@@ -298,29 +283,23 @@ class TbasScheduler(_WakeupHeap):
             self.running_batch = b
             self._rr = 0
 
-    def demote_and_promote(self, batch_id: int, cycle: int):
-        if batch_id != self.running_batch:
-            return
-        self._advance(cycle)
-        self.running_batch = None
-        self.last_demoted = batch_id
-        if not self._batch_finished(batch_id):
-            self.pending.append(batch_id)
-        self._promote()
-
     def on_long_stall(self, warp: WarpState, cycle: int):
         b = self.running_batch
         if b is None or warp.batch_id != b:
             return
         self._advance(cycle)
         if self.ready_mask[b].bit_count() < self.threshold:
-            self.demote_and_promote(b, cycle)
+            # a running batch has unfinished warps: on_finish clears it
+            self.running_batch = None
+            self.last_demoted = b
+            self.pending.append(b)
+            self._promote()
 
     def on_finish(self, warp: WarpState, cycle: int):
         b = warp.batch_id
         self.ready_mask[b] &= ~self._bit[warp]
         self.unfinished[b] -= 1
-        if self._batch_finished(b):
+        if self.unfinished[b] == 0:
             if b == self.running_batch:
                 self.running_batch = None
             elif b in self.pending:
@@ -328,9 +307,7 @@ class TbasScheduler(_WakeupHeap):
 
     def select_warp(self, cycle: int) -> WarpState | None:
         self._advance(cycle)
-        if self.running_batch is None or self._batch_finished(self.running_batch):
-            if self.running_batch is not None:
-                self.running_batch = None
+        if self.running_batch is None:
             self._promote()
         if self.running_batch is None:
             return None
@@ -351,7 +328,7 @@ class TbasScheduler(_WakeupHeap):
         ready index up to `cycle` and never changes the schedule."""
         self._advance(cycle)
         b = self.running_batch
-        if b is not None and not self._batch_finished(b):
+        if b is not None:
             return self.ready_mask[b] != 0
         return any(self.ready_mask[b] for b in self.pending)
 
@@ -359,6 +336,8 @@ class TbasScheduler(_WakeupHeap):
         b = self.running_batch
         if b is None:
             return
+        if self.unfinished[b] == 0:
+            raise AssertionError(f"running batch {b} has finished")
         self._advance(cycle)
         want = 0
         for i, w in enumerate(self.batch_warps[b]):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmemsim.batching import (Formation, block_page_set, form_batches,
-                              profile_stride, sharing_histogram)
+from gmemsim.batching import (Formation, batch_page_sets, block_page_set,
+                              form_batches, profile_stride, sharing_histogram)
 from gmemsim.workload import enumerate_blocks, load_workload
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
@@ -44,10 +44,11 @@ def test_interleaved_stride_two(interleaved_spec):
     stride, _ = profile_stride(interleaved_spec, 16)
     assert stride == 2
     plan = form_batches(interleaved_spec, 2, 16)
-    assert plan.batches[0].block_ids == ((0, 0, 0), (1, 0, 0))
-    assert plan.batches[1].block_ids == ((0, 1, 0), (1, 1, 0))
-    assert plan.batches[0].page_set == {0, 1}
-    assert plan.batches[1].page_set == {2, 3}
+    assert plan.batches[0] == ((0, 0, 0), (1, 0, 0))
+    assert plan.batches[1] == ((0, 1, 0), (1, 1, 0))
+    pages = batch_page_sets(interleaved_spec, plan)
+    assert pages[0] == {0, 1}
+    assert pages[1] == {2, 3}
 
 
 def test_profile_rejects_empty_trace():
@@ -75,7 +76,7 @@ def test_profile_matches_brute_force_on_block_ranges_per_page():
 
 def test_form_batches_grouping(clustered_spec):
     plan = form_batches(clustered_spec, 2, 32)
-    assert [tb.block_ids for tb in plan.batches] == [
+    assert list(plan.batches) == [
         ((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (1, 1, 0))]
 
 
@@ -87,32 +88,53 @@ def test_form_batches_remainder():
                         "mapping": "clustered", "accesses_per_thread": 1}]},
     })
     plan = form_batches(kernel, 2, 32)
-    assert [len(tb.block_ids) for tb in plan.batches] == [2, 2, 1]
+    assert [len(batch) for batch in plan.batches] == [2, 2, 1]
 
 
 def test_form_batches_oversized_stride_collapses():
     kernel, _ = load_workload(clustered_rows_workload())
     plan = form_batches(kernel, 99, 32)
     assert len(plan.batches) == 1
-    assert len(plan.batches[0].block_ids) == 4
+    assert len(plan.batches[0]) == 4
 
 
 def test_batches_preserve_block_order(clustered_spec):
     plan = form_batches(clustered_spec, 2, 32)
-    flat = [b for tb in plan.batches for b in tb.block_ids]
+    flat = [b for batch in plan.batches for b in batch]
     assert flat == enumerate_blocks(clustered_spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.integers(1, 24), stride=st.integers(1, 30))
+def test_block_i_is_in_batch_i_over_stride(blocks, stride):
+    workload = clustered_rows_workload()
+    workload["kernel"]["grid_dim"] = [blocks, 1]
+    kernel, _ = load_workload(workload)
+    plan = form_batches(kernel, stride, 32)
+    assert plan.stride == min(stride, blocks)
+    for i, block in enumerate(enumerate_blocks(kernel)):
+        assert block in plan.batches[i // plan.stride]
+
+
+@pytest.mark.parametrize("page_size", [0, -4096])
+def test_page_size_below_one_is_rejected(clustered_spec, page_size):
+    with pytest.raises(ValueError, match="page size must be >= 1"):
+        profile_stride(clustered_spec, page_size)
+    with pytest.raises(ValueError, match="page size must be >= 1"):
+        form_batches(clustered_spec, 2, page_size)
 
 
 def test_page_sets_respect_base_addr():
     kernel, _ = load_workload(clustered_rows_workload(base_addr=64))
     plan = form_batches(kernel, 2, 32)
-    assert plan.batches[0].page_set == {2}
-    assert plan.batches[1].page_set == {3}
+    pages = batch_page_sets(kernel, plan)
+    assert pages[0] == {2}
+    assert pages[1] == {3}
 
 
 def test_histogram_exclusive(clustered_spec):
     plan = form_batches(clustered_spec, 2, 32)
-    hist = sharing_histogram(plan)
+    hist = sharing_histogram(clustered_spec, plan)
     assert hist.bins == {0: 2}
     assert hist.total_pages == 2
     assert hist.exclusive_fraction == 1.0
@@ -121,7 +143,7 @@ def test_histogram_exclusive(clustered_spec):
 def test_histogram_distance_one(clustered_spec):
     # stride 1 with 32-byte pages: each page is shared by two adjacent batches
     plan = form_batches(clustered_spec, 1, 32)
-    hist = sharing_histogram(plan)
+    hist = sharing_histogram(clustered_spec, plan)
     assert hist.bins == {1: 2}
 
 
@@ -137,13 +159,13 @@ def test_histogram_matches_brute_force(blocks, stride, page_rows):
     })
     page = 16 * page_rows
     plan = form_batches(kernel, stride, page)
-    hist = sharing_histogram(plan)
+    hist = sharing_histogram(kernel, plan)
     # page-by-page scan, independent of the histogram implementation
     accessors = {}
-    for tb in plan.batches:
-        for blk in tb.block_ids:
+    for batch_id, batch in enumerate(plan.batches):
+        for blk in batch:
             for p in block_page_set(kernel, blk, page):
-                accessors.setdefault(p, set()).add(tb.batch_id)
+                accessors.setdefault(p, set()).add(batch_id)
     expected = {}
     for p, batches in accessors.items():
         d = max(batches) - min(batches)
@@ -159,6 +181,7 @@ def test_exclusive_fraction_nonincreasing_when_page_doubles(clustered_spec):
     fracs = []
     for page in (16, 32, 64):
         stride, _ = profile_stride(clustered_spec, page)
-        hist = sharing_histogram(form_batches(clustered_spec, stride, page))
+        hist = sharing_histogram(clustered_spec,
+                                 form_batches(clustered_spec, stride, page))
         fracs.append(hist.exclusive_fraction)
     assert fracs[0] >= fracs[1] >= fracs[2] or fracs == sorted(fracs)

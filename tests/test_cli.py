@@ -77,6 +77,12 @@ MALFORMED = {
                      "config.horizon must be int, not True"),
     "unknown scheduler": ("scheduler", "fifo",
                           "config.scheduler must be one of ['ccws', "),
+    "zero request_window": ("hardware.request_window", 0,
+                            "request_window must be >= 1"),
+    "negative request_window": ("hardware.request_window", -100,
+                                "request_window must be >= 1"),
+    "negative starvation_cap": ("hardware.starvation_cap", -1,
+                                "starvation_cap must be >= 0"),
 }
 
 
@@ -137,8 +143,8 @@ def test_profile_writes_the_plan(tmp_path):
     expected = form_batches(kernel, plan["stride"], 32)
     assert plan["formation"] == "fixed_stride"
     assert {k: v for k, v in plan.items() if k != "sharing_histogram"} \
-        == plan_to_dict(expected)
-    hist = sharing_histogram(expected)
+        == plan_to_dict(kernel, expected)
+    hist = sharing_histogram(kernel, expected)
     assert plan["sharing_histogram"] == {
         "bins": {str(k): v for k, v in hist.bins.items()},
         "total_pages": hist.total_pages,
@@ -146,6 +152,18 @@ def test_profile_writes_the_plan(tmp_path):
     }
     blocks = [tuple(b) for batch in plan["batches"] for b in batch["block_ids"]]
     assert blocks == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+
+
+@pytest.mark.parametrize("page_size", [0, -4096])
+def test_profile_rejects_a_page_size_below_one(page_size, tmp_path, capsys):
+    path = write(tmp_path / "workload.json", interleaved_grid_workload())
+    out = tmp_path / "plan.json"
+    assert main(["profile", "--workload", path, "--page-size", str(page_size),
+                 "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "page size must be >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_output_is_reproducible(tmp_path):

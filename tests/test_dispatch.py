@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmemsim.batching import form_batches
 from gmemsim.dispatch import (InterleavedDispatcher, SerialDispatcher,
                               partition_blocks)
-from gmemsim.workload import load_workload
-
-from conftest import clustered_rows_workload
 
 
 def brute_force_split(sizes, num_sms):
@@ -23,29 +19,21 @@ def brute_force_split(sizes, num_sms):
     return best if best is not None else sum(sizes)
 
 
-def make_plan(blocks, stride):
-    kernel, _ = load_workload({
-        "kernel": {"name": "p", "grid_dim": [blocks, 1], "block_dim": [4, 1],
-                   "warp_size": 2, "matrices": [
-                       {"base_addr": 0, "element_size": 4, "row_len": 4,
-                        "mapping": "clustered", "accesses_per_thread": 1}]},
-    })
-    return form_batches(kernel, stride, 16 * stride)
+def batch_sizes(blocks, stride):
+    """Sizes of consecutive `stride`-block chunks of `blocks` blocks."""
+    return [len(range(blocks)[i:i + stride]) for i in range(0, blocks, stride)]
 
 
 def test_even_split_on_batch_boundary():
-    plan = make_plan(8, 2)
-    assert partition_blocks(8, 2, plan) == [(0, 4), (4, 8)]
+    assert partition_blocks(8, 2, 2) == [(0, 4), (4, 8)]
 
 
 def test_four_unit_batches_two_sms():
-    plan = make_plan(4, 1)
-    assert partition_blocks(4, 2, plan) == [(0, 2), (2, 4)]
+    assert partition_blocks(4, 2, 1) == [(0, 2), (2, 4)]
 
 
 def test_three_batches_two_sms_matches_brute_force():
-    plan = make_plan(6, 2)
-    ranges = partition_blocks(6, 2, plan)
+    ranges = partition_blocks(6, 2, 2)
     loads = [t - h for h, t in ranges]
     assert sorted(loads, reverse=True) == [4, 2]
     assert max(loads) == brute_force_split([2, 2, 2], 2)
@@ -55,9 +43,8 @@ def test_three_batches_two_sms_matches_brute_force():
 @given(blocks=st.integers(1, 24), stride=st.integers(1, 6),
        num_sms=st.integers(1, 4))
 def test_partition_matches_brute_force(blocks, stride, num_sms):
-    plan = make_plan(blocks, stride)
-    sizes = [len(tb.block_ids) for tb in plan.batches]
-    ranges = partition_blocks(blocks, num_sms, plan)
+    sizes = batch_sizes(blocks, stride)
+    ranges = partition_blocks(blocks, num_sms, stride)
     # contiguity and full coverage
     assert ranges[0][0] == 0 and ranges[-1][1] == blocks
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
@@ -81,8 +68,7 @@ def test_partition_matches_brute_force(blocks, stride, num_sms):
 
 
 def test_split_falls_back_when_batch_exceeds_even_share():
-    plan = make_plan(8, 8)  # one batch of 8 blocks
-    ranges = partition_blocks(8, 2, plan)
+    ranges = partition_blocks(8, 2, 8)  # one batch of 8 blocks
     assert ranges == [(0, 4), (4, 8)]
 
 
@@ -138,13 +124,11 @@ def test_interleaved_seeded_mode_is_reproducible():
 
 
 def test_single_sm_gets_everything():
-    plan = make_plan(6, 2)
-    assert partition_blocks(6, 1, plan) == [(0, 6)]
+    assert partition_blocks(6, 1, 2) == [(0, 6)]
 
 
 def test_more_sms_than_batches_leaves_empties():
-    plan = make_plan(2, 1)
-    ranges = partition_blocks(2, 4, plan)
+    ranges = partition_blocks(2, 4, 1)
     assert ranges[0] == (0, 1)
     assert ranges[1] == (1, 2)
     assert ranges[2] == (2, 2) and ranges[3] == (2, 2)

@@ -303,6 +303,30 @@ def test_dispatch_asks_for_blocks_only_after_a_warp_finished():
     assert world.dispatched == len(world.blocks)
 
 
+# both golden kernels, profiled and at a stride that leaves a short last
+# batch, and the benchmark's three kernels, all under serial dispatch
+DISPATCH_LOG_CASES = {
+    **{f"{mapping}-stride{stride}": dict(
+        make_config(mapping, "tbas_e", "coloring", "serial"), stride=stride)
+       for mapping in MAPPINGS for stride in (None, 3)},
+    **{f"bench-{name}": dict(build(1), dispatch="serial")
+       for name, build in bench_workloads().items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_LOG_CASES))
+def test_dispatch_log_batches_match_the_plan(name):
+    world = World(config_from_dict(DISPATCH_LOG_CASES[name]))
+    batch_of = {block: k for k, batch in enumerate(world.plan.batches)
+                for block in batch}
+    while world.dispatched < len(world.blocks):
+        world.step()
+    assert sorted(blin for _, _, blin, _ in world.dispatch_log) \
+        == list(range(len(world.blocks)))
+    for _, _, blin, batch in world.dispatch_log:
+        assert batch == batch_of[world.blocks[blin]]
+
+
 @pytest.mark.parametrize("sched", SCHEDS)
 def test_batch_whose_blocks_arrive_after_it_finished_still_runs(sched):
     # stride 2 and one resident block per SM: a batch's second block is
