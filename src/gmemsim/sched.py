@@ -33,10 +33,9 @@ engine reports each change of a warp's readiness:
 
 A warp woken with `ready_at` after c waits in a heap of wake-ups and joins
 the index when a query reaches that cycle.  Every query (select_warp,
-has_issuable, on_long_stall, next_wake) first moves the
-due wake-ups into the index, so queries must come in non-decreasing cycle
-order.  `is_ready` stays the oracle that invariant checks and tests compare
-the index against.
+has_issuable, on_long_stall, next_wake) first moves the due wake-ups into
+the index, so queries must come in non-decreasing cycle order.  `is_ready`
+stays the oracle that invariant checks and tests compare the index against.
 
 The engine's `World._next_event_cycle` asks `has_issuable` whether a step
 now could issue, and if none can, `next_wake` when one next could; neither
