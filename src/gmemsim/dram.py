@@ -65,10 +65,6 @@ class BankState:
     writes: int = 0
     row_hits: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
 
 GPU_AGENT = "gpu"
 CPU_AGENT = "cpu"

@@ -13,15 +13,20 @@ Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
 decides both, and each source answers for itself: the dispatcher through
 `has_block` (asked only after a warp finished, since nothing else frees an
-SM's room), the schedulers through `has_issuable` and `next_wake`, the
-controllers through their cached `has_ready`.  The jump never crosses an
-event boundary, so per-cycle state along the executed prefix is identical to
-the unskipped loop.
+SM's room), the schedulers through `has_issuable`, the controllers through
+their cached `has_ready`.  Warp wake-ups are timed by `World` alone: a warp
+left with no pending lines and a slot to go gets `ready_at = cycle + 1 +
+compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
+step and each skip check first hands every due entry to its SM's
+`scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
+state along the executed prefix is identical to the unskipped loop.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from itertools import count
 
 from .batching import BatchPlan, form_batches, profile_stride
 from .config import L1Config, RunConfig, policies_dict
@@ -190,6 +195,10 @@ class World:
         # set when an SM may have gained room since the last dispatch phase
         self.room_freed = True
         self.warp_index: dict[int, WarpState] = {}
+        # (ready_at, seq, sm, warp) for each warp with no pending lines whose
+        # ready_at is still ahead
+        self.wakeups: list[tuple] = []
+        self._wake_seq = count()
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._check = hw.check_invariants
         self._line = hw.l1.line_bytes
@@ -222,7 +231,7 @@ class World:
             w = WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
                           slots=slots, ready_at=self.cycle)
             self.warp_index[wid] = w
-            sm.scheduler.add_warp(w, self.cycle)
+            sm.scheduler.add_warp(w)
             live += 1
         if live:
             sm.resident_blocks[blin] = live
@@ -271,6 +280,13 @@ class World:
             t_arrival=self.cycle,
         )
 
+    def _line_of(self, vaddr: int, owner: int) -> tuple:
+        """(pool, line number, decoded line address) of a virtual address,
+        allocating its page for `owner` on first touch."""
+        pool, paddr = self.page_table.translate(vaddr, owner)
+        line = paddr // self._line
+        return pool, line, self.pools[pool].layout.decompose(line * self._line)
+
     def _slot_lines(self, warp: WarpState, sm_id: int) -> list[tuple]:
         """The current slot's lines as ((pool, line), is_read, queue key,
         decoded line address).
@@ -282,18 +298,15 @@ class World:
         if lines is None:
             lines = []
             for vaddr, is_read in warp.slots[warp.next_slot]:
-                pool, paddr = self.page_table.translate(vaddr, sm_id)
-                line = paddr // self._line
-                d = self.pools[pool].layout.decompose(line * self._line)
+                pool, line, d = self._line_of(vaddr, sm_id)
                 lines.append(((pool, line), is_read, (pool, d.channel), d))
             warp.lines = lines
         return lines
 
     def _phase_issue(self):
-        gap = self.kernel.compute_gap
         queues = self.mc_queues
         for sm in self.sms:
-            warp = sm.scheduler.select_warp(self.cycle)
+            warp = sm.scheduler.select_warp()
             if warp is None:
                 continue
             if self._check and not warp.is_ready(self.cycle):
@@ -345,22 +358,40 @@ class World:
                     stalled = True
             warp.lines = None
             warp.next_slot += 1
-            sm.scheduler.on_issue(warp, self.cycle)
+            sm.scheduler.on_issue(warp)
             if stalled:
-                sm.scheduler.on_long_stall(warp, self.cycle)
-            elif warp.next_slot >= len(warp.slots):
-                self._finish_warp(sm, warp)
+                sm.scheduler.on_long_stall(warp)
             else:
-                warp.ready_at = self.cycle + 1 + gap
-                sm.scheduler.wake(warp, self.cycle)
+                self._resume(sm, warp)
             if self._check:
                 sm.scheduler.assert_invariants(self.cycle)
+
+    def _resume(self, sm: SmModel, warp: WarpState):
+        """`warp` has no pending lines: finish it after its last slot, or
+        else schedule its wake-up once the compute gap has passed."""
+        if warp.next_slot >= len(warp.slots):
+            self._finish_warp(sm, warp)
+            return
+        warp.ready_at = self.cycle + 1 + self.kernel.compute_gap
+        heapq.heappush(self.wakeups,
+                       (warp.ready_at, next(self._wake_seq), sm, warp))
+
+    def _wake_due(self):
+        """Hand every wake-up due by this cycle to its SM's scheduler."""
+        heap = self.wakeups
+        while heap and heap[0][0] <= self.cycle:
+            _, _, sm, warp = heapq.heappop(heap)
+            if self._check and not warp.is_ready(self.cycle):
+                raise SimulationFault(
+                    self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
+                    "which is not ready")
+            sm.scheduler.wake(warp)
 
     def _finish_warp(self, sm: SmModel, warp: WarpState):
         warp.finished = True
         self.finished_warps += 1
         self.room_freed = True
-        sm.scheduler.on_finish(warp, self.cycle)
+        sm.scheduler.on_finish(warp)
         sm.resident_warps -= 1
         left = sm.resident_blocks[warp.block_linear] - 1
         if left:
@@ -377,9 +408,7 @@ class World:
             self.cpu_next += 1
         while self.cpu_deferred:
             ev = self.cpu_deferred[0]
-            pool, paddr = self.page_table.translate(ev.virtual_addr, CPU_OWNER)
-            line = paddr // self._line
-            d = self.pools[pool].layout.decompose(line * self._line)
+            pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
             req = self._make_request(pool, d, ev.is_read, CPU_AGENT, -1, -1,
                                      -1, line)
             req.t_arrival = ev.cycle
@@ -411,11 +440,7 @@ class World:
             return
         warp.pending_lines.discard(key)
         if not warp.pending_lines:
-            if warp.next_slot >= len(warp.slots):
-                self._finish_warp(sm, warp)
-            else:
-                warp.ready_at = self.cycle + 1 + self.kernel.compute_gap
-                sm.scheduler.wake(warp, self.cycle)
+            self._resume(sm, warp)
 
     def _phase_reply(self):
         hw = self.cfg.hardware.reply
@@ -474,6 +499,7 @@ class World:
         self.cycle += cycles
 
     def step(self):
+        self._wake_due()
         self._phase_dispatch()
         self._phase_issue()
         self._phase_cpu()
@@ -488,20 +514,25 @@ class World:
         earliest cycle at which one could, or None when no event is pending.
 
         Each event source is listed once and answers for itself: the
-        dispatcher through `has_block`, the schedulers through `has_issuable`
-        and `next_wake`, the controllers through `has_ready`.  A controller
-        becomes ready only when a bank completes, which `completions`
-        already lists."""
+        dispatcher through `has_block`, the schedulers through `has_issuable`,
+        the controllers through `has_ready`.  Warp wake-ups come from
+        `World`'s own heap: the due ones are handed to the schedulers first,
+        so its top is the next cycle at which a waiting warp becomes ready.
+        A controller becomes ready only when a bank completes, which
+        `completions` already lists."""
         now = self.cycle
+        self._wake_due()
         # CPU requests held back by a full queue, and overflowed replies
         if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
             return now
-        # reply deliveries, bank completions and CPU arrivals
+        # reply deliveries, bank completions, CPU arrivals and warp wake-ups
         events = [sm.reply_queue[0][0] for sm in self.sms if sm.reply_queue]
         if self.completions:
             events.append(min(self.completions))
         if self.cpu_next < len(self.cpu_stream):
             events.append(self.cpu_stream[self.cpu_next].cycle)
+        if self.wakeups:
+            events.append(self.wakeups[0][0])
         if events and min(events) <= now:
             return now
         # an SM with room and a block left for it
@@ -511,15 +542,10 @@ class World:
                 for sm in self.sms):
             return now
         # a warp to issue, then a queued request whose bank is free
-        if any(sm.scheduler.has_issuable(now) for sm in self.sms):
+        if any(sm.scheduler.has_issuable() for sm in self.sms):
             return now
         if any(q.has_ready(now) for q in self.mc_queues.values()):
             return now
-        # each SM's next wake-up
-        for sm in self.sms:
-            wake = sm.scheduler.next_wake(now)
-            if wake is not None:
-                events.append(wake)
         return min(events, default=None)
 
     def run(self) -> MetricsReport:

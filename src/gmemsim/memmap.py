@@ -288,44 +288,32 @@ class PageTable:
         any free frame and counts the spill."""
         if vpn in self.entries:
             raise ValueError(f"vpn {vpn} already mapped")
-        is_cpu = owner_sm == CPU_OWNER
-        if self.policy is PagePolicy.FIRST_TOUCH:
-            pool = self.cpu_pool if is_cpu else Pool.GDDR
-            frame = self._pool_scan(pool)
-        elif self.policy is PagePolicy.BW_AWARE:
-            if is_cpu:
-                pool = self.cpu_pool
+        if owner_sm == CPU_OWNER:
+            pool = self.cpu_pool
+            if self.policy is PagePolicy.COLORING_HETERO and pool is Pool.GDDR:
+                frame = self._region_frame(self.region.cpu_rows, "cpu")
             else:
-                pool = self._bw_pool()
+                frame = self._pool_scan(pool)
+        elif self.policy in (PagePolicy.FIRST_TOUCH, PagePolicy.BW_AWARE):
+            pool = (self._bw_pool() if self.policy is PagePolicy.BW_AWARE
+                    else Pool.GDDR)
             frame = self._pool_scan(pool)
         elif self.policy is PagePolicy.COLORING:
-            if is_cpu:
-                pool = self.cpu_pool
+            pool = Pool.GDDR
+            frame = self._row_walk(self.color_map[owner_sm],
+                                   (0, self.layouts[pool].num_rows), owner_sm)
+            if frame is None:
                 frame = self._pool_scan(pool)
-            else:
-                pool = Pool.GDDR
-                layout = self.layouts[pool]
-                frame = self._row_walk(self.color_map[owner_sm],
-                                       (0, layout.num_rows), owner_sm)
-                if frame is None:
-                    frame = self._pool_scan(pool)
-                    self.spilled_pages += 1
+                self.spilled_pages += 1
         else:  # COLORING_HETERO
-            if is_cpu:
-                pool = self.cpu_pool
-                if pool is Pool.GDDR:
-                    frame = self._region_frame(self.region.cpu_rows, "cpu")
-                else:
-                    frame = self._pool_scan(pool)
-            else:
-                pool = Pool.GDDR
-                frame = self._row_walk(self.color_map[owner_sm],
-                                       self.region.gpu_rows, owner_sm)
-                if frame is None:
-                    # spill stays inside the GPU row region so the CPU/GPU
-                    # row split is never violated
-                    frame = self._region_frame(self.region.gpu_rows, "spill")
-                    self.spilled_pages += 1
+            pool = Pool.GDDR
+            frame = self._row_walk(self.color_map[owner_sm],
+                                   self.region.gpu_rows, owner_sm)
+            if frame is None:
+                # spill stays inside the GPU row region so the CPU/GPU row
+                # split is never violated
+                frame = self._region_frame(self.region.gpu_rows, "spill")
+                self.spilled_pages += 1
         self._used[pool].add(frame)
         fields = self.layouts[pool].frame_fields(frame)
         entry = PageEntry(pool=pool, frame=frame, channel=fields.channel,

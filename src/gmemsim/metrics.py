@@ -60,10 +60,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "MetricsReport":
-        return MetricsReport(**json.loads(text))
-
     def flat(self) -> dict:
         """Single-level dict for CSV rows."""
         out = {}

@@ -23,28 +23,25 @@ every warp on every query, each scheduler keeps an index of its ready warps
 (a ready bitmask per batch under tbas_*, a ready set under ccws), and the
 engine reports each change of a warp's readiness:
 
-    add_warp(w, c)    w arrives at dispatch; the scheduler indexes it itself
-    on_issue(w, c)    w issued an instruction at c, so it is not ready; the
-                      engine calls this before on_long_stall
-    wake(w, c)        w has no pending lines and a new ready_at: after an
-                      issue that sent no read, and at the delivery that
-                      cleared its last pending line
-    on_finish(w, c)   w finished; the scheduler forgets it
+    add_warp(w)     w arrives at dispatch, ready; the scheduler indexes it
+    on_issue(w)     w issued an instruction, so it is not ready; the engine
+                    calls this before on_long_stall
+    wake(w)         w is ready again: it has no pending lines and the cycle
+                    has reached its ready_at
+    on_finish(w)    w finished; the scheduler forgets it
 
-A warp woken with `ready_at` after c waits in a heap of wake-ups and joins
-the index when a query reaches that cycle.  Every query (select_warp,
-has_issuable, on_long_stall, next_wake) first moves the due wake-ups into
-the index, so queries must come in non-decreasing cycle order.  `is_ready`
-stays the oracle that invariant checks and tests compare the index against.
+The schedulers keep no clock.  The engine's `World` holds the one heap of
+future wake-ups and, at the start of each step and of each skip check, calls
+`wake` for every warp whose `ready_at` has come, before it asks any
+scheduler anything.  `is_ready` stays the oracle that `assert_invariants`
+and the tests compare the index against.
 
-The engine's `World._next_event_cycle` asks `has_issuable` whether a step
-now could issue, and if none can, `next_wake` when one next could; neither
-query changes the schedule.
+`World._next_event_cycle` asks `has_issuable` whether a step now could
+issue; the query never changes the schedule.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,42 +83,7 @@ class WarpState:
                 and cycle >= self.ready_at)
 
 
-class _WakeupHeap:
-    """The wake-ups shared by both schedulers: (ready_at, seq, warp) for each
-    warp with no pending lines whose ready_at is still ahead.  A subclass
-    keeps the ready warps themselves in `_set_ready` and `on_issue`."""
-
-    def __init__(self):
-        self._wakeups: list[tuple[int, int, WarpState]] = []
-        self._wake_seq = 0
-
-    def wake(self, warp: WarpState, cycle: int):
-        if warp.ready_at <= cycle:
-            self._set_ready(warp)
-        else:
-            heapq.heappush(self._wakeups,
-                           (warp.ready_at, self._wake_seq, warp))
-            self._wake_seq += 1
-
-    def _advance(self, cycle: int):
-        """Index every warp whose wake-up is due by `cycle`."""
-        heap = self._wakeups
-        while heap and heap[0][0] <= cycle:
-            warp = heapq.heappop(heap)[2]
-            if warp.is_ready(cycle):  # a finished warp's wake-up is stale
-                self._set_ready(warp)
-
-    def next_wake(self, cycle: int) -> int | None:
-        """The earliest cycle after `cycle` at which a waiting warp becomes
-        ready, or None when no warp waits."""
-        self._advance(cycle)
-        heap = self._wakeups
-        while heap and heap[0][2].finished:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-
-class CcwsScheduler(_WakeupHeap):
+class CcwsScheduler:
     """Static wavefront limiting with demote-on-stall.
 
     The running set holds at most `capacity` warps; a long (memory) stall
@@ -134,7 +96,6 @@ class CcwsScheduler(_WakeupHeap):
     def __init__(self, capacity: int = 2):
         if capacity < 1:
             raise ValueError("running set capacity must be >= 1")
-        super().__init__()
         self.capacity = capacity
         self.running: list[WarpState] = []
         self.pending: list[WarpState] = []
@@ -142,15 +103,14 @@ class CcwsScheduler(_WakeupHeap):
         self.ready: set[WarpState] = set()
         self._rr = 0
 
-    def _set_ready(self, warp: WarpState):
+    def add_warp(self, warp: WarpState):
+        self.pending.append(warp)
         self.ready.add(warp)
 
-    def add_warp(self, warp: WarpState, cycle: int):
-        self.pending.append(warp)
-        if not warp.finished:
-            self.wake(warp, cycle)
+    def wake(self, warp: WarpState):
+        self.ready.add(warp)
 
-    def on_issue(self, warp: WarpState, cycle: int):
+    def on_issue(self, warp: WarpState):
         self.ready.discard(warp)
 
     def _pending_ready(self) -> bool:
@@ -166,22 +126,20 @@ class CcwsScheduler(_WakeupHeap):
             i = next(i for i, w in enumerate(self.pending) if w in self.ready)
             self.running.append(self.pending.pop(i))
 
-    def on_long_stall(self, warp: WarpState, cycle: int):
-        self._advance(cycle)
+    def on_long_stall(self, warp: WarpState):
         if warp in self.running:
             self.running.remove(warp)
             self.pending.append(warp)
         self._refill()
 
-    def on_finish(self, warp: WarpState, cycle: int):
+    def on_finish(self, warp: WarpState):
         self.ready.discard(warp)
         if warp in self.running:
             self.running.remove(warp)
         elif warp in self.pending:
             self.pending.remove(warp)
 
-    def select_warp(self, cycle: int) -> WarpState | None:
-        self._advance(cycle)
+    def select_warp(self) -> WarpState | None:
         self._refill()
         n = len(self.running)
         for k in range(n):
@@ -192,10 +150,9 @@ class CcwsScheduler(_WakeupHeap):
                 return w
         return None
 
-    def has_issuable(self, cycle: int) -> bool:
-        """Whether select_warp would return a warp now; it only brings the
-        ready index up to `cycle` and never changes the schedule."""
-        self._advance(cycle)
+    def has_issuable(self) -> bool:
+        """Whether select_warp would return a warp now, without changing the
+        schedule."""
         for w in self.running:
             if w in self.ready:
                 return True
@@ -205,20 +162,18 @@ class CcwsScheduler(_WakeupHeap):
     def assert_invariants(self, cycle: int):
         if len(self.running) > self.capacity:
             raise AssertionError("running set exceeds capacity")
-        self._advance(cycle)
         for w in self.running:
             if (w in self.ready) != w.is_ready(cycle):
                 raise AssertionError(
                     f"ready index disagrees with running warp {w.warp_id}")
 
 
-class TbasScheduler(_WakeupHeap):
+class TbasScheduler:
     """Batch-granularity running set with pluggable promotion order."""
 
     def __init__(self, policy: SchedPolicy, threshold: int = 1):
         if policy is SchedPolicy.CCWS:
             raise ValueError("use CcwsScheduler for ccws")
-        super().__init__()
         self.policy = policy
         self.threshold = threshold
         self.batch_warps: dict[int, list[WarpState]] = {}
@@ -233,13 +188,13 @@ class TbasScheduler(_WakeupHeap):
         self._age_seq = 0
         self._rr = 0
 
-    def _set_ready(self, warp: WarpState):
+    def wake(self, warp: WarpState):
         self.ready_mask[warp.batch_id] |= self._bit[warp]
 
-    def on_issue(self, warp: WarpState, cycle: int):
+    def on_issue(self, warp: WarpState):
         self.ready_mask[warp.batch_id] &= ~self._bit[warp]
 
-    def add_warp(self, warp: WarpState, cycle: int):
+    def add_warp(self, warp: WarpState):
         b = warp.batch_id
         if b not in self.batch_warps:
             self.batch_warps[b] = []
@@ -254,9 +209,8 @@ class TbasScheduler(_WakeupHeap):
             self.pending.append(b)
         self._bit[warp] = 1 << len(self.batch_warps[b])
         self.batch_warps[b].append(warp)
-        if not warp.finished:
-            self.unfinished[b] += 1
-            self.wake(warp, cycle)
+        self.unfinished[b] += 1
+        self.wake(warp)
 
     def _pick_promotion(self) -> int | None:
         cands = [b for b in self.pending if self.ready_mask[b]]
@@ -282,11 +236,10 @@ class TbasScheduler(_WakeupHeap):
             self.running_batch = b
             self._rr = 0
 
-    def on_long_stall(self, warp: WarpState, cycle: int):
+    def on_long_stall(self, warp: WarpState):
         b = self.running_batch
         if b is None or warp.batch_id != b:
             return
-        self._advance(cycle)
         if self.ready_mask[b].bit_count() < self.threshold:
             # a running batch has unfinished warps: on_finish clears it
             self.running_batch = None
@@ -294,7 +247,7 @@ class TbasScheduler(_WakeupHeap):
             self.pending.append(b)
             self._promote()
 
-    def on_finish(self, warp: WarpState, cycle: int):
+    def on_finish(self, warp: WarpState):
         b = warp.batch_id
         self.ready_mask[b] &= ~self._bit[warp]
         self.unfinished[b] -= 1
@@ -304,8 +257,7 @@ class TbasScheduler(_WakeupHeap):
             elif b in self.pending:
                 self.pending.remove(b)
 
-    def select_warp(self, cycle: int) -> WarpState | None:
-        self._advance(cycle)
+    def select_warp(self) -> WarpState | None:
         if self.running_batch is None:
             self._promote()
         if self.running_batch is None:
@@ -322,10 +274,9 @@ class TbasScheduler(_WakeupHeap):
         self._rr = i
         return self.batch_warps[self.running_batch][i]
 
-    def has_issuable(self, cycle: int) -> bool:
-        """Whether select_warp would return a warp now; it only brings the
-        ready index up to `cycle` and never changes the schedule."""
-        self._advance(cycle)
+    def has_issuable(self) -> bool:
+        """Whether select_warp would return a warp now, without changing the
+        schedule."""
         b = self.running_batch
         if b is not None:
             return self.ready_mask[b] != 0
@@ -337,7 +288,6 @@ class TbasScheduler(_WakeupHeap):
             return
         if self.unfinished[b] == 0:
             raise AssertionError(f"running batch {b} has finished")
-        self._advance(cycle)
         want = 0
         for i, w in enumerate(self.batch_warps[b]):
             if w.batch_id != b:

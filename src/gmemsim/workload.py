@@ -107,10 +107,6 @@ class KernelSpec:
     def warps_per_block(self) -> int:
         return -(-self.threads_per_block // self.warp_size)
 
-    @property
-    def total_threads(self) -> int:
-        return self.total_blocks * self.threads_per_block
-
     def validate(self):
         if self.grid_dim[0] < 1 or self.grid_dim[1] < 1:
             raise ValueError("grid_dim extents must be >= 1")

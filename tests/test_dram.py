@@ -87,7 +87,7 @@ def test_known_sequence_a_a_b():
         cycle = bank_advance(bank, req(row), TIMING, cycle)
     assert bank.activates == 2
     assert bank.row_hits == 1
-    assert bank.accesses == 3
+    assert bank.reads + bank.writes == 3
 
 
 def test_busy_bank_faults():
@@ -103,7 +103,7 @@ def test_hits_plus_activates_equal_accesses_random():
     cycle = 0
     for _ in range(500):
         cycle = bank_advance(bank, req(rng.randrange(4)), TIMING, cycle)
-    assert bank.activates + bank.row_hits == bank.accesses == 500
+    assert bank.activates + bank.row_hits == bank.reads + bank.writes == 500
 
 
 def test_bank_matches_straight_line_oracle():

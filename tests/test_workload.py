@@ -203,7 +203,7 @@ def test_clustered_coverage_property(gx, gy, bx, apt):
     if apt == 0:
         assert counts == {}
     else:
-        assert len(counts) == kernel.total_threads
+        assert len(counts) == kernel.total_blocks * kernel.threads_per_block
         assert all(c == apt for c in counts.values())
 
 
