@@ -1,25 +1,38 @@
 """Deterministic cycle loop binding dispatch, SMs, DRAM, and the reply network.
 
 Each cycle runs a fixed phase order: (1) dispatch fills idle SM slots, (2)
-every SM's scheduler issues at most one warp instruction, with L1 lookup and
-back-pressure aware request injection, (3) pending CPU traffic enters the
-controller queues, (4) each controller that is due (`has_ready`: a waiting
-request's bank is free) picks and issues one request, and the others are
-not visited, (5) bank completions traverse the reply network subject to its
-drain bandwidth, (6) counters update.  Given one config and seed the whole
-run is bit-reproducible.
+each SM flagged issuable, in SM-id order, issues at most one warp
+instruction, with L1 lookup and back-pressure aware request injection, (3)
+pending CPU traffic enters the controller queues, (4) each controller that
+is due (`has_ready`: a waiting request's bank is free) picks and issues one
+request, and the others are not visited, (5) the SMs with replies waiting,
+in SM-id order, drain them subject to the network's bandwidth, and bank
+completions enter it, (6) counters update.  Given one config and seed the
+whole run is bit-reproducible.
 
 Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
 decides both, and each source answers for itself: the dispatcher through
 `has_block` (asked only after a warp finished, since nothing else frees an
-SM's room), the schedulers through `has_issuable`, the controllers through
+SM's room), the issuable SMs through `World.issuable_sms`, the replying SMs
+through `World.replying` and `World.overflowed`, the controllers through
 their cached `has_ready`.  Warp wake-ups are timed by `World` alone: a warp
 left with no pending lines and a slot to go gets `ready_at = cycle + 1 +
 compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
 step and each skip check first hands every due entry to its SM's
 `scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
 state along the executed prefix is identical to the unskipped loop.
+
+An SM's `issuable` flag is its scheduler's `has_issuable()`, asked again
+right after each hook that can change the answer: once per block
+instantiated (`add_warp`), after a `wake` only when the SM is not flagged
+(a wake-up only adds a ready warp), at the end of each issue (`on_issue`,
+`on_long_stall`, and `_resume`, which may call `on_finish`) and after a
+reply delivery that finished a warp (`on_finish`).  `select_warp` returns
+None and changes nothing whenever `has_issuable()` is False, so skipping
+the SMs that are not flagged keeps the schedule; a back-pressured pick
+leaves its warp ready and the flag set.  An SM is in `replying` while its
+reply queue or overflow holds a reply.
 """
 
 from __future__ import annotations
@@ -104,6 +117,8 @@ class SmModel:
         self.resident_warps = 0
         self.reply_queue: deque = deque()
         self.reply_overflow: deque = deque()
+        # scheduler.has_issuable(), as World last asked it
+        self.issuable = False
 
     def has_slot(self, warps_per_block: int) -> bool:
         return (len(self.resident_blocks) < self.max_blocks
@@ -199,6 +214,14 @@ class World:
         # ready_at is still ahead
         self.wakeups: list[tuple] = []
         self._wake_seq = count()
+        # SMs whose `issuable` flag is set
+        self.issuable_sms = 0
+        # ids of the SMs with a reply queued or overflowed, and the number of
+        # overflowed replies
+        self.replying: set[int] = set()
+        self.overflowed = 0
+        # requests waiting in the controller queues
+        self.queued = 0
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._check = hw.check_invariants
         self._line = hw.l1.line_bytes
@@ -222,22 +245,29 @@ class World:
         its warps belong to batch `blin // plan.stride`."""
         block_id = self.blocks[blin]
         batch = blin // self.plan.stride
-        live = 0
+        warps = []
         for wid, slots in gen_block_trace(self.kernel, block_id,
                                           self._line).items():
             if not slots:
                 self.finished_warps += 1
                 continue
-            w = WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
-                          slots=slots, ready_at=self.cycle)
-            self.warp_index[wid] = w
-            sm.scheduler.add_warp(w)
-            live += 1
-        if live:
-            sm.resident_blocks[blin] = live
-            sm.resident_warps += live
+            warps.append(WarpState(warp_id=wid, batch_id=batch,
+                                   block_linear=blin, slots=slots,
+                                   ready_at=self.cycle))
+        self._make_resident(sm, blin, warps)
         self.dispatch_log.append((self.cycle, sm.sm_id, blin, batch))
         self.dispatched += 1
+
+    def _make_resident(self, sm: SmModel, blin: int, warps: list[WarpState]):
+        """Hand block `blin`'s unfinished `warps`, all ready, to `sm`."""
+        if not warps:
+            return
+        for w in warps:
+            self.warp_index[w.warp_id] = w
+            sm.scheduler.add_warp(w)
+        sm.resident_blocks[blin] = len(warps)
+        sm.resident_warps += len(warps)
+        self._recheck(sm)
 
     def _phase_dispatch(self):
         """Rounds in which every SM with room and a block left takes one.
@@ -303,11 +333,30 @@ class World:
             warp.lines = lines
         return lines
 
+    def _recheck(self, sm: SmModel):
+        """Ask `sm`'s scheduler again whether it has an issuable warp, after
+        a hook that may have changed the answer."""
+        issuable = sm.scheduler.has_issuable()
+        if issuable != sm.issuable:
+            sm.issuable = issuable
+            self.issuable_sms += 1 if issuable else -1
+
     def _phase_issue(self):
+        """Each SM flagged issuable, in SM-id order, tries to issue one warp
+        instruction.  An SM that is not flagged is skipped: its
+        `select_warp` would return None and change nothing."""
+        if not self.issuable_sms:
+            return
         queues = self.mc_queues
         for sm in self.sms:
+            if not sm.issuable:
+                continue
             warp = sm.scheduler.select_warp()
             if warp is None:
+                if self._check:
+                    raise SimulationFault(
+                        self.cycle, f"SM {sm.sm_id} is flagged issuable, "
+                        "but its scheduler picked no warp")
                 continue
             if self._check and not warp.is_ready(self.cycle):
                 raise SimulationFault(
@@ -356,6 +405,7 @@ class World:
                 if is_read:
                     warp.pending_lines.add(key)
                     stalled = True
+            self.queued += len(sends)
             warp.lines = None
             warp.next_slot += 1
             sm.scheduler.on_issue(warp)
@@ -363,6 +413,7 @@ class World:
                 sm.scheduler.on_long_stall(warp)
             else:
                 self._resume(sm, warp)
+            self._recheck(sm)
             if self._check:
                 sm.scheduler.assert_invariants(self.cycle)
 
@@ -386,6 +437,8 @@ class World:
                     self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
                     "which is not ready")
             sm.scheduler.wake(warp)
+            if not sm.issuable:  # a wake-up never takes the flag away
+                self._recheck(sm)
 
     def _finish_warp(self, sm: SmModel, warp: WarpState):
         warp.finished = True
@@ -417,6 +470,7 @@ class World:
                 break
             self.cpu_deferred.popleft()
             self.log.append(req)
+            self.queued += 1
 
     # memory controllers ------------------------------------------------------
 
@@ -425,6 +479,7 @@ class World:
             if not q.has_ready(self.cycle):
                 continue
             req = mc_pick(q, self.cycle)
+            self.queued -= 1
             done = bank_advance(q.banks[req.bank], req,
                                 self.pools[pool].timing, self.cycle)
             self.in_service += 1
@@ -441,19 +496,27 @@ class World:
         warp.pending_lines.discard(key)
         if not warp.pending_lines:
             self._resume(sm, warp)
+            if warp.finished:  # on_finish may have let another batch run
+                self._recheck(sm)
 
     def _phase_reply(self):
+        """The SMs with replies waiting, in SM-id order, take theirs; then
+        this cycle's bank completions enter the reply network."""
         hw = self.cfg.hardware.reply
-        for sm in self.sms:
+        for sm_id in sorted(self.replying):
+            sm = self.sms[sm_id]
+            queue, overflow = sm.reply_queue, sm.reply_overflow
             drained = 0
-            while (sm.reply_queue and drained < hw.drain_per_cycle
-                   and sm.reply_queue[0][0] <= self.cycle):
-                _, req = sm.reply_queue.popleft()
+            while (queue and drained < hw.drain_per_cycle
+                   and queue[0][0] <= self.cycle):
+                _, req = queue.popleft()
                 self._deliver(sm, req)
                 drained += 1
-            while sm.reply_overflow and len(sm.reply_queue) < hw.queue_capacity:
-                req = sm.reply_overflow.popleft()
-                sm.reply_queue.append((self.cycle + hw.latency, req))
+            while overflow and len(queue) < hw.queue_capacity:
+                queue.append((self.cycle + hw.latency, overflow.popleft()))
+                self.overflowed -= 1
+            if not (queue or overflow):
+                self.replying.discard(sm_id)
         due = self.completions.pop(self.cycle, [])
         for req in due:
             self.in_service -= 1
@@ -464,31 +527,35 @@ class World:
                     sm.reply_queue.append((self.cycle + hw.latency, req))
                 else:
                     sm.reply_overflow.append(req)
-        for sm in self.sms:
-            self.reply_stalls += len(sm.reply_overflow)
+                    self.overflowed += 1
+                self.replying.add(req.sm_id)
+        self.reply_stalls += self.overflowed
 
     # main loop ------------------------------------------------------------
 
     def done(self) -> bool:
         """The GPU has finished and every request has drained; CPU arrivals
-        still to come do not hold the run open."""
+        still to come do not hold the run open.
+
+        Every term is a running count, so the answer costs O(1): `queued`
+        rises with each enqueue and falls with each `mc_pick`, `in_service`
+        counts the busy banks, and `replying` holds the SMs with a reply
+        queued or overflowed."""
         return (self.dispatched >= len(self.blocks)
                 and self.finished_warps >= self.total_warps
-                and not (self.in_service or self.cpu_deferred)
-                and not any(len(q) for q in self.mc_queues.values())
-                and not any(sm.reply_queue or sm.reply_overflow
-                            for sm in self.sms))
+                and not (self.in_service or self.cpu_deferred or self.queued
+                         or self.replying))
 
     def _conservation_check(self):
-        # every logged request was enqueued once
-        queued = sum(len(q) for q in self.mc_queues.values())
-        if len(self.log) != self.completed + queued + self.in_service:
+        # every logged request was enqueued once; `_crosscheck` compares the
+        # running `queued` count with the controllers' own counts
+        if len(self.log) != self.completed + self.queued + self.in_service:
             waiting = sum(len(sm.reply_queue) + len(sm.reply_overflow)
                           for sm in self.sms)
             raise SimulationFault(
                 self.cycle,
                 f"request conservation broke: enqueued {len(self.log)} != "
-                f"completed {self.completed} + queued {queued} + "
+                f"completed {self.completed} + queued {self.queued} + "
                 f"in service {self.in_service} (replies waiting {waiting})")
 
     def _tick(self, cycles: int):
@@ -514,19 +581,23 @@ class World:
         earliest cycle at which one could, or None when no event is pending.
 
         Each event source is listed once and answers for itself: the
-        dispatcher through `has_block`, the schedulers through `has_issuable`,
-        the controllers through `has_ready`.  Warp wake-ups come from
-        `World`'s own heap: the due ones are handed to the schedulers first,
+        dispatcher through `has_block`, the schedulers through the count of
+        SMs flagged issuable (each flag rechecked after the hooks that can
+        change it), the reply network through the overflow count and the
+        queue heads of the replying SMs only, the controllers through
+        `has_ready`.  Warp wake-ups come from `World`'s own heap: the due
+        ones are handed to the schedulers first, which may flag their SMs,
         so its top is the next cycle at which a waiting warp becomes ready.
         A controller becomes ready only when a bank completes, which
         `completions` already lists."""
         now = self.cycle
         self._wake_due()
         # CPU requests held back by a full queue, and overflowed replies
-        if self.cpu_deferred or any(sm.reply_overflow for sm in self.sms):
+        if self.cpu_deferred or self.overflowed:
             return now
-        # reply deliveries, bank completions, CPU arrivals and warp wake-ups
-        events = [sm.reply_queue[0][0] for sm in self.sms if sm.reply_queue]
+        # reply deliveries (with no reply overflowed, every replying SM has
+        # one queued), bank completions, CPU arrivals and warp wake-ups
+        events = [self.sms[i].reply_queue[0][0] for i in self.replying]
         if self.completions:
             events.append(min(self.completions))
         if self.cpu_next < len(self.cpu_stream):
@@ -542,7 +613,7 @@ class World:
                 for sm in self.sms):
             return now
         # a warp to issue, then a queued request whose bank is free
-        if any(sm.scheduler.has_issuable() for sm in self.sms):
+        if self.issuable_sms:
             return now
         if any(q.has_ready(now) for q in self.mc_queues.values()):
             return now
@@ -609,6 +680,11 @@ class World:
         return report
 
     def _crosscheck(self, report: MetricsReport, totals):
+        queued = sum(len(q) for q in self.mc_queues.values())
+        if queued != self.queued:
+            raise SimulationFault(
+                self.cycle, f"running queue count {self.queued} != "
+                f"{queued} requests in the controller queues")
         activates, reads, writes, hits = (sum(t[k] for t in totals)
                                           for k in BANK_COUNTERS)
         accesses = reads + writes

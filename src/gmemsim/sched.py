@@ -36,8 +36,11 @@ future wake-ups and, at the start of each step and of each skip check, calls
 scheduler anything.  `is_ready` stays the oracle that `assert_invariants`
 and the tests compare the index against.
 
-`World._next_event_cycle` asks `has_issuable` whether a step now could
-issue; the query never changes the schedule.
+`World` asks `has_issuable` right after each hook that can change its
+answer and keeps the answer as the SM's issuable flag; the issue phase and
+the skip check read the flags, not the schedulers.  The query never changes
+the schedule, and whenever it is False `select_warp` returns None and
+changes nothing either, so an SM that is not flagged need not be asked.
 """
 
 from __future__ import annotations

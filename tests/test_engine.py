@@ -1,6 +1,7 @@
 """End-to-end tests of the engine: golden reports over a sampled policy
 matrix and the benchmark's three workloads, the event-skip loop against the
-per-cycle loop, write-through L1 and runs cut at the horizon.
+per-cycle loop, World's running indexes against a rescan, write-through L1
+and runs cut at the horizon.
 
 The golden reports in tests/fixtures/golden/ must be reproduced byte for
 byte.  Re-record them only with a behaviour change that CHANGES.md names:
@@ -151,19 +152,27 @@ BENCH_STEPS = {"bench-stencil": 23_869, "bench-corun": 8_824,
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
 def test_golden_report(name):
     world = World(config_from_dict(ALL_GOLDEN[name]))
-    steps, step = 0, world.step
+    calls = {"step": 0, "select_warp": 0}
 
-    def counting_step():
-        nonlocal steps
-        steps += 1
-        step()
+    def counting(key, fn):
+        def counted():
+            calls[key] += 1
+            return fn()
+        return counted
 
-    world.step = counting_step
+    world.step = counting("step", world.step)
+    for sm in world.sms:
+        sm.scheduler.select_warp = counting("select_warp",
+                                            sm.scheduler.select_warp)
     report = world.run()
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
     if name in BENCH_STEPS:
-        assert steps == BENCH_STEPS[name]
+        assert calls["step"] == BENCH_STEPS[name]
+    # the issue phase asks only the SMs flagged issuable, and each pick
+    # either issues or is back-pressured
+    assert calls["select_warp"] \
+        == report.warp_instructions + report.issue_backpressure
 
 
 @pytest.mark.parametrize("name", sorted(STARVATION_GOLDEN))
@@ -205,32 +214,51 @@ def test_goldens_exercise_the_issue_path():
                for r in reports)
 
 
+# golden-sized runs over every policy axis; the short horizons cut runs
+# mid-flight
+RUN_CONFIGS = st.builds(
+    make_config, mapping=st.sampled_from(MAPPINGS),
+    sched=st.sampled_from(SCHEDS), alloc=st.sampled_from(ALLOCS),
+    dispatch=st.sampled_from(DISPATCHES), cpu=st.booleans(),
+    cpu_prio=st.booleans(), num_sms=st.integers(1, 3),
+    mc_queue=st.integers(2, 8), starvation_cap=st.integers(0, 2),
+    reply_queue=st.integers(1, 3), l1_size=st.sampled_from([0, 32, 64]),
+    compute_gap=st.integers(0, 12),
+    dispatch_seed=st.one_of(st.none(), st.integers(0, 9)),
+    horizon=st.sampled_from([100, 300, 700, 50_000]))
+
+
 @settings(max_examples=25, deadline=None)
-@given(mapping=st.sampled_from(MAPPINGS), sched=st.sampled_from(SCHEDS),
-       alloc=st.sampled_from(ALLOCS), dispatch=st.sampled_from(DISPATCHES),
-       cpu=st.booleans(), cpu_prio=st.booleans(),
-       num_sms=st.integers(1, 3), mc_queue=st.integers(2, 8),
-       starvation_cap=st.integers(0, 2),
-       reply_queue=st.integers(1, 3), l1_size=st.sampled_from([0, 32, 64]),
-       compute_gap=st.integers(0, 12),
-       dispatch_seed=st.one_of(st.none(), st.integers(0, 9)),
-       horizon=st.sampled_from([100, 300, 700, 50_000]))
-def test_skipping_matches_the_per_cycle_loop(mapping, sched, alloc, dispatch,
-                                             cpu, cpu_prio, num_sms, mc_queue,
-                                             starvation_cap, reply_queue,
-                                             l1_size, compute_gap,
-                                             dispatch_seed, horizon):
-    # the short horizons cut runs mid-flight, so truncated reports are
-    # compared too; a controller's cached readiness feeds the skip check
-    config = make_config(mapping, sched, alloc, dispatch, cpu=cpu,
-                         cpu_prio=cpu_prio, num_sms=num_sms,
-                         mc_queue=mc_queue, starvation_cap=starvation_cap,
-                         reply_queue=reply_queue,
-                         l1_size=l1_size, compute_gap=compute_gap,
-                         dispatch_seed=dispatch_seed, horizon=horizon)
+@given(config=RUN_CONFIGS)
+def test_skipping_matches_the_per_cycle_loop(config):
+    # truncated reports are compared too; a controller's cached readiness
+    # feeds the skip check
     skipped, _ = run_report(config)
     stepped, _ = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+
+
+def assert_running_indexes_match_a_rescan(world: World):
+    for sm in world.sms:
+        assert sm.issuable == sm.scheduler.has_issuable(), sm.sm_id
+    assert world.issuable_sms == sum(sm.issuable for sm in world.sms)
+    assert world.queued == sum(len(q) for q in world.mc_queues.values())
+    assert world.replying == {sm.sm_id for sm in world.sms
+                              if sm.reply_queue or sm.reply_overflow}
+    assert world.overflowed == sum(len(sm.reply_overflow)
+                                   for sm in world.sms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=RUN_CONFIGS)
+def test_running_indexes_match_a_rescan_after_every_step(config):
+    # the per-cycle loop, checked after each step: World's issuable flags,
+    # queued count, replying set and overflow count against a rescan of
+    # the schedulers, controllers and reply queues they stand for
+    world = World(config_from_dict(config))
+    while world.cycle < world.cfg.horizon and not world.done():
+        world.step()
+        assert_running_indexes_match_a_rescan(world)
 
 
 @pytest.mark.parametrize("name", ["clustered-ccws-bw_aware-interleaved",

@@ -10,8 +10,9 @@ from gmemsim.sched import (CcwsScheduler, SchedPolicy, TbasScheduler,
 
 
 def warp(wid, batch=0, slots=2):
+    """A warp of block `batch` whose slots send nothing."""
     return WarpState(warp_id=wid, batch_id=batch,
-                     block_linear=batch, slots=[[None]] * slots)
+                     block_linear=batch, slots=[[]] * slots)
 
 
 def stall(s, w):
@@ -211,20 +212,25 @@ def test_make_scheduler_dispatches_classes():
 
 
 def drained_world(policy: SchedPolicy, compute_gap: int) -> World:
-    """A World whose run is over, so that no event of its own is pending."""
+    """A World whose run is over, so that no event of its own is pending.
+    Tests hand it warps through `World._make_resident`, which keeps the
+    SM's issuable flag, and it logs every issue."""
     world = World(config_from_dict({
         "workload": clustered_rows_workload(compute_gap=compute_gap),
-        "scheduler": policy.value, "hardware": small_hardware()}))
+        "scheduler": policy.value, "hardware": small_hardware()}),
+        collect_issue_log=True)
     world.run()
     assert world.done() and world._next_event_cycle() is None
     return world
 
 
-def issue_without_read(world, sm, w):
-    """w issues a slot that sends no read; the engine schedules its wake-up."""
-    w.next_slot += 1
-    sm.scheduler.on_issue(w)
-    world._resume(sm, w)
+def issue(world) -> WarpState:
+    """One issue phase of a drained world in which one SM has a warp to
+    issue; returns that warp."""
+    issued = len(world.issue_log)
+    world._phase_issue()
+    assert len(world.issue_log) == issued + 1
+    return world.warp_index[world.issue_log[-1][2]]
 
 
 @pytest.mark.parametrize("policy", list(SchedPolicy))
@@ -235,16 +241,13 @@ def test_woken_warp_waits_for_its_ready_at(policy):
     sm, now = world.sms[0], world.cycle
     s = sm.scheduler
     w0, w1 = warp(0, slots=4), warp(1, slots=4)
-    s.add_warp(w0)
-    s.add_warp(w1)
+    world._make_resident(sm, 0, [w0, w1])
     assert world._next_event_cycle() == now
-    first = s.select_warp()
-    issue_without_read(world, sm, first)  # ready at now + 4
+    first = issue(world)  # ready at now + 4
     world._tick(1)
     assert world._next_event_cycle() == now + 1
-    second = s.select_warp()
+    second = issue(world)  # ready at now + 5
     assert {first, second} == {w0, w1}
-    issue_without_read(world, sm, second)  # ready at now + 5
     world._tick(1)
     assert world._next_event_cycle() == now + 4
     assert not s.has_issuable() and s.select_warp() is None
@@ -252,7 +255,7 @@ def test_woken_warp_waits_for_its_ready_at(policy):
     assert world._next_event_cycle() == now + 4
     assert s.has_issuable() and world.wakeups[0][0] == now + 5
     assert s.select_warp() is first
-    issue_without_read(world, sm, first)  # ready at now + 8
+    assert issue(world) is first  # ready at now + 8
     assert world._next_event_cycle() == now + 5
     world._tick(1)
     assert world._next_event_cycle() == now + 5
@@ -284,15 +287,60 @@ def test_a_wake_up_for_a_warp_that_is_not_ready_is_a_fault():
     # a warp finished while its wake-up waited: the engine never does that,
     # so under check_invariants popping the stale wake-up raises
     world = drained_world(SchedPolicy.CCWS, compute_gap=0)
-    sm = world.sms[0]
     w = warp(0)
-    sm.scheduler.add_warp(w)
-    assert sm.scheduler.select_warp() is w
-    issue_without_read(world, sm, w)
+    world._make_resident(world.sms[0], 0, [w])
+    assert issue(world) is w
     w.finished = True
     world._tick(1)
     with pytest.raises(SimulationFault, match="woke warp 0 on SM 0"):
         world._next_event_cycle()
+
+
+@pytest.mark.parametrize("policy", list(SchedPolicy))
+def test_a_flagged_sm_whose_scheduler_picks_no_warp_is_a_fault(policy):
+    # a hook called behind the engine's back leaves the SM's issuable flag
+    # stale; under check_invariants the issue phase that trusts it raises
+    world = drained_world(policy, compute_gap=0)
+    sm = world.sms[0]
+    w = warp(0)
+    world._make_resident(sm, 0, [w])
+    sm.scheduler.on_issue(w)
+    assert sm.issuable and not sm.scheduler.has_issuable()
+    with pytest.raises(SimulationFault, match="SM 0 is flagged issuable, "
+                       "but its scheduler picked no warp"):
+        world._phase_issue()
+
+
+def test_a_reply_that_clears_the_running_batch_flags_the_sm():
+    # tbas_e.  Running batch B has warps y and x, one slot each.  x's slot
+    # reads, so x stalls, while y stays ready and keeps B running; y's slot
+    # only writes, so y finishes at issue.  B is then running with no ready
+    # warp and the SM has nothing to issue, although pending batch C has a
+    # ready warp z.  The reply to x's read finishes x, B leaves the running
+    # set, and the SM must be flagged issuable from that delivery on
+    world = drained_world(SchedPolicy.TBAS_E, compute_gap=0)
+    sm = world.sms[0]
+    y = WarpState(warp_id=0, batch_id=100, block_linear=100,
+                  slots=[[(32, False)]])
+    x = WarpState(warp_id=1, batch_id=100, block_linear=100,
+                  slots=[[(0, True)]])
+    z = warp(2, batch=101)
+    world._make_resident(sm, 100, [y, x])
+    world._make_resident(sm, 101, [z])
+    world.step()  # round robin starts after bit 0: x issues
+    assert x.pending_lines and not y.next_slot and sm.issuable
+    world.step()
+    assert y.finished and sm.scheduler.running_batch == 100
+    assert not sm.issuable
+    for _ in range(100):
+        if x.finished:
+            break
+        assert not sm.issuable
+        world.step()
+    assert x.finished and sm.scheduler.running_batch is None
+    assert sm.issuable and world._next_event_cycle() == world.cycle
+    world.step()
+    assert z.next_slot == 1
 
 
 @pytest.mark.parametrize("policy, promoted", [(SchedPolicy.TBAS_C, 0),
