@@ -12,6 +12,12 @@ by the field annotations.  Types are strict: a count must be an integer
 its enum's values.  Every field may be left out except `workload`.  A
 partial `gddr`/`ddr` object (or a partial `layout`, `timing` or `energy`
 inside it) overlays that pool's defaults field by field.
+
+A numeric range is declared once, on its field, as inclusive `min`/`max`
+metadata, and `RunConfig.validate` enforces every one of them through
+`gmemsim.loader.check_bounds`.  The `validate` methods hold only the rules
+that read more than one field or are not ranges.  Every message names the
+field's dotted path: `config.hardware.reply.latency must be >= 0, not -1`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .dispatch import DispatchKind
 from .dram import Arbitration, EnergyParams, TimingParams
-from .loader import from_dict, strip_version
+from .loader import check_bounds, from_dict, strip_version
 from .memmap import AddressLayout, PagePolicy, Pool
 from .sched import SchedPolicy
 
@@ -31,20 +37,24 @@ CONFIG_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class L1Config:
-    size_bytes: int = 32768
+    size_bytes: int = field(default=32768, metadata={"min": 0})
     assoc: int = 4
-    line_bytes: int = 128
+    line_bytes: int = field(default=128, metadata={"min": 1})
 
-    def validate(self):
-        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
-            raise ValueError("l1 line_bytes must be a power of two")
-        if self.size_bytes < 0:
-            raise ValueError("l1 size_bytes must be >= 0")
+    def validate(self, where: str):
+        if self.line_bytes & (self.line_bytes - 1):
+            raise ValueError(f"{where}.line_bytes must be a power of two, "
+                             f"not {self.line_bytes}")
+        # the shape of a disabled cache (size 0) is never read
         if self.size_bytes:
             if self.assoc < 1:
-                raise ValueError("l1 assoc must be >= 1")
+                raise ValueError(f"{where}.assoc must be >= 1 when size_bytes "
+                                 f"is above 0, not {self.assoc}")
             if self.size_bytes % (self.assoc * self.line_bytes):
-                raise ValueError("l1 size must be a multiple of assoc*line")
+                raise ValueError(
+                    f"{where}.size_bytes ({self.size_bytes}) must be a "
+                    f"multiple of assoc * line_bytes "
+                    f"({self.assoc * self.line_bytes})")
 
 
 @dataclass(frozen=True)
@@ -53,25 +63,12 @@ class PoolConfig:
     timing: TimingParams
     energy: EnergyParams
 
-    def validate(self, coloring: bool = False):
-        self.layout.validate(coloring=coloring)
-        self.timing.validate()
-        self.energy.validate()
-
 
 @dataclass(frozen=True)
 class ReplyConfig:
-    queue_capacity: int = 64
-    drain_per_cycle: int = 2
-    latency: int = 2
-
-    def validate(self):
-        if self.queue_capacity < 1:
-            raise ValueError("reply queue_capacity must be >= 1")
-        if self.drain_per_cycle < 1:
-            raise ValueError("reply drain_per_cycle must be >= 1")
-        if self.latency < 0:
-            raise ValueError("reply latency must be >= 0")
+    queue_capacity: int = field(default=64, metadata={"min": 1})
+    drain_per_cycle: int = field(default=2, metadata={"min": 1})
+    latency: int = field(default=2, metadata={"min": 0})
 
 
 def default_gddr() -> PoolConfig:
@@ -96,56 +93,42 @@ def default_ddr() -> PoolConfig:
 
 @dataclass(frozen=True)
 class HardwareConfig:
-    num_sms: int = 8
-    max_blocks_per_sm: int = 8
-    max_threads_per_sm: int = 1536
-    running_set_warps: int = 2
-    sufficient_active_threshold: int = 1
+    num_sms: int = field(default=8, metadata={"min": 1})
+    max_blocks_per_sm: int = field(default=8, metadata={"min": 1})
+    max_threads_per_sm: int = field(default=1536, metadata={"min": 1})
+    running_set_warps: int = field(default=2, metadata={"min": 1})
+    sufficient_active_threshold: int = field(default=1, metadata={"min": 1})
     l1: L1Config = field(default_factory=L1Config)
     gddr: PoolConfig = field(default_factory=default_gddr)
     ddr: PoolConfig = field(default_factory=default_ddr)
     reply: ReplyConfig = field(default_factory=ReplyConfig)
-    mc_queue_capacity: int = 64
-    starvation_cap: int = 0
-    bw_ratio: tuple[int, int] = (2, 1)
+    mc_queue_capacity: int = field(default=64, metadata={"min": 1})
+    starvation_cap: int = field(default=0, metadata={"min": 0})
+    bw_ratio: tuple[int, int] = field(default=(2, 1), metadata={"min": 1})
     cpu_row_fraction: float = 0.5
     cpu_pool: Pool = Pool.DDR
-    request_window: int = 100
-    check_invariants: bool = True
+    request_window: int = field(default=100, metadata={"min": 1})
 
-    def validate(self, coloring: bool = False):
-        if self.num_sms < 1:
-            raise ValueError("num_sms must be >= 1")
-        if self.max_blocks_per_sm < 1:
-            raise ValueError("max_blocks_per_sm must be >= 1")
-        if self.max_threads_per_sm < 1:
-            raise ValueError("max_threads_per_sm must be >= 1")
-        if self.running_set_warps < 1:
-            raise ValueError("running_set_warps must be >= 1")
-        if self.sufficient_active_threshold < 1:
-            raise ValueError("sufficient_active_threshold must be >= 1")
-        if self.mc_queue_capacity < 1:
-            raise ValueError("mc_queue_capacity must be >= 1")
-        if self.starvation_cap < 0:
-            raise ValueError("starvation_cap must be >= 0")
-        if self.request_window < 1:
-            raise ValueError("request_window must be >= 1")
-        if self.bw_ratio[0] < 1 or self.bw_ratio[1] < 1:
-            raise ValueError("bw_ratio parts must be >= 1")
+    def validate(self, where: str, coloring: bool = False):
         if not 0.0 < self.cpu_row_fraction < 1.0:
-            raise ValueError("cpu_row_fraction must lie strictly in (0, 1)")
-        self.l1.validate()
-        self.gddr.validate(coloring=coloring)
-        self.ddr.validate(coloring=False)
-        self.reply.validate()
-        if self.gddr.layout.page_offset_bits != self.ddr.layout.page_offset_bits:
-            raise ValueError("pools must share one page size")
+            raise ValueError(f"{where}.cpu_row_fraction must lie strictly in "
+                             f"(0, 1), not {self.cpu_row_fraction!r}")
+        self.l1.validate(f"{where}.l1")
+        self.gddr.layout.validate(f"{where}.gddr.layout", coloring=coloring)
+        self.ddr.layout.validate(f"{where}.ddr.layout")
+        page_bits = self.gddr.layout.page_offset_bits
+        if self.ddr.layout.page_offset_bits != page_bits:
+            raise ValueError(
+                f"{where}.ddr.layout.page_offset_bits "
+                f"({self.ddr.layout.page_offset_bits}) must equal "
+                f"{where}.gddr.layout.page_offset_bits ({page_bits}): "
+                "pools must share one page size")
         # the engine coalesces lanes by virtual line, which is exact only
         # when a line never spans two pages
         if self.l1.line_bytes > self.gddr.layout.page_size:
             raise ValueError(
-                f"l1 line_bytes ({self.l1.line_bytes}) must not exceed the "
-                f"page size ({self.gddr.layout.page_size})")
+                f"{where}.l1.line_bytes ({self.l1.line_bytes}) must not "
+                f"exceed the page size ({self.gddr.layout.page_size})")
 
 
 @dataclass(frozen=True)
@@ -160,15 +143,13 @@ class RunConfig:
     """
 
     workload: str | dict
-    horizon: int = 1_000_000
+    horizon: int = field(default=1_000_000, metadata={"min": 0})
     seed: int = 0
     dispatch: DispatchKind = DispatchKind.SERIAL
     allocator: PagePolicy = PagePolicy.COLORING
     scheduler: SchedPolicy = SchedPolicy.TBAS_E
     arbitration: Arbitration = Arbitration.FR_FCFS
-    stride: int | None = None
-    search_cap: int = 64
-    fallback_threshold: float = 0.5
+    stride: int | None = field(default=None, metadata={"min": 1})
     random_dispatch_seed: int | None = None
     hardware: HardwareConfig = field(default_factory=HardwareConfig)
 
@@ -177,12 +158,11 @@ class RunConfig:
         return self.hardware.gddr.layout.page_size
 
     def validate(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError("stride must be >= 1 when given")
+        """Check every declared bound, then the rules that read more than
+        one field.  `World` calls this too, for configs built directly."""
+        check_bounds(self, "config")
         coloring = self.allocator in (PagePolicy.COLORING, PagePolicy.COLORING_HETERO)
-        self.hardware.validate(coloring=coloring)
+        self.hardware.validate("config.hardware", coloring=coloring)
 
 
 def config_from_dict(obj: dict, base_dir: str | None = None) -> RunConfig:

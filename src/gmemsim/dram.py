@@ -26,34 +26,24 @@ bypasses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
 @dataclass(frozen=True)
 class TimingParams:
-    tRCD: int
-    tRP: int
-    tCAS: int
-    tBURST: int
-
-    def validate(self):
-        for name in ("tRCD", "tRP", "tCAS", "tBURST"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"timing {name} must be >= 1")
+    tRCD: int = field(metadata={"min": 1})
+    tRP: int = field(metadata={"min": 1})
+    tCAS: int = field(metadata={"min": 1})
+    tBURST: int = field(metadata={"min": 1})
 
 
 @dataclass(frozen=True)
 class EnergyParams:
-    e_activate: float
-    e_read: float
-    e_write: float
-    p_background: float
-
-    def validate(self):
-        for name in ("e_activate", "e_read", "e_write", "p_background"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"energy {name} must be >= 0")
+    e_activate: float = field(metadata={"min": 0})
+    e_read: float = field(metadata={"min": 0})
+    e_write: float = field(metadata={"min": 0})
+    p_background: float = field(metadata={"min": 0})
 
 
 @dataclass

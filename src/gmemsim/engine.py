@@ -223,7 +223,6 @@ class World:
         # requests waiting in the controller queues
         self.queued = 0
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
-        self._check = hw.check_invariants
         self._line = hw.l1.line_bytes
         self._region = region
 
@@ -233,9 +232,7 @@ class World:
         cfg = self.cfg
         if cfg.stride is not None:
             return form_batches(self.kernel, cfg.stride, cfg.page_size)
-        stride, formation = profile_stride(
-            self.kernel, cfg.page_size, search_cap=cfg.search_cap,
-            fallback_threshold=cfg.fallback_threshold)
+        stride, formation = profile_stride(self.kernel, cfg.page_size)
         return form_batches(self.kernel, stride, cfg.page_size, formation)
 
     # dispatch -------------------------------------------------------------
@@ -296,7 +293,7 @@ class World:
     def _make_request(self, pool: Pool, d: DecodedAddress, is_read: bool,
                       agent: str, sm_id: int, warp_id: int, batch_id: int,
                       line: int) -> MemoryRequest:
-        if self._check and self._region is not None and pool is Pool.GDDR:
+        if self._region is not None and pool is Pool.GDDR:
             lo, hi = (self._region.cpu_rows if agent == CPU_AGENT
                       else self._region.gpu_rows)
             if not lo <= d.row < hi:
@@ -353,12 +350,10 @@ class World:
                 continue
             warp = sm.scheduler.select_warp()
             if warp is None:
-                if self._check:
-                    raise SimulationFault(
-                        self.cycle, f"SM {sm.sm_id} is flagged issuable, "
-                        "but its scheduler picked no warp")
-                continue
-            if self._check and not warp.is_ready(self.cycle):
+                raise SimulationFault(
+                    self.cycle, f"SM {sm.sm_id} is flagged issuable, "
+                    "but its scheduler picked no warp")
+            if not warp.is_ready(self.cycle):
                 raise SimulationFault(
                     self.cycle, f"SM {sm.sm_id} picked warp {warp.warp_id}, "
                     "which is not ready")
@@ -414,8 +409,7 @@ class World:
             else:
                 self._resume(sm, warp)
             self._recheck(sm)
-            if self._check:
-                sm.scheduler.assert_invariants(self.cycle)
+            sm.scheduler.assert_invariants(self.cycle)
 
     def _resume(self, sm: SmModel, warp: WarpState):
         """`warp` has no pending lines: finish it after its last slot, or
@@ -432,7 +426,7 @@ class World:
         heap = self.wakeups
         while heap and heap[0][0] <= self.cycle:
             _, _, sm, warp = heapq.heappop(heap)
-            if self._check and not warp.is_ready(self.cycle):
+            if not warp.is_ready(self.cycle):
                 raise SimulationFault(
                     self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
                     "which is not ready")
@@ -572,8 +566,7 @@ class World:
         self._phase_cpu()
         self._phase_mc()
         self._phase_reply()
-        if self._check:
-            self._conservation_check()
+        self._conservation_check()
         self._tick(1)
 
     def _next_event_cycle(self) -> int | None:
@@ -675,8 +668,7 @@ class World:
                 energy[k] += v
             energy[f"{pool.value}_total"] = part["total"]
         report.energy = energy
-        if self._check:
-            self._crosscheck(report, totals.values())
+        self._crosscheck(report, totals.values())
         return report
 
     def _crosscheck(self, report: MetricsReport, totals):

@@ -20,8 +20,16 @@ the field's default), so `{"timing": {"tRCD": 20}}` changes one timing and
 keeps the rest.  A field may name its own parser as
 `field(metadata={"parse": fn})`, called as `fn(value, path)`.
 
+A field's range is declared once, on the field, as inclusive bounds beside
+its type: `field(default=8, metadata={"min": 1})`, with `"max"` likewise.
+`check_bounds` enforces every such bound on a built instance and on the
+dataclasses nested in it; a bound applies to each item of a tuple, and
+None skips it.  Only rules that read more than one field, or that are not
+ranges, are written out by hand, in the schemas' `validate` methods.
+
 Every error is a ValueError naming the field's path, such as
-`config.hardware.gddr.timing.tRCD must be int, not 1.5`.
+`config.hardware.gddr.timing.tRCD must be int, not 1.5` or
+`config.hardware.num_sms must be >= 1, not 0`.
 """
 
 from __future__ import annotations
@@ -86,6 +94,41 @@ def from_dict(cls, obj, where: str, base=None):
               and f.default_factory is dataclasses.MISSING):
             raise ValueError(f"{path} is required")
     return cls(**kw)
+
+
+@functools.cache
+def _bounded_fields(cls) -> tuple:
+    """(name, min, max, is_tuple, nested) for each field of cls that declares
+    a bound or holds dataclasses; check_bounds visits no other field."""
+    out = []
+    for f, tp in _typed_fields(cls):
+        nested = any(map(dataclasses.is_dataclass, typing.get_args(tp) or (tp,)))
+        lo, hi = f.metadata.get("min"), f.metadata.get("max")
+        if nested or lo is not None or hi is not None:
+            out.append((f.name, lo, hi, typing.get_origin(tp) is tuple, nested))
+    return tuple(out)
+
+
+def check_bounds(obj, where: str):
+    """Fail unless every `min`/`max` bound declared in the field metadata of
+    dataclass instance obj, and of the dataclasses nested in it, holds."""
+    for name, lo, hi, is_tuple, nested in _bounded_fields(type(obj)):
+        value = getattr(obj, name)
+        for i, item in enumerate(value) if is_tuple else ((None, value),):
+            if item is None:
+                continue
+            if nested:
+                check_bounds(item, _path(where, name, i))
+            elif lo is not None and item < lo:
+                raise ValueError(
+                    f"{_path(where, name, i)} must be >= {lo}, not {item!r}")
+            elif hi is not None and item > hi:
+                raise ValueError(
+                    f"{_path(where, name, i)} must be <= {hi}, not {item!r}")
+
+
+def _path(where: str, name: str, index: int | None) -> str:
+    return f"{where}.{name}" if index is None else f"{where}.{name}[{index}]"
 
 
 def _type_name(tp) -> str:

@@ -39,12 +39,12 @@ class DecodedAddress:
 class AddressLayout:
     """Bit-field widths of a pool's physical address, LSB to MSB."""
 
-    byte_offset_bits: int
-    column_bits: int
-    channel_bits: int
-    bank_bits: int
-    row_bits: int
-    page_offset_bits: int
+    byte_offset_bits: int = field(metadata={"min": 0})
+    column_bits: int = field(metadata={"min": 0})
+    channel_bits: int = field(metadata={"min": 0})
+    bank_bits: int = field(metadata={"min": 0})
+    row_bits: int = field(metadata={"min": 0})
+    page_offset_bits: int = field(metadata={"min": 0})
 
     @property
     def address_bits(self) -> int:
@@ -79,17 +79,17 @@ class AddressLayout:
     def num_frames(self) -> int:
         return 1 << (self.address_bits - self.page_offset_bits)
 
-    def validate(self, coloring: bool = False):
-        for name in ("byte_offset_bits", "column_bits", "channel_bits",
-                     "bank_bits", "row_bits", "page_offset_bits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"layout {name} must be >= 0")
+    def validate(self, where: str = "layout", coloring: bool = False):
+        """The rules across the fields; `loader.check_bounds` checks that
+        each width is >= 0."""
         if self.page_offset_bits > self.address_bits:
-            raise ValueError("page offset wider than the address")
+            raise ValueError(
+                f"{where}.page_offset_bits ({self.page_offset_bits}) must "
+                f"not exceed the address width ({self.address_bits})")
         if coloring and self.page_offset_bits > self.column_bits + self.byte_offset_bits:
             raise ValueError(
-                "coloring infeasible: page offset bits "
-                f"({self.page_offset_bits}) exceed column+byte bits "
+                f"coloring infeasible: {where}.page_offset_bits "
+                f"({self.page_offset_bits}) exceeds column+byte bits "
                 f"({self.column_bits + self.byte_offset_bits})"
             )
 

@@ -14,6 +14,8 @@ annotations, so types are strict: an address, size or count must be an
 integer, `read_fraction` and `request_rate` numbers, `mapping` one of
 MappingKind's values and `address_region` a list of two integers.
 `grid_dim` and `block_dim` take 1, 2 or 3 extents, the third being 1.
+Ranges are declared on the fields as `min`/`max` metadata and checked by
+`KernelSpec.validate` and `CpuTrafficSpec.validate` (see `gmemsim.loader`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .loader import from_dict, reject_unknown, strip_version
+from .loader import check_bounds, from_dict, reject_unknown, strip_version
 
 WORKLOAD_SCHEMA_VERSION = 1
 
@@ -48,34 +50,23 @@ class MappingKind(str, Enum):
 
 @dataclass(frozen=True)
 class MatrixMapping:
-    base_addr: int
-    element_size: int
-    row_len: int
+    base_addr: int = field(metadata={"min": 0})
+    element_size: int = field(metadata={"min": 1})
+    row_len: int = field(metadata={"min": 1})
     mapping: MappingKind
-    accesses_per_thread: int = 1
-    read_fraction: float = 1.0
-
-    def validate(self):
-        if self.base_addr < 0:
-            raise ValueError("matrix base_addr must be >= 0")
-        if self.element_size < 1:
-            raise ValueError("matrix element_size must be >= 1")
-        if self.row_len < 1:
-            raise ValueError("matrix row_len must be >= 1")
-        if self.accesses_per_thread < 0:
-            raise ValueError("accesses_per_thread must be >= 0")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must lie in [0, 1]")
+    accesses_per_thread: int = field(default=1, metadata={"min": 0})
+    read_fraction: float = field(default=1.0, metadata={"min": 0, "max": 1})
 
 
 def _dim2(raw, where: str) -> tuple[int, int]:
+    # the field's own bound checks that each extent is >= 1
     if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2, 3):
         raise ValueError(f"{where} must be a 1D or 2D extent list")
     if len(raw) == 3 and raw[2] != 1:
         raise ValueError(f"{where}: 3D shapes are not supported")
     vals = list(raw[:2]) + [1] * (2 - len(raw[:2]))
-    if not all(type(v) is int and v >= 1 for v in vals):
-        raise ValueError(f"{where} extents must be integers >= 1")
+    if not all(type(v) is int for v in vals):
+        raise ValueError(f"{where} extents must be integers, not {raw!r}")
     return (vals[0], vals[1])
 
 
@@ -88,11 +79,11 @@ class KernelSpec:
     warp spends between two successive memory instructions.
     """
 
-    grid_dim: tuple[int, int] = field(metadata={"parse": _dim2})
-    block_dim: tuple[int, int] = field(metadata={"parse": _dim2})
-    warp_size: int
+    grid_dim: tuple[int, int] = field(metadata={"parse": _dim2, "min": 1})
+    block_dim: tuple[int, int] = field(metadata={"parse": _dim2, "min": 1})
+    warp_size: int = field(metadata={"min": 1})
     matrices: tuple[MatrixMapping, ...] = ()
-    compute_gap: int = 0
+    compute_gap: int = field(default=0, metadata={"min": 0})
     name: str = "kernel"
 
     @property
@@ -107,47 +98,37 @@ class KernelSpec:
     def warps_per_block(self) -> int:
         return -(-self.threads_per_block // self.warp_size)
 
-    def validate(self):
-        if self.grid_dim[0] < 1 or self.grid_dim[1] < 1:
-            raise ValueError("grid_dim extents must be >= 1")
-        if self.block_dim[0] < 1 or self.block_dim[1] < 1:
-            raise ValueError("block_dim extents must be >= 1")
-        if self.warp_size < 1:
-            raise ValueError("warp_size must be >= 1")
-        if self.compute_gap < 0:
-            raise ValueError("compute_gap must be >= 0")
-        for m in self.matrices:
-            m.validate()
-            if m.mapping is MappingKind.INTERLEAVED:
-                width = self.grid_dim[0] * self.block_dim[0]
-                if m.row_len != width:
-                    raise ValueError(
-                        f"interleaved matrix row_len ({m.row_len}) must equal the "
-                        f"global thread width ({width}); elements would fall "
-                        "outside the matrix"
-                    )
+    def validate(self, where: str = "kernel"):
+        """Check every declared bound, then each interleaved matrix's row
+        length against the grid."""
+        check_bounds(self, where)
+        width = self.grid_dim[0] * self.block_dim[0]
+        for i, m in enumerate(self.matrices):
+            if m.mapping is MappingKind.INTERLEAVED and m.row_len != width:
+                raise ValueError(
+                    f"{where}.matrices[{i}].row_len ({m.row_len}) of an "
+                    f"interleaved matrix must equal the global thread width "
+                    f"({width}); elements would fall outside the matrix")
 
 
 @dataclass(frozen=True)
 class CpuTrafficSpec:
-    """Synthetic CPU request stream: rate is requests per 1000 cycles."""
+    """Synthetic CPU request stream: rate is requests per 1000 cycles, at
+    most one arrival per cycle."""
 
-    request_rate: float
+    request_rate: float = field(metadata={"min": 0, "max": 1000})
     address_region: tuple[int, int]
-    rw_ratio: float = 1.0
-    burstiness: int = 1
+    rw_ratio: float = field(default=1.0, metadata={"min": 0, "max": 1})
+    burstiness: int = field(default=1, metadata={"min": 1})
     seed: int = 0
 
-    def validate(self):
-        if self.request_rate < 0:
-            raise ValueError("cpu request_rate must be >= 0")
+    def validate(self, where: str = "cpu_traffic"):
+        """Check every declared bound, then that the region is non-empty."""
+        check_bounds(self, where)
         lo, hi = self.address_region
         if hi <= lo:
-            raise ValueError("cpu address_region must be non-empty")
-        if not 0.0 <= self.rw_ratio <= 1.0:
-            raise ValueError("cpu rw_ratio must lie in [0, 1]")
-        if self.burstiness < 1:
-            raise ValueError("cpu burstiness must be >= 1")
+            raise ValueError(f"{where}.address_region must be non-empty, "
+                             f"not [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -278,7 +259,7 @@ def gen_cpu_traffic(spec: CpuTrafficSpec, horizon: int) -> list[CpuRequest]:
 
 def kernel_from_dict(obj: dict, where: str = "kernel") -> KernelSpec:
     spec = from_dict(KernelSpec, obj, where)
-    spec.validate()
+    spec.validate(where)
     return spec
 
 
@@ -297,5 +278,5 @@ def load_workload(source) -> tuple[KernelSpec, CpuTrafficSpec | None]:
     cpu = None
     if obj.get("cpu_traffic") is not None:
         cpu = from_dict(CpuTrafficSpec, obj["cpu_traffic"], "workload.cpu_traffic")
-        cpu.validate()
+        cpu.validate("workload.cpu_traffic")
     return kernel, cpu

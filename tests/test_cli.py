@@ -2,7 +2,9 @@
 `compare`, and the messages of malformed input."""
 
 import copy
+import dataclasses
 import json
+import typing
 
 import pytest
 
@@ -10,8 +12,9 @@ from conftest import interleaved_grid_workload, small_hardware
 from gmemsim.batching import form_batches, plan_to_dict, sharing_histogram
 from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
                          main)
+from gmemsim.config import RunConfig
 from gmemsim.engine import SimulationFault, World
-from gmemsim.workload import load_workload
+from gmemsim.workload import CpuTrafficSpec, KernelSpec, load_workload
 
 
 def base_config() -> dict:
@@ -77,12 +80,15 @@ MALFORMED = {
                      "config.horizon must be int, not True"),
     "unknown scheduler": ("scheduler", "fifo",
                           "config.scheduler must be one of ['ccws', "),
-    "zero request_window": ("hardware.request_window", 0,
-                            "request_window must be >= 1"),
-    "negative request_window": ("hardware.request_window", -100,
-                                "request_window must be >= 1"),
-    "negative starvation_cap": ("hardware.starvation_cap", -1,
-                                "starvation_cap must be >= 0"),
+    "zero request_window": (
+        "hardware.request_window", 0,
+        "config.hardware.request_window must be >= 1, not 0"),
+    "negative request_window": (
+        "hardware.request_window", -100,
+        "config.hardware.request_window must be >= 1, not -100"),
+    "negative starvation_cap": (
+        "hardware.starvation_cap", -1,
+        "config.hardware.starvation_cap must be >= 0, not -1"),
 }
 
 
@@ -95,6 +101,70 @@ def test_validate_names_the_malformed_field(case, tmp_path, capsys):
     assert main(["validate", "--config", path]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def declared_bounds(cls, path: str):
+    """(dotted path, field type, "min" or "max", limit) for each bound that
+    dataclass `cls` and the dataclasses nested in it declare; a tuple of
+    dataclasses is entered at its first item."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp, where = hints[f.name], f"{path}.{f.name}"
+        if typing.get_origin(tp) is tuple \
+                and dataclasses.is_dataclass(typing.get_args(tp)[0]):
+            yield from declared_bounds(typing.get_args(tp)[0], f"{where}[0]")
+        elif dataclasses.is_dataclass(tp):
+            yield from declared_bounds(tp, where)
+        for side in ("min", "max"):
+            if side in f.metadata:
+                yield where, tp, side, f.metadata[side]
+
+
+BOUNDS = [*declared_bounds(RunConfig, "config"),
+          *declared_bounds(KernelSpec, "workload.kernel"),
+          *declared_bounds(CpuTrafficSpec, "workload.cpu_traffic")]
+
+
+def test_the_bound_walk_reaches_every_schema():
+    paths = {path for path, *_ in BOUNDS}
+    for path in ("config.horizon", "config.hardware.reply.latency",
+                 "config.hardware.ddr.energy.p_background",
+                 "workload.kernel.matrices[0].read_fraction",
+                 "workload.cpu_traffic.request_rate"):
+        assert path in paths
+
+
+def _set_path(config: dict, path: str, value):
+    """Set the dotted `path` (its first part names the document) in config,
+    adding the objects on the way; `name[0]` enters a list."""
+    *parents, last = path.split(".")[1:]
+    obj = config if path.startswith("config.") else config["workload"]
+    for key in parents:
+        name, _, index = key.partition("[")
+        obj = obj.setdefault(name, {})
+        if index:
+            obj = obj[int(index.rstrip("]"))]
+    obj[last] = value
+
+
+@pytest.mark.parametrize("path, tp, side, limit", BOUNDS,
+                         ids=[f"{p} {s}" for p, _, s, _ in BOUNDS])
+def test_validate_rejects_one_step_past_each_declared_bound(
+        path, tp, side, limit, tmp_path, capsys):
+    # the bounds come from the field metadata, so one added later is
+    # tested here too
+    is_tuple = typing.get_origin(tp) is tuple
+    step = 1e-6 if tp is float else 1
+    value = limit - step if side == "min" else limit + step
+    config = base_config()
+    _set_path(config, path, [value, value] if is_tuple else value)
+    assert main(["validate", "--config",
+                 write(tmp_path / "config.json", config)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    relation = ">=" if side == "min" else "<="
+    assert f"{path}{'[0]' if is_tuple else ''} must be {relation} {limit}, " \
+        f"not {value!r}" in err
     assert "Traceback" not in err
 
 

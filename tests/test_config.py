@@ -45,10 +45,23 @@ def test_partial_pool_objects_overlay_the_pool_defaults():
 @pytest.mark.parametrize("hardware,message", [
     ({"gddr": {"timing": {"clock_period": 1.0}}},
      "unknown field(s) in config.hardware.gddr.timing: ['clock_period']"),
-    ({"check_invariants": 1},
-     "config.hardware.check_invariants must be bool, not 1"),
+    ({"check_invariants": True},
+     "unknown field(s) in config.hardware: ['check_invariants']"),
     ({"cpu_pool": "hbm"}, "config.hardware.cpu_pool must be one of"),
     ({"l1": []}, "config.hardware.l1 must be an object, not []"),
+    # the rules that read more than one field, or are not ranges
+    ({"l1": {"line_bytes": 12}},
+     "config.hardware.l1.line_bytes must be a power of two, not 12"),
+    ({"l1": {"size_bytes": 64, "assoc": 0}},
+     "config.hardware.l1.assoc must be >= 1 when size_bytes is above 0"),
+    ({"l1": {"size_bytes": 40, "assoc": 2, "line_bytes": 8}},
+     "config.hardware.l1.size_bytes (40) must be a multiple of assoc * "
+     "line_bytes (16)"),
+    ({"ddr": {"layout": {"page_offset_bits": 11}}},
+     "config.hardware.ddr.layout.page_offset_bits (11) must equal "
+     "config.hardware.gddr.layout.page_offset_bits (12)"),
+    ({"cpu_row_fraction": 1.0},
+     "config.hardware.cpu_row_fraction must lie strictly in (0, 1), not 1.0"),
 ])
 def test_malformed_hardware_names_its_field(hardware, message):
     with pytest.raises(ValueError) as err:

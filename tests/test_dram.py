@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fr_fcfs_reference import ReferenceController, reference_pick
 from gmemsim.dram import (Arbitration, BankState, EnergyParams, McQueue,
                           MemoryRequest, TimingParams, bank_advance, mc_pick)
+from gmemsim.loader import check_bounds
 
 TIMING = TimingParams(tRCD=4, tRP=4, tCAS=4, tBURST=2)
 
@@ -318,10 +319,13 @@ def test_starvation_cap_forces_miss():
 
 
 def test_timing_validation():
-    with pytest.raises(ValueError):
-        TimingParams(tRCD=0, tRP=4, tCAS=4, tBURST=2).validate()
-    with pytest.raises(ValueError):
-        EnergyParams(e_activate=-1, e_read=1, e_write=1, p_background=0).validate()
+    # the bounds are declared on the fields; the loader's walker checks them
+    with pytest.raises(ValueError, match=r"^timing\.tRCD must be >= 1, not 0$"):
+        check_bounds(TimingParams(tRCD=0, tRP=4, tCAS=4, tBURST=2), "timing")
+    with pytest.raises(ValueError,
+                       match=r"^energy\.e_activate must be >= 0, not -1$"):
+        check_bounds(EnergyParams(e_activate=-1, e_read=1, e_write=1,
+                                  p_background=0), "energy")
 
 
 @settings(max_examples=50, deadline=None)

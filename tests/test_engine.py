@@ -15,7 +15,7 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_workloads, fixture_path, small_hardware
@@ -249,8 +249,25 @@ def assert_running_indexes_match_a_rescan(world: World):
                                    for sm in world.sms)
 
 
+def read_twice_config() -> dict:
+    """tbas_e on one SM, with warps of one thread that each read their own
+    16-byte line twice.  A warp's second read may hit L1, so the warp
+    finishes at issue while a batch-mate waits on its last read: the batch
+    stays running with no ready warp while another batch has one, and the
+    reply that finishes the waiting warp must flag the SM.  No golden
+    kernel gets there, since each ends with a write."""
+    config = make_config("clustered", "tbas_e", "first_touch", "serial",
+                         num_sms=1)
+    config["workload"] = {"kernel": {
+        "name": "read_twice", "grid_dim": [4, 1], "block_dim": [2, 1],
+        "warp_size": 1, "compute_gap": 2,
+        "matrices": [_matrix(0, 16, 8, "clustered", 2, True)]}}
+    return config
+
+
 @settings(max_examples=25, deadline=None)
 @given(config=RUN_CONFIGS)
+@example(config=read_twice_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable flags,
     # queued count, replying set and overflow count against a rescan of

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmemsim.loader import check_bounds
 from gmemsim.memmap import (CPU_OWNER, AddressLayout, FrameRegion, PagePolicy,
                             PageTable, Pool, build_color_map)
 
@@ -53,16 +54,36 @@ def test_out_of_range_address_faults():
         SMALL.decompose(1 << SMALL.address_bits)
 
 
+def validate(layout: AddressLayout, coloring: bool = False):
+    # a layout's widths carry their bounds; validate checks the rest
+    check_bounds(layout, "layout")
+    layout.validate(coloring=coloring)
+
+
 def test_coloring_feasibility_rejected():
     bad = AddressLayout(byte_offset_bits=6, column_bits=7, channel_bits=1,
                         bank_bits=4, row_bits=14, page_offset_bits=14)
-    bad.validate(coloring=False)
-    with pytest.raises(ValueError, match="coloring infeasible"):
-        bad.validate(coloring=True)
+    validate(bad, coloring=False)
+    with pytest.raises(ValueError, match=r"coloring infeasible: "
+                       r"layout\.page_offset_bits \(14\) exceeds"):
+        validate(bad, coloring=True)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"row_bits": -1}, "layout.row_bits must be >= 0, not -1"),
+    ({"page_offset_bits": 20},
+     "layout.page_offset_bits (20) must not exceed the address width (19)"),
+])
+def test_malformed_layout_names_its_field(fields, message):
+    widths = dict(byte_offset_bits=2, column_bits=4, channel_bits=1,
+                  bank_bits=2, row_bits=10, page_offset_bits=5)
+    with pytest.raises(ValueError) as err:
+        validate(AddressLayout(**dict(widths, **fields)))
+    assert str(err.value) == message
 
 
 def test_default_layout_has_coloring_slack():
-    DEFAULT.validate(coloring=True)
+    validate(DEFAULT, coloring=True)
     assert DEFAULT.page_offset_bits + 1 == (
         DEFAULT.column_bits + DEFAULT.byte_offset_bits)
     assert DEFAULT.pages_per_row == 2
@@ -210,7 +231,7 @@ def test_region_split_covers_bank():
 def test_round_trip_property(byte, col, ch, bank, row, data):
     layout = AddressLayout(byte, col, ch, bank, row,
                            page_offset_bits=min(byte + col, byte + col))
-    layout.validate()
+    validate(layout)
     addr = data.draw(st.integers(0, (1 << layout.address_bits) - 1))
     d = layout.decompose(addr)
     assert layout.compose(d.channel, d.bank, d.row, d.column, d.byte) == addr

@@ -285,7 +285,7 @@ def test_finished_warp_leaves_the_index(policy):
 
 def test_a_wake_up_for_a_warp_that_is_not_ready_is_a_fault():
     # a warp finished while its wake-up waited: the engine never does that,
-    # so under check_invariants popping the stale wake-up raises
+    # so popping the stale wake-up raises
     world = drained_world(SchedPolicy.CCWS, compute_gap=0)
     w = warp(0)
     world._make_resident(world.sms[0], 0, [w])
@@ -299,7 +299,7 @@ def test_a_wake_up_for_a_warp_that_is_not_ready_is_a_fault():
 @pytest.mark.parametrize("policy", list(SchedPolicy))
 def test_a_flagged_sm_whose_scheduler_picks_no_warp_is_a_fault(policy):
     # a hook called behind the engine's back leaves the SM's issuable flag
-    # stale; under check_invariants the issue phase that trusts it raises
+    # stale, and the issue phase that trusts it raises
     world = drained_world(policy, compute_gap=0)
     sm = world.sms[0]
     w = warp(0)

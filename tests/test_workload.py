@@ -155,8 +155,37 @@ def test_loader_names_the_matrix_field():
 def test_loader_rejects_degenerate_interleaved():
     wl = interleaved_grid_workload()
     wl["kernel"]["matrices"][0]["row_len"] = 8
-    with pytest.raises(ValueError, match="row_len"):
+    with pytest.raises(ValueError, match=r"workload\.kernel\.matrices\[0\]"
+                       r"\.row_len \(8\) of an interleaved matrix must equal "
+                       r"the global thread width \(4\)"):
         load_workload(wl)
+
+
+def cpu_workload(**traffic) -> dict:
+    wl = interleaved_grid_workload()
+    wl["cpu_traffic"] = dict({"request_rate": 10,
+                              "address_region": [0, 4096]}, **traffic)
+    return wl
+
+
+def test_cpu_rate_is_at_most_one_request_per_cycle():
+    _, cpu = load_workload(cpu_workload(request_rate=1000))
+    assert cpu.request_rate == 1000
+    message = r"^workload\.cpu_traffic\.request_rate must be <= 1000, not 5000$"
+    with pytest.raises(ValueError, match=message):
+        load_workload(cpu_workload(request_rate=5000))
+    # a spec built directly is checked when its stream is generated
+    spec = CpuTrafficSpec(request_rate=2000, address_region=(0, 4096),
+                          burstiness=4)
+    with pytest.raises(ValueError, match=r"^cpu_traffic\.request_rate must "
+                       r"be <= 1000, not 2000$"):
+        gen_cpu_traffic(spec, 1000)
+
+
+def test_empty_cpu_region_is_rejected():
+    with pytest.raises(ValueError, match=r"^workload\.cpu_traffic\."
+                       r"address_region must be non-empty, not \[8, 8\]$"):
+        load_workload(cpu_workload(address_region=[8, 8]))
 
 
 def test_cpu_traffic_rate_zero():
