@@ -24,7 +24,8 @@ A field's range is declared once, on the field, as inclusive bounds beside
 its type: `field(default=8, metadata={"min": 1})`, with `"max"` likewise.
 `check_bounds` enforces every such bound on a built instance and on the
 dataclasses nested in it; a bound applies to each item of a tuple, and
-None skips it.  Only rules that read more than one field, or that are not
+None skips it.  A NaN lies outside every bound, so a bounded float field
+rejects it.  Only rules that read more than one field, or that are not
 ranges, are written out by hand, in the schemas' `validate` methods.
 
 Every error is a ValueError naming the field's path, such as
@@ -119,10 +120,10 @@ def check_bounds(obj, where: str):
                 continue
             if nested:
                 check_bounds(item, _path(where, name, i))
-            elif lo is not None and item < lo:
+            elif lo is not None and not item >= lo:
                 raise ValueError(
                     f"{_path(where, name, i)} must be >= {lo}, not {item!r}")
-            elif hi is not None and item > hi:
+            elif hi is not None and not item <= hi:
                 raise ValueError(
                     f"{_path(where, name, i)} must be <= {hi}, not {item!r}")
 

@@ -168,6 +168,22 @@ def test_validate_rejects_one_step_past_each_declared_bound(
     assert "Traceback" not in err
 
 
+FLOAT_BOUNDS = sorted({path for path, tp, *_ in BOUNDS if tp is float})
+
+
+@pytest.mark.parametrize("path", FLOAT_BOUNDS)
+def test_validate_rejects_nan_in_each_bounded_float(path, tmp_path, capsys):
+    # json.load reads a bare NaN token, and NaN fails every comparison, so a
+    # bound must be written to fail on it rather than to pass
+    config = base_config()
+    _set_path(config, path, float("nan"))
+    assert main(["validate", "--config",
+                 write(tmp_path / "config.json", config)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path} must be >= " in err and "not nan" in err
+    assert "Traceback" not in err
+
+
 def test_validate_accepts_the_base_config(tmp_path):
     path = write(tmp_path / "config.json", base_config())
     assert main(["validate", "--config", path]) == EXIT_OK

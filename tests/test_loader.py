@@ -42,6 +42,10 @@ def test_values_on_their_bounds_and_none_pass():
     (Outer(inner=Inner(-0.5)), "outer.inner.fraction must be >= 0, not -0.5"),
     (Outer(items=(Inner(), Inner(1.5))),
      "outer.items[1].fraction must be <= 1, not 1.5"),
+    (Outer(inner=Inner(float("nan"))),
+     "outer.inner.fraction must be >= 0, not nan"),
+    (Outer(items=(Inner(float("nan")),)),
+     "outer.items[0].fraction must be >= 0, not nan"),
 ])
 def test_a_value_outside_its_bound_names_its_path(obj, message):
     with pytest.raises(ValueError) as err:
