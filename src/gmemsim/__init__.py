@@ -7,7 +7,7 @@ network stalls, and DRAM energy.
 """
 
 from .config import RunConfig, load_config
-from .engine import SimulationFault, World, run
+from .engine import SimulationFault, World
 from .metrics import MetricsReport
 
 __version__ = "0.1.0"
@@ -18,6 +18,5 @@ __all__ = [
     "SimulationFault",
     "World",
     "load_config",
-    "run",
     "__version__",
 ]

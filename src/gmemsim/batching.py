@@ -20,6 +20,11 @@ from .workload import (KernelSpec, MappingKind, element_runs, enumerate_blocks,
                        first_byte_units)
 
 PLAN_SCHEMA_VERSION = 1
+# the largest multiple of a matrix row's block count that profiling tries
+STRIDE_SEARCH_CAP = 64
+# a best stride that leaves more than this share of pages shared between
+# batches marks the plan FALLBACK
+FALLBACK_THRESHOLD = 0.5
 
 
 class Formation(str, Enum):
@@ -93,9 +98,10 @@ def _check_page_size(page_size: int):
         raise ValueError("page size must be >= 1")
 
 
-def candidate_strides(spec: KernelSpec, search_cap: int = 64) -> list[int]:
+def candidate_strides(spec: KernelSpec) -> list[int]:
     """Strides worth trying: 1..16 exhaustively, plus divisors and multiples
-    of the number of blocks spanning one matrix row, capped at search_cap."""
+    of the number of blocks spanning one matrix row, capped at
+    STRIDE_SEARCH_CAP."""
     total = spec.total_blocks
     cands = set(range(1, min(16, total) + 1))
     per_row: set[int] = set()
@@ -110,20 +116,18 @@ def candidate_strides(spec: KernelSpec, search_cap: int = 64) -> list[int]:
             if base % d == 0:
                 cands.add(d)
         k = 1
-        while base * k <= min(search_cap, total):
+        while base * k <= min(STRIDE_SEARCH_CAP, total):
             cands.add(base * k)
             k += 1
     return sorted(c for c in cands if 1 <= c <= total)
 
 
-def profile_stride(spec: KernelSpec, page_size: int, *,
-                   search_cap: int = 64,
-                   fallback_threshold: float = 0.5) -> tuple[int, Formation]:
+def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:
     """Find the block stride that suppresses the most cross-batch page sharing.
 
     Matrices are profiled with their start addresses set to zero, which is the
     alignment the allocator later guarantees.  Ties break toward the smallest
-    stride.  If even the best stride leaves more than fallback_threshold of
+    stride.  If even the best stride leaves more than FALLBACK_THRESHOLD of
     all pages shared between batches, the kernel is marked FALLBACK: its
     mapping cannot be captured by a fixed stride.
     """
@@ -133,14 +137,14 @@ def profile_stride(spec: KernelSpec, page_size: int, *,
     if not any(block_pages):
         raise ValueError("kernel issues no memory accesses")
     best_stride, best_shared, total_pages = None, None, 0
-    for s in candidate_strides(spec, search_cap):
+    for s in candidate_strides(spec):
         bins = _span_bins(block_pages, s)
         total_pages = sum(bins.values())
         shared = total_pages - bins.get(0, 0)
         if best_shared is None or shared < best_shared:
             best_stride, best_shared = s, shared
     formation = Formation.FIXED_STRIDE
-    if total_pages and best_shared / total_pages > fallback_threshold:
+    if total_pages and best_shared / total_pages > FALLBACK_THRESHOLD:
         formation = Formation.FALLBACK
     return best_stride, formation
 

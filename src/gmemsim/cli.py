@@ -17,7 +17,7 @@ import sys
 
 from .batching import (form_batches, plan_to_dict, profile_stride,
                        sharing_histogram)
-from .config import config_from_dict, load_config, policies_dict
+from .config import config_from_dict, load_config
 from .engine import SimulationFault, World
 from .loader import from_dict, strip_version
 from .metrics import MetricsReport
@@ -223,8 +223,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    load_workload(cfg.workload)
+    # the World that `run` builds, so every check `run` makes before its
+    # first cycle is made here too
+    cfg = World(load_config(args.config)).cfg
     print(f"{args.config}: ok "
           f"({cfg.dispatch.value}/{cfg.allocator.value}/"
           f"{cfg.scheduler.value}/{cfg.arbitration.value})")

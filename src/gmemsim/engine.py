@@ -17,7 +17,7 @@ decides both, and each source answers for itself: the dispatcher through
 SM's room), the issuable SMs through `World.issuable_sms`, the replying SMs
 through `World.replying` and `World.overflowed`, the controllers through
 their cached `has_ready`.  Warp wake-ups are timed by `World` alone: a warp
-left with no pending lines and a slot to go gets `ready_at = cycle + 1 +
+left with no outstanding reads and a slot to go gets `ready_at = cycle + 1 +
 compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
 step and each skip check first hands every due entry to its SM's
 `scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
@@ -69,36 +69,26 @@ class SimulationFault(AssertionError):
 
 class L1Cache:
     """Set-associative LRU cache keyed by (pool, line); write-through with no
-    write allocation, so only read fills change its contents.  Size 0 disables
-    the cache and every access misses."""
+    write allocation, so only read fills change its contents.  Size 0 makes
+    one set of associativity 0, which holds no line, so every access
+    misses."""
 
     def __init__(self, cfg: L1Config):
-        self.line_bytes = cfg.line_bytes
-        self.enabled = cfg.size_bytes > 0
-        if self.enabled:
-            self.assoc = cfg.assoc
-            self.num_sets = cfg.size_bytes // (cfg.assoc * cfg.line_bytes)
-            self.sets = [dict() for _ in range(self.num_sets)]
-
-    def _set_of(self, key) -> dict:
-        return self.sets[key[1] % self.num_sets]
+        self.assoc = cfg.assoc if cfg.size_bytes else 0
+        self.num_sets = (cfg.size_bytes // (cfg.assoc * cfg.line_bytes)
+                         if cfg.size_bytes else 1)
+        self.sets = [dict() for _ in range(self.num_sets)]
 
     def lookup(self, key) -> bool:
-        if not self.enabled:
-            return False
-        s = self._set_of(key)
+        s = self.sets[key[1] % self.num_sets]
         if key in s:
-            s.pop(key)
-            s[key] = None
+            s[key] = s.pop(key)
             return True
         return False
 
     def fill(self, key):
-        if not self.enabled:
-            return
-        s = self._set_of(key)
-        if key in s:
-            s.pop(key)
+        s = self.sets[key[1] % self.num_sets]
+        s.pop(key, None)
         s[key] = None
         if len(s) > self.assoc:
             s.pop(next(iter(s)))
@@ -114,7 +104,6 @@ class SmModel:
         self.max_warps = max_warps
         # block linear id -> its warps that have not finished
         self.resident_blocks: dict[int, int] = {}
-        self.resident_warps = 0
         self.reply_queue: deque = deque()
         self.reply_overflow: deque = deque()
         # scheduler.has_issuable(), as World last asked it
@@ -122,7 +111,8 @@ class SmModel:
 
     def has_slot(self, warps_per_block: int) -> bool:
         return (len(self.resident_blocks) < self.max_blocks
-                and self.resident_warps + warps_per_block <= self.max_warps)
+                and sum(self.resident_blocks.values()) + warps_per_block
+                <= self.max_warps)
 
 
 class World:
@@ -148,12 +138,11 @@ class World:
         if cfg.allocator is PagePolicy.COLORING_HETERO:
             region = FrameRegion.split(hw.gddr.layout.num_rows, hw.cpu_row_fraction)
             region.validate(hw.gddr.layout.num_rows)
-        self.color_map = build_color_map(hw.num_sms, hw.gddr.layout)
         self.page_table = PageTable(
             cfg.allocator,
             {Pool.GDDR: hw.gddr.layout, Pool.DDR: hw.ddr.layout},
-            self.color_map, region=region, bw_ratio=hw.bw_ratio,
-            cpu_pool=hw.cpu_pool,
+            build_color_map(hw.num_sms, hw.gddr.layout), region=region,
+            bw_ratio=hw.bw_ratio, cpu_pool=hw.cpu_pool,
         )
 
         max_warps = hw.max_threads_per_sm // self.kernel.warp_size
@@ -191,7 +180,6 @@ class World:
         self.cpu_deferred: deque = deque()
 
         self.cycle = 0
-        self.dispatched = 0
         self.finished_warps = 0
         self.total_warps = len(self.blocks) * self.kernel.warps_per_block
         self.log: list[MemoryRequest] = []
@@ -206,12 +194,13 @@ class World:
         self.l1_misses = 0
         self.issue_backpressure = 0
         self.reply_stalls = 0
+        # (cycle, sm, block linear id, batch) per block dispatched
         self.dispatch_log: list[tuple] = []
         # set when an SM may have gained room since the last dispatch phase
         self.room_freed = True
         self.warp_index: dict[int, WarpState] = {}
-        # (ready_at, seq, sm, warp) for each warp with no pending lines whose
-        # ready_at is still ahead
+        # (ready_at, seq, sm, warp) for each warp with no outstanding reads
+        # whose ready_at is still ahead
         self.wakeups: list[tuple] = []
         self._wake_seq = count()
         # SMs whose `issuable` flag is set
@@ -224,7 +213,6 @@ class World:
         self.queued = 0
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._line = hw.l1.line_bytes
-        self._region = region
 
     # plan -----------------------------------------------------------------
 
@@ -253,7 +241,6 @@ class World:
                                    ready_at=self.cycle))
         self._make_resident(sm, blin, warps)
         self.dispatch_log.append((self.cycle, sm.sm_id, blin, batch))
-        self.dispatched += 1
 
     def _make_resident(self, sm: SmModel, blin: int, warps: list[WarpState]):
         """Hand block `blin`'s unfinished `warps`, all ready, to `sm`."""
@@ -263,8 +250,12 @@ class World:
             self.warp_index[w.warp_id] = w
             sm.scheduler.add_warp(w)
         sm.resident_blocks[blin] = len(warps)
-        sm.resident_warps += len(warps)
         self._recheck(sm)
+
+    def _wants_block(self, sm: SmModel) -> bool:
+        """`sm` has room for a block and the dispatcher has one left for it."""
+        return (self.dispatcher.has_block(sm.sm_id)
+                and sm.has_slot(self.kernel.warps_per_block))
 
     def _phase_dispatch(self):
         """Rounds in which every SM with room and a block left takes one.
@@ -274,13 +265,11 @@ class World:
         if not self.room_freed:
             return
         self.room_freed = False
-        wpb = self.kernel.warps_per_block
         dispatcher = self.dispatcher
         progress = True
-        while progress and self.dispatched < len(self.blocks):
+        while progress and len(self.dispatch_log) < len(self.blocks):
             progress = False
-            idle = [sm.sm_id for sm in self.sms
-                    if dispatcher.has_block(sm.sm_id) and sm.has_slot(wpb)]
+            idle = [sm.sm_id for sm in self.sms if self._wants_block(sm)]
             for sm_id in dispatcher.order_idle_sms(idle):
                 blin = dispatcher.next_block(sm_id)
                 if blin is None:  # interleaved: the shared range ran out
@@ -293,9 +282,10 @@ class World:
     def _make_request(self, pool: Pool, d: DecodedAddress, is_read: bool,
                       agent: str, sm_id: int, warp_id: int, batch_id: int,
                       line: int) -> MemoryRequest:
-        if self._region is not None and pool is Pool.GDDR:
-            lo, hi = (self._region.cpu_rows if agent == CPU_AGENT
-                      else self._region.gpu_rows)
+        region = self.page_table.region
+        if region is not None and pool is Pool.GDDR:
+            lo, hi = (region.cpu_rows if agent == CPU_AGENT
+                      else region.gpu_rows)
             if not lo <= d.row < hi:
                 raise SimulationFault(
                     self.cycle, f"{agent} request outside its row region "
@@ -398,7 +388,7 @@ class World:
                     raise SimulationFault(self.cycle, "queue overflow after space check")
                 self.log.append(req)
                 if is_read:
-                    warp.pending_lines.add(key)
+                    warp.pending += 1
                     stalled = True
             self.queued += len(sends)
             warp.lines = None
@@ -412,7 +402,7 @@ class World:
             sm.scheduler.assert_invariants(self.cycle)
 
     def _resume(self, sm: SmModel, warp: WarpState):
-        """`warp` has no pending lines: finish it after its last slot, or
+        """`warp` has no outstanding reads: finish it after its last slot, or
         else schedule its wake-up once the compute gap has passed."""
         if warp.next_slot >= len(warp.slots):
             self._finish_warp(sm, warp)
@@ -439,7 +429,6 @@ class World:
         self.finished_warps += 1
         self.room_freed = True
         sm.scheduler.on_finish(warp)
-        sm.resident_warps -= 1
         left = sm.resident_blocks[warp.block_linear] - 1
         if left:
             sm.resident_blocks[warp.block_linear] = left
@@ -482,13 +471,11 @@ class World:
     # reply network ------------------------------------------------------------
 
     def _deliver(self, sm: SmModel, req: MemoryRequest):
-        key = (Pool(req.pool), req.line_addr)
-        sm.l1.fill(key)
-        warp = self.warp_index.get(req.warp_id)
-        if warp is None:
-            return
-        warp.pending_lines.discard(key)
-        if not warp.pending_lines:
+        sm.l1.fill((Pool(req.pool), req.line_addr))
+        # a slot's lines are distinct, so each reply settles one read
+        warp = self.warp_index[req.warp_id]
+        warp.pending -= 1
+        if not warp.pending:
             self._resume(sm, warp)
             if warp.finished:  # on_finish may have let another batch run
                 self._recheck(sm)
@@ -535,7 +522,7 @@ class World:
         rises with each enqueue and falls with each `mc_pick`, `in_service`
         counts the busy banks, and `replying` holds the SMs with a reply
         queued or overflowed."""
-        return (self.dispatched >= len(self.blocks)
+        return (len(self.dispatch_log) >= len(self.blocks)
                 and self.finished_warps >= self.total_warps
                 and not (self.in_service or self.cpu_deferred or self.queued
                          or self.replying))
@@ -600,10 +587,8 @@ class World:
         if events and min(events) <= now:
             return now
         # an SM with room and a block left for it
-        wpb = self.kernel.warps_per_block
-        if self.room_freed and self.dispatched < len(self.blocks) and any(
-                self.dispatcher.has_block(sm.sm_id) and sm.has_slot(wpb)
-                for sm in self.sms):
+        if self.room_freed and len(self.dispatch_log) < len(self.blocks) \
+                and any(self._wants_block(sm) for sm in self.sms):
             return now
         # a warp to issue, then a queued request whose bank is free
         if self.issuable_sms:
@@ -691,9 +676,3 @@ class World:
             raise SimulationFault(
                 self.cycle,
                 f"cycle-counted BLP {blp} != log-derived BLP {report.blp}")
-
-
-def run(config: RunConfig, *, collect_issue_log: bool = False) -> tuple[MetricsReport, World]:
-    world = World(config, collect_issue_log=collect_issue_log)
-    report = world.run()
-    return report, world

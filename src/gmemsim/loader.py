@@ -6,6 +6,7 @@ instance from a parsed JSON object.  The type rules:
     int, str, bool, dict   the value must be of that type; a bool is not an
                            int, so `true` never passes for a count
     float                  an int or a float (kept as given), not a bool
+                           and not an infinity
     Enum                   one of the enum's values
     X | None               null, or a value of X
     tuple[X, Y]            a list of exactly that many items, each typed
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from enum import Enum
@@ -180,6 +182,10 @@ def _convert(tp, value, where: str):
             return tp(value)
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            # json.load reads a bare Infinity token; a NaN is left to the
+            # bounds, which it fails
+            if isinstance(value, float) and math.isinf(value):
+                raise ValueError(f"{where} must be finite, not {value!r}")
             return value
     elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
         return value

@@ -184,6 +184,7 @@ class PageEntry:
     channel: int
     bank: int
     row: int
+    owner: int  # the SM that first touched the page, or CPU_OWNER
 
 
 CPU_OWNER = -1
@@ -210,7 +211,6 @@ class PageTable:
         self.bw_ratio = bw_ratio
         self.cpu_pool = cpu_pool
         self.entries: dict[int, PageEntry] = {}
-        self.owner: dict[int, int] = {}
         self.spilled_pages = 0
         self.pool_pages = {Pool.GDDR: 0, Pool.DDR: 0}
         self._used: dict[Pool, set[int]] = {Pool.GDDR: set(), Pool.DDR: set()}
@@ -317,9 +317,8 @@ class PageTable:
         self._used[pool].add(frame)
         fields = self.layouts[pool].frame_fields(frame)
         entry = PageEntry(pool=pool, frame=frame, channel=fields.channel,
-                          bank=fields.bank, row=fields.row)
+                          bank=fields.bank, row=fields.row, owner=owner_sm)
         self.entries[vpn] = entry
-        self.owner[vpn] = owner_sm
         self.pool_pages[pool] += 1
         return entry
 
@@ -344,6 +343,6 @@ class PageTable:
 
     def dump_rows(self) -> list[tuple]:
         return [
-            (vpn, e.pool.value, e.channel, e.bank, e.row, self.owner[vpn])
+            (vpn, e.pool.value, e.channel, e.bank, e.row, e.owner)
             for vpn, e in sorted(self.entries.items())
         ]

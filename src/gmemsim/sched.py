@@ -26,8 +26,8 @@ engine reports each change of a warp's readiness:
     add_warp(w)     w arrives at dispatch, ready; the scheduler indexes it
     on_issue(w)     w issued an instruction, so it is not ready; the engine
                     calls this before on_long_stall
-    wake(w)         w is ready again: it has no pending lines and the cycle
-                    has reached its ready_at
+    wake(w)         w is ready again: its count of outstanding reads is 0
+                    and the cycle has reached its ready_at
     on_finish(w)    w finished; the scheduler forgets it
 
 The schedulers keep no clock.  The engine's `World` holds the one heap of
@@ -45,7 +45,7 @@ changes nothing either, so an SM that is not flagged need not be asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -65,10 +65,12 @@ class WarpState:
     address, is_read) per distinct line its lanes touch (a lane touches the
     line of its element's first byte), in first-lane order, with the first
     such lane's address.  A line never spans two pages, so the lines stay
-    distinct after translation.  lines is the engine's translation of the
-    current slot, None until the slot's first issue attempt.  The warp may
-    issue when it has no outstanding reads and its wakeup cycle has passed;
-    it is finished once every slot has issued and completed.
+    distinct after translation, and each reply settles exactly one of the
+    slot's reads.  lines is the engine's translation of the current slot,
+    None until the slot's first issue attempt.  pending counts the reads
+    issued and not yet replied to.  The warp may issue when pending is 0 and
+    its wakeup cycle has passed; it is finished once every slot has issued
+    and completed.
     """
 
     warp_id: int
@@ -78,12 +80,11 @@ class WarpState:
     next_slot: int = 0
     lines: list | None = None
     ready_at: int = 0
-    pending_lines: set = field(default_factory=set)
+    pending: int = 0
     finished: bool = False
 
     def is_ready(self, cycle: int) -> bool:
-        return (not self.finished and not self.pending_lines
-                and cycle >= self.ready_at)
+        return not self.finished and not self.pending and cycle >= self.ready_at
 
 
 class CcwsScheduler:
@@ -188,7 +189,6 @@ class TbasScheduler:
         self.pending: list[int] = []
         self.running_batch: int | None = None
         self.last_demoted: int | None = None
-        self._age_seq = 0
         self._rr = 0
 
     def wake(self, warp: WarpState):
@@ -202,8 +202,7 @@ class TbasScheduler:
         if b not in self.batch_warps:
             self.batch_warps[b] = []
             self.ready_mask[b] = 0
-            self.ages[b] = self._age_seq
-            self._age_seq += 1
+            self.ages[b] = len(self.ages)
             self.unfinished[b] = 0
         # a new batch, or one whose earlier warps have all finished (it left
         # the pending list then), waits for promotion; it keeps its first age

@@ -4,6 +4,7 @@
 import copy
 import dataclasses
 import json
+import math
 import typing
 
 import pytest
@@ -182,6 +183,62 @@ def test_validate_rejects_nan_in_each_bounded_float(path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path} must be >= " in err and "not nan" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("path", FLOAT_BOUNDS)
+def test_validate_rejects_an_infinity_in_each_bounded_float(
+        path, value, tmp_path, capsys):
+    # json.dumps writes a bare Infinity token, which json.load reads back
+    config = base_config()
+    _set_path(config, path, value)
+    assert main(["validate", "--config",
+                 write(tmp_path / "config.json", config)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path} must be finite, not {value!r}" in err
+    assert "Traceback" not in err
+
+
+def kernel_of_256_thread_blocks() -> dict:
+    kernel = interleaved_grid_workload()["kernel"]
+    kernel.update(block_dim=[16, 16], warp_size=32)
+    kernel["matrices"][0]["row_len"] = 32
+    return kernel
+
+
+# configs that load but that World rejects before the first cycle, each
+# beside the message `run` prints for it
+REJECTED_BY_WORLD = {
+    "unaligned matrix base": (
+        {"workload.kernel.matrices[0].base_addr": 100},
+        "matrix base 0x64 not aligned to the 32-byte page size"),
+    "no memory access to profile": (
+        {"workload.kernel.matrices[0].accesses_per_thread": 0},
+        "kernel issues no memory accesses"),
+    "more SMs than GDDR banks": (
+        {"config.hardware": {"num_sms": 40}},
+        "40 SMs cannot each own at least one of 32 banks"),
+    "a block too wide for an SM": (
+        {"workload.kernel": kernel_of_256_thread_blocks(),
+         "config.hardware.max_threads_per_sm": 32},
+        "one block's warps exceed the SM warp capacity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_BY_WORLD))
+def test_validate_rejects_what_run_rejects(case, tmp_path, capsys):
+    changes, message = REJECTED_BY_WORLD[case]
+    config = base_config()
+    for path, value in changes.items():
+        _set_path(config, path, value)
+    path = write(tmp_path / "config.json", config)
+    assert main(["validate", "--config", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_validate_accepts_the_base_config(tmp_path):

@@ -1,7 +1,7 @@
 """End-to-end tests of the engine: golden reports over a sampled policy
 matrix and the benchmark's three workloads, the event-skip loop against the
-per-cycle loop, World's running indexes against a rescan, write-through L1
-and runs cut at the horizon.
+per-cycle loop, World's running indexes against a rescan, the L1 cache and
+write-through L1, the `--trace` CSVs and runs cut at the horizon.
 
 The golden reports in tests/fixtures/golden/ must be reproduced byte for
 byte.  Re-record them only with a behaviour change that CHANGES.md names:
@@ -10,18 +10,22 @@ byte.  Re-record them only with a behaviour change that CHANGES.md names:
 """
 
 import copy
+import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_workloads, fixture_path, small_hardware
-from gmemsim.cli import EXIT_TRUNCATED, main
-from gmemsim.config import config_from_dict
-from gmemsim.engine import World
+from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
+from gmemsim.config import L1Config, config_from_dict
+from gmemsim.dram import GPU_AGENT
+from gmemsim.engine import L1Cache, World
+from gmemsim.memmap import Pool
 from gmemsim.workload import load_workload
 from lane_model import assert_matches_lane_model
 
@@ -247,6 +251,26 @@ def assert_running_indexes_match_a_rescan(world: World):
                               if sm.reply_queue or sm.reply_overflow}
     assert world.overflowed == sum(len(sm.reply_overflow)
                                    for sm in world.sms)
+    # each request in flight, where it waits: a controller FIFO, a busy
+    # bank, a reply queue or a reply overflow
+    in_service = [req for reqs in world.completions.values() for req in reqs]
+    assert world.in_service == len(in_service)
+    in_flight = [*(req for q in world.mc_queues.values()
+                   for fifo in q.fifos for _, req in fifo),
+                 *in_service,
+                 *(req for sm in world.sms for _, req in sm.reply_queue),
+                 *(req for sm in world.sms for req in sm.reply_overflow)]
+    reads = Counter(req.warp_id for req in in_flight
+                    if req.agent == GPU_AGENT and req.is_read)
+    for warp_id, warp in world.warp_index.items():
+        assert warp.pending == reads[warp_id], warp_id
+    sm_of = {blin: sm_id for _, sm_id, blin, _ in world.dispatch_log}
+    unfinished = Counter((sm_of[w.block_linear], w.block_linear)
+                         for w in world.warp_index.values() if not w.finished)
+    for sm in world.sms:
+        assert sm.resident_blocks == {
+            blin: n for (sm_id, blin), n in unfinished.items()
+            if sm_id == sm.sm_id}, sm.sm_id
 
 
 def read_twice_config() -> dict:
@@ -270,8 +294,10 @@ def read_twice_config() -> dict:
 @example(config=read_twice_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable flags,
-    # queued count, replying set and overflow count against a rescan of
-    # the schedulers, controllers and reply queues they stand for
+    # queued count, replying set, overflow count, in-service count, each
+    # warp's count of outstanding reads and each SM's resident blocks
+    # against a rescan of the schedulers, controllers, banks, reply queues
+    # and warps they stand for
     world = World(config_from_dict(config))
     while world.cycle < world.cfg.horizon and not world.done():
         world.step()
@@ -354,7 +380,7 @@ def test_dispatch_asks_for_blocks_only_after_a_warp_finished():
     steps = []  # per step: warps finished, has_block calls, blocks left
     while not world.done():
         finished, asked = calls["finish"], calls["has_block"]
-        left = world.dispatched < len(world.blocks)
+        left = len(world.dispatch_log) < len(world.blocks)
         world.step()
         steps.append((calls["finish"] - finished,
                       calls["has_block"] - asked, left))
@@ -362,7 +388,7 @@ def test_dispatch_asks_for_blocks_only_after_a_warp_finished():
     quiet = [asked for (finished, _, _), (_, asked, left)
              in zip(steps, steps[1:]) if not finished and left]
     assert quiet and not any(quiet)
-    assert world.dispatched == len(world.blocks)
+    assert len(world.dispatch_log) == len(world.blocks)
 
 
 # both golden kernels, profiled and at a stride that leaves a short last
@@ -381,7 +407,7 @@ def test_dispatch_log_batches_match_the_plan(name):
     world = World(config_from_dict(DISPATCH_LOG_CASES[name]))
     batch_of = {block: k for k, batch in enumerate(world.plan.batches)
                 for block in batch}
-    while world.dispatched < len(world.blocks):
+    while len(world.dispatch_log) < len(world.blocks):
         world.step()
     assert sorted(blin for _, _, blin, _ in world.dispatch_log) \
         == list(range(len(world.blocks)))
@@ -411,6 +437,69 @@ def test_slot_larger_than_its_queue_is_rejected():
     with pytest.raises(ValueError, match="sends 4 requests into gddr "
                        "channel 0, whose queue holds only 2"):
         run_report(config)
+
+
+def gddr_line(line: int) -> tuple:
+    return (Pool.GDDR, line)
+
+
+def test_an_l1_hit_refreshes_the_lines_recency():
+    # one set of two ways
+    l1 = L1Cache(L1Config(size_bytes=32, assoc=2, line_bytes=16))
+    a, b, c = map(gddr_line, (0, 1, 2))
+    l1.fill(a)
+    l1.fill(b)
+    assert l1.lookup(a)  # a is now the most recently used
+    l1.fill(c)  # evicts b, not a
+    assert not l1.lookup(b)
+    assert l1.lookup(a) and l1.lookup(c)
+
+
+def test_an_l1_fill_past_assoc_evicts_that_sets_lru_line_only():
+    # two sets of two ways; even lines map to set 0, odd lines to set 1
+    l1 = L1Cache(L1Config(size_bytes=64, assoc=2, line_bytes=16))
+    for line in (1, 0, 2, 4):
+        l1.fill(gddr_line(line))
+    # line 4 evicted line 0, set 0's least recently used; set 1 kept line 1
+    assert l1.sets == [dict.fromkeys(map(gddr_line, (2, 4))),
+                       dict.fromkeys([gddr_line(1)])]
+    assert not l1.lookup(gddr_line(0))
+
+
+def test_a_size_0_l1_never_hits_and_holds_nothing():
+    # a disabled cache's assoc is never read, so even 0 is accepted
+    l1 = L1Cache(L1Config(size_bytes=0, assoc=0, line_bytes=16))
+    for line in range(4):
+        l1.fill(gddr_line(line))
+        assert not l1.lookup(gddr_line(line))
+    assert not any(l1.sets)
+
+
+# sha256 of each CSV that `gmemsim run --trace` writes for one golden cell
+# with CPU traffic: its request log, dispatch and issue logs, page table
+# (with each page's owner) and bank counters
+TRACE_CELL = "interleaved-tbas_d-coloring-serial-cpu"
+TRACE_SHA256 = {
+    "banks.csv":
+        "cd91b45e7371577a37caf70d8c31857a7b9c371cd178e37c80d178814e6382a7",
+    "dispatch.csv":
+        "cc855998d10c5693c791895b60e8b6f7a971cc66898396dacbc7c25d2edf9cc3",
+    "issues.csv":
+        "fdd9e961fc3022ef5b858a01cf9e770d1f32d2ee8bb56f360452dc3789885f42",
+    "pagetable.csv":
+        "7a8ede81b90a498617415bcefd18abfb8235bdb0b1265780ae92f7e6ce3dbf78",
+    "requests.csv":
+        "4df8536934ada5cdfcb3e6f025d8d045224bedbd0179a010deb7b30b2643fbef",
+}
+
+
+def test_the_trace_csvs_of_a_cpu_golden_cell_are_pinned(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN[TRACE_CELL]))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "report.json"), "--trace"]) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "report_trace").iterdir()} == TRACE_SHA256
 
 
 def grid_kernel(matrices: list[dict]) -> dict:

@@ -1,5 +1,6 @@
-"""The typed loader on small local dataclasses: type rules and the
-`min`/`max` bounds that `check_bounds` reads from field metadata."""
+"""The typed loader on small local dataclasses: type rules, the rejection
+of infinite floats, and the `min`/`max` bounds that `check_bounds` reads
+from field metadata."""
 
 from dataclasses import dataclass, field
 
@@ -27,6 +28,13 @@ def test_an_int_is_not_a_bool():
     assert from_dict(Outer, {"flag": False}, "outer").flag is False
     with pytest.raises(ValueError, match=r"^outer\.flag must be bool, not 1$"):
         from_dict(Outer, {"flag": 1}, "outer")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_an_infinite_float_is_rejected_where_it_is_loaded(value):
+    with pytest.raises(ValueError) as err:
+        from_dict(Inner, {"fraction": value}, "inner")
+    assert str(err.value) == f"inner.fraction must be finite, not {value!r}"
 
 
 def test_values_on_their_bounds_and_none_pass():

@@ -18,12 +18,12 @@ def warp(wid, batch=0, slots=2):
 def stall(s, w):
     """w issues a read and waits for it."""
     s.on_issue(w)
-    w.pending_lines.add(("gddr", w.warp_id))
+    w.pending += 1
 
 
 def wake(s, w):
     """w's reads are delivered and its ready_at has come."""
-    w.pending_lines.clear()
+    w.pending = 0
     s.wake(w)
 
 
@@ -328,7 +328,7 @@ def test_a_reply_that_clears_the_running_batch_flags_the_sm():
     world._make_resident(sm, 100, [y, x])
     world._make_resident(sm, 101, [z])
     world.step()  # round robin starts after bit 0: x issues
-    assert x.pending_lines and not y.next_slot and sm.issuable
+    assert x.pending and not y.next_slot and sm.issuable
     world.step()
     assert y.finished and sm.scheduler.running_batch == 100
     assert not sm.issuable
@@ -536,17 +536,17 @@ def test_ready_index_matches_rescanning_reference(policy, ops, knob):
                 assert w.is_ready(cycle)
                 w.next_slot += 1
                 s.on_issue(w)
-                if a % 2:  # the slot reads: wait for its line
-                    w.pending_lines.add(("gddr", w.warp_id))
+                if a % 2:  # the slot reads: wait for its read
+                    w.pending += 1
                     s.on_long_stall(w)
                     ref.on_long_stall(w, cycle)
                 else:
                     resume(w, b)
         else:
-            waiting = [w for w in warps if w.pending_lines]
+            waiting = [w for w in warps if w.pending]
             if waiting:
                 w = waiting[a % len(waiting)]
-                w.pending_lines.clear()
+                w.pending = 0
                 resume(w, b)
         for w in [w for w in sleeping if w.ready_at <= cycle]:
             sleeping.remove(w)
