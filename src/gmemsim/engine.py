@@ -16,8 +16,11 @@ decides both, and each source answers for itself: the dispatcher through
 `has_block` (asked only after a warp finished, since nothing else frees an
 SM's room), the issuable SMs through `World.issuable_sms`, the replying SMs
 through `World.replying` and `World.overflowed`, the controllers through
-their cached `has_ready`.  Warp wake-ups are timed by `World` alone: a warp
-left with no outstanding reads and a slot to go gets `ready_at = cycle + 1 +
+their cached `has_ready`, the CPU stream through `World.cpu_next_at`.  That
+stream is drawn lazily from `gen_cpu_traffic`'s iterator, at most one
+arrival ahead of the clock, so its cost follows the cycles simulated, not
+the horizon.  Warp wake-ups are timed by `World` alone: a warp left with no
+outstanding reads and a slot to go gets `ready_at = cycle + 1 +
 compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
 step and each skip check first hands every due entry to its SM's
 `scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
@@ -51,8 +54,8 @@ from .memmap import (CPU_OWNER, DecodedAddress, FrameRegion, PagePolicy,
                      PageTable, Pool, build_color_map)
 from .metrics import MetricsReport, compute_metrics, energy_total
 from .sched import WarpState, make_scheduler
-from .workload import (enumerate_blocks, gen_block_trace, gen_cpu_traffic,
-                       load_workload)
+from .workload import (CpuRequest, enumerate_blocks, gen_block_trace,
+                       gen_cpu_traffic, load_workload)
 
 
 # the BankState counters that _report sums per pool
@@ -173,10 +176,16 @@ class World:
             for pool in sorted(self.pools, key=lambda p: p.value)
             for ch in range(self.pools[pool].layout.num_channels)}
 
-        self.cpu_stream = []
+        # the CPU stream is drawn as the run reaches it: `cpu_stream` holds
+        # the arrivals drawn so far, the first `cpu_next` of them handed
+        # over, and `cpu_next_at` the cycle of the one drawn ahead (None
+        # once the stream has ended)
+        self.cpu_arrivals = iter(())
         if self.cpu_spec is not None and cfg.horizon > 0:
-            self.cpu_stream = gen_cpu_traffic(self.cpu_spec, cfg.horizon)
+            self.cpu_arrivals = gen_cpu_traffic(self.cpu_spec, cfg.horizon)
+        self.cpu_stream: list[CpuRequest] = []
         self.cpu_next = 0
+        self._draw_cpu()
         self.cpu_deferred: deque = deque()
 
         self.cycle = 0
@@ -437,11 +446,21 @@ class World:
 
     # cpu traffic ------------------------------------------------------------
 
+    def _draw_cpu(self):
+        """Draw the next CPU arrival onto `cpu_stream` and set `cpu_next_at`
+        to its cycle, or to None when the stream has ended."""
+        ev = next(self.cpu_arrivals, None)
+        if ev is None:
+            self.cpu_next_at = None
+        else:
+            self.cpu_stream.append(ev)
+            self.cpu_next_at = ev.cycle
+
     def _phase_cpu(self):
-        while self.cpu_next < len(self.cpu_stream) \
-                and self.cpu_stream[self.cpu_next].cycle <= self.cycle:
+        while self.cpu_next_at is not None and self.cpu_next_at <= self.cycle:
             self.cpu_deferred.append(self.cpu_stream[self.cpu_next])
             self.cpu_next += 1
+            self._draw_cpu()
         while self.cpu_deferred:
             ev = self.cpu_deferred[0]
             pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
@@ -565,11 +584,12 @@ class World:
         SMs flagged issuable (each flag rechecked after the hooks that can
         change it), the reply network through the overflow count and the
         queue heads of the replying SMs only, the controllers through
-        `has_ready`.  Warp wake-ups come from `World`'s own heap: the due
-        ones are handed to the schedulers first, which may flag their SMs,
-        so its top is the next cycle at which a waiting warp becomes ready.
-        A controller becomes ready only when a bank completes, which
-        `completions` already lists."""
+        `has_ready`, the CPU stream through `cpu_next_at`, the cycle of its
+        one arrival drawn ahead.  Warp wake-ups come from `World`'s own
+        heap: the due ones are handed to the schedulers first, which may
+        flag their SMs, so its top is the next cycle at which a waiting warp
+        becomes ready.  A controller becomes ready only when a bank
+        completes, which `completions` already lists."""
         now = self.cycle
         self._wake_due()
         # CPU requests held back by a full queue, and overflowed replies
@@ -580,8 +600,8 @@ class World:
         events = [self.sms[i].reply_queue[0][0] for i in self.replying]
         if self.completions:
             events.append(min(self.completions))
-        if self.cpu_next < len(self.cpu_stream):
-            events.append(self.cpu_stream[self.cpu_next].cycle)
+        if self.cpu_next_at is not None:
+            events.append(self.cpu_next_at)
         if self.wakeups:
             events.append(self.wakeups[0][0])
         if events and min(events) <= now:

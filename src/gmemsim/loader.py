@@ -5,8 +5,9 @@ instance from a parsed JSON object.  The type rules:
 
     int, str, bool, dict   the value must be of that type; a bool is not an
                            int, so `true` never passes for a count
-    float                  an int or a float (kept as given), not a bool
-                           and not an infinity
+    float                  an int or a float (kept as given), not a bool,
+                           not an infinity and not an int too large for
+                           a float
     Enum                   one of the enum's values
     X | None               null, or a value of X
     tuple[X, Y]            a list of exactly that many items, each typed
@@ -182,9 +183,14 @@ def _convert(tp, value, where: str):
             return tp(value)
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            # json.load reads a bare Infinity token; a NaN is left to the
+            # json.load reads a bare Infinity token, and an integer of any
+            # size, which math.isinf cannot convert; a NaN is left to the
             # bounds, which it fails
-            if isinstance(value, float) and math.isinf(value):
+            try:
+                finite = not math.isinf(value)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError(f"{where} must be finite, not {value!r}")
             return value
     elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):

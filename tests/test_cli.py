@@ -199,6 +199,20 @@ def test_validate_rejects_an_infinity_in_each_bounded_float(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path", FLOAT_BOUNDS)
+def test_validate_rejects_an_oversized_int_in_each_bounded_float(
+        path, tmp_path, capsys):
+    # json.load reads an integer of any size, and a float field keeps an int
+    # as given, so one too large for a float would overflow in the run
+    config = base_config()
+    _set_path(config, path, 10**400)
+    assert main(["validate", "--config",
+                 write(tmp_path / "config.json", config)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path} must be finite, not {10**400!r}" in err
+    assert "Traceback" not in err
+
+
 def kernel_of_256_thread_blocks() -> dict:
     kernel = interleaved_grid_workload()["kernel"]
     kernel.update(block_dim=[16, 16], warp_size=32)

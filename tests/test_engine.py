@@ -173,10 +173,23 @@ def test_golden_report(name):
         assert report.to_json() == f.read()
     if name in BENCH_STEPS:
         assert calls["step"] == BENCH_STEPS[name]
+    # the CPU stream is drawn at most one arrival ahead of the run
+    assert len(world.cpu_stream) - world.cpu_next <= 1
     # the issue phase asks only the SMs flagged issuable, and each pick
     # either issues or is back-pressured
     assert calls["select_warp"] \
         == report.warp_instructions + report.issue_backpressure
+
+
+def test_setup_is_bounded_by_work_not_by_the_horizon(tmp_path):
+    # the CPU stream is drawn as the run reaches it, so building a World
+    # (which `validate` does too) draws one arrival whatever the horizon
+    config = dict(BENCH_GOLDEN["bench-corun"], horizon=10**9)
+    world = World(config_from_dict(config))
+    assert len(world.cpu_stream) <= 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("name", sorted(STARVATION_GOLDEN))

@@ -1,6 +1,6 @@
 """The typed loader on small local dataclasses: type rules, the rejection
-of infinite floats, and the `min`/`max` bounds that `check_bounds` reads
-from field metadata."""
+of infinite floats and of ints too large for a float, and the `min`/`max`
+bounds that `check_bounds` reads from field metadata."""
 
 from dataclasses import dataclass, field
 
@@ -30,7 +30,7 @@ def test_an_int_is_not_a_bool():
         from_dict(Outer, {"flag": 1}, "outer")
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), 10**400])
 def test_an_infinite_float_is_rejected_where_it_is_loaded(value):
     with pytest.raises(ValueError) as err:
         from_dict(Inner, {"fraction": value}, "inner")

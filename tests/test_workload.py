@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from gmemsim.workload import (CpuTrafficSpec, KernelSpec, MappingKind,
                               gen_cpu_traffic, load_workload)
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
+from cpu_stream_reference import reference_cpu_traffic
 from lane_model import assert_matches_lane_model
 
 # The test kernels use 4-byte elements: with 4-byte lines every lane has a
@@ -190,19 +193,66 @@ def test_empty_cpu_region_is_rejected():
 
 def test_cpu_traffic_rate_zero():
     spec = CpuTrafficSpec(request_rate=0, address_region=(0, 4096))
-    assert gen_cpu_traffic(spec, 1000) == []
+    assert list(gen_cpu_traffic(spec, 1000)) == []
 
 
 def test_cpu_traffic_deterministic():
     spec = CpuTrafficSpec(request_rate=50, address_region=(0, 4096),
                           rw_ratio=0.7, burstiness=4, seed=11)
-    assert gen_cpu_traffic(spec, 20000) == gen_cpu_traffic(spec, 20000)
+    assert list(gen_cpu_traffic(spec, 20000)) \
+        == list(gen_cpu_traffic(spec, 20000))
 
 
 def test_cpu_traffic_rate_within_ten_percent():
     spec = CpuTrafficSpec(request_rate=100, address_region=(0, 1 << 20), seed=7)
-    events = gen_cpu_traffic(spec, 100_000)
+    events = list(gen_cpu_traffic(spec, 100_000))
     assert 9_000 <= len(events) <= 11_000
+
+
+@pytest.mark.parametrize("rate, burstiness", [(400, 4), (800, 8)])
+def test_bursty_cpu_traffic_delivers_less_than_its_rate(rate, burstiness):
+    # a burst's cycles draw no burst start, so the stream delivers
+    # rate/(1 + p*(b - 1)) per 1000 cycles with p = rate/(1000*b): an open
+    # defect, pinned here so that the fix has to change this test
+    spec = CpuTrafficSpec(request_rate=rate, address_region=(0, 1 << 20),
+                          burstiness=burstiness, seed=1)
+    horizon = 200_000
+    p = rate / (1000 * burstiness)
+    expected = horizon * rate / 1000 / (1 + p * (burstiness - 1))
+    delivered = sum(1 for _ in gen_cpu_traffic(spec, horizon))
+    assert abs(delivered - expected) <= 0.03 * expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate=st.floats(0, 1000), burstiness=st.integers(1, 16),
+       rw_ratio=st.floats(0, 1), region=st.integers(1, 1 << 20),
+       seed=st.integers(0, 2**32), horizon=st.integers(1, 3000),
+       cut=st.integers(0, 14))
+def test_the_lazy_cpu_stream_matches_the_eager_reference(
+        rate, burstiness, rw_ratio, region, seed, horizon, cut):
+    spec = CpuTrafficSpec(request_rate=rate, address_region=(4096,
+                          4096 + region), rw_ratio=rw_ratio,
+                          burstiness=burstiness, seed=seed)
+    whole = reference_cpu_traffic(spec, horizon)
+    horizons = [horizon]
+    if whole and burstiness > 1:
+        # a horizon from one cycle into the first burst to one before its end
+        horizons.append(whole[0].cycle + 1 + cut % (burstiness - 1))
+    for h in horizons:
+        assert list(gen_cpu_traffic(spec, h)) == reference_cpu_traffic(spec, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 80), burstiness=st.integers(1, 16),
+       seed=st.integers(0, 2**32))
+def test_pulling_part_of_the_cpu_stream_then_the_rest_gives_it_whole(
+        k, burstiness, seed):
+    spec = CpuTrafficSpec(request_rate=300, address_region=(0, 1 << 16),
+                          burstiness=burstiness, seed=seed)
+    stream = gen_cpu_traffic(spec, 2000)
+    head = list(itertools.islice(stream, k))
+    assert len(head) == min(k, len(reference_cpu_traffic(spec, 2000)))
+    assert head + list(stream) == reference_cpu_traffic(spec, 2000)
 
 
 def test_cpu_traffic_addresses_in_region():
