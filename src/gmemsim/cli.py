@@ -18,7 +18,7 @@ import sys
 from .batching import (form_batches, plan_to_dict, profile_stride,
                        sharing_histogram)
 from .config import config_from_dict, load_config
-from .engine import SimulationFault, World
+from .engine import World
 from .loader import from_dict, strip_version
 from .metrics import MetricsReport
 from .workload import load_workload
@@ -187,7 +187,7 @@ def cmd_compare(args) -> int:
             report = world.run()
             _write_report(report, os.path.join(out_dir, f"{name}.json"))
             rows[name] = (cell, report.flat())
-        except (ValueError, SimulationFault, OSError) as e:
+        except (ValueError, AssertionError, OSError) as e:
             failed[name] = str(e)
             print(f"cell {name} failed: {e}", file=sys.stderr)
 
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimulationFault as e:
+    except AssertionError as e:  # a SimulationFault or another engine check
         print(f"simulation fault: {e}", file=sys.stderr)
         return EXIT_FAULT
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:

@@ -163,6 +163,12 @@ class RunConfig:
         check_bounds(self, "config")
         coloring = self.allocator in (PagePolicy.COLORING, PagePolicy.COLORING_HETERO)
         self.hardware.validate("config.hardware", coloring=coloring)
+        row_bits = self.hardware.gddr.layout.row_bits
+        if self.allocator is PagePolicy.COLORING_HETERO and row_bits < 1:
+            raise ValueError(
+                "config.hardware.gddr.layout.row_bits must be >= 1 under "
+                "coloring_hetero, which splits each bank's rows between the "
+                f"GPU and the CPU, not {row_bits}")
 
 
 def config_from_dict(obj: dict, base_dir: str | None = None) -> RunConfig:

@@ -14,28 +14,31 @@ Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
 decides both, and each source answers for itself: the dispatcher through
 `has_block` (asked only after a warp finished, since nothing else frees an
-SM's room), the issuable SMs through `World.issuable_sms`, the replying SMs
+SM's room), the schedulers through `World.issuable`, the replying SMs
 through `World.replying` and `World.overflowed`, the controllers through
-their cached `has_ready`, the CPU stream through `World.cpu_next_at`.  That
-stream is drawn lazily from `gen_cpu_traffic`'s iterator, at most one
-arrival ahead of the clock, so its cost follows the cycles simulated, not
-the horizon.  Warp wake-ups are timed by `World` alone: a warp left with no
+their cached `has_ready`, the CPU stream through its cursors.  That stream
+is drawn lazily from `gen_cpu_traffic`'s iterator onto `World.cpu_stream`,
+at most one arrival ahead of the clock, so its cost follows the cycles
+simulated, not the horizon; `cpu_next_at` is the cycle of the arrival drawn
+ahead, and `cpu_stream[cpu_sent:cpu_next]` the arrivals held back by a full
+queue.  Warp wake-ups are timed by `World` alone: a warp left with no
 outstanding reads and a slot to go gets `ready_at = cycle + 1 +
 compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
 step and each skip check first hands every due entry to its SM's
 `scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
 state along the executed prefix is identical to the unskipped loop.
 
-An SM's `issuable` flag is its scheduler's `has_issuable()`, asked again
-right after each hook that can change the answer: once per block
-instantiated (`add_warp`), after a `wake` only when the SM is not flagged
-(a wake-up only adds a ready warp), at the end of each issue (`on_issue`,
-`on_long_stall`, and `_resume`, which may call `on_finish`) and after a
-reply delivery that finished a warp (`on_finish`).  `select_warp` returns
-None and changes nothing whenever `has_issuable()` is False, so skipping
-the SMs that are not flagged keeps the schedule; a back-pressured pick
-leaves its warp ready and the flag set.  An SM is in `replying` while its
-reply queue or overflow holds a reply.
+`World.issuable` holds the SMs whose scheduler's `has_issuable()` is True.
+One rule keeps it current: `_recheck` asks again after every engine action
+that calls a scheduler hook, with no condition: a block instantiated
+(`add_warp`), a wake-up (`wake`), an issue (`on_issue`, then
+`on_long_stall` or `_resume`, which may call `on_finish`) and a reply that
+settles a warp's last read (`_resume`).  The query is pure, so an extra
+recheck cannot move the schedule.  `select_warp` returns None and changes
+nothing whenever `has_issuable()` is False, so skipping the SMs outside the
+set keeps the schedule; a back-pressured pick leaves its warp ready and its
+SM in the set.  An SM is in `replying` while its reply queue or overflow
+holds a reply.
 """
 
 from __future__ import annotations
@@ -109,8 +112,6 @@ class SmModel:
         self.resident_blocks: dict[int, int] = {}
         self.reply_queue: deque = deque()
         self.reply_overflow: deque = deque()
-        # scheduler.has_issuable(), as World last asked it
-        self.issuable = False
 
     def has_slot(self, warps_per_block: int) -> bool:
         return (len(self.resident_blocks) < self.max_blocks
@@ -140,7 +141,6 @@ class World:
         region = None
         if cfg.allocator is PagePolicy.COLORING_HETERO:
             region = FrameRegion.split(hw.gddr.layout.num_rows, hw.cpu_row_fraction)
-            region.validate(hw.gddr.layout.num_rows)
         self.page_table = PageTable(
             cfg.allocator,
             {Pool.GDDR: hw.gddr.layout, Pool.DDR: hw.ddr.layout},
@@ -178,15 +178,15 @@ class World:
 
         # the CPU stream is drawn as the run reaches it: `cpu_stream` holds
         # the arrivals drawn so far, the first `cpu_next` of them handed
-        # over, and `cpu_next_at` the cycle of the one drawn ahead (None
-        # once the stream has ended)
+        # over and the first `cpu_sent` enqueued; `cpu_next_at` is the cycle
+        # of the one drawn ahead (None once the stream has ended)
         self.cpu_arrivals = iter(())
         if self.cpu_spec is not None and cfg.horizon > 0:
             self.cpu_arrivals = gen_cpu_traffic(self.cpu_spec, cfg.horizon)
         self.cpu_stream: list[CpuRequest] = []
         self.cpu_next = 0
+        self.cpu_sent = 0
         self._draw_cpu()
-        self.cpu_deferred: deque = deque()
 
         self.cycle = 0
         self.finished_warps = 0
@@ -212,8 +212,8 @@ class World:
         # whose ready_at is still ahead
         self.wakeups: list[tuple] = []
         self._wake_seq = count()
-        # SMs whose `issuable` flag is set
-        self.issuable_sms = 0
+        # ids of the SMs whose scheduler has a warp to issue
+        self.issuable: set[int] = set()
         # ids of the SMs with a reply queued or overflowed, and the number of
         # overflowed replies
         self.replying: set[int] = set()
@@ -290,7 +290,7 @@ class World:
 
     def _make_request(self, pool: Pool, d: DecodedAddress, is_read: bool,
                       agent: str, sm_id: int, warp_id: int, batch_id: int,
-                      line: int) -> MemoryRequest:
+                      line: int, t_arrival: int) -> MemoryRequest:
         region = self.page_table.region
         if region is not None and pool is Pool.GDDR:
             lo, hi = (region.cpu_rows if agent == CPU_AGENT
@@ -303,7 +303,7 @@ class World:
             pool=pool.value, channel=d.channel, bank=d.bank, row=d.row,
             column=d.column, is_read=is_read, agent=agent, sm_id=sm_id,
             warp_id=warp_id, batch_id=batch_id, line_addr=line,
-            t_arrival=self.cycle,
+            t_arrival=t_arrival,
         )
 
     def _line_of(self, vaddr: int, owner: int) -> tuple:
@@ -331,26 +331,24 @@ class World:
 
     def _recheck(self, sm: SmModel):
         """Ask `sm`'s scheduler again whether it has an issuable warp, after
-        a hook that may have changed the answer."""
-        issuable = sm.scheduler.has_issuable()
-        if issuable != sm.issuable:
-            sm.issuable = issuable
-            self.issuable_sms += 1 if issuable else -1
+        an action that called one of its hooks."""
+        if sm.scheduler.has_issuable():
+            self.issuable.add(sm.sm_id)
+        else:
+            self.issuable.discard(sm.sm_id)
 
     def _phase_issue(self):
-        """Each SM flagged issuable, in SM-id order, tries to issue one warp
-        instruction.  An SM that is not flagged is skipped: its
-        `select_warp` would return None and change nothing."""
-        if not self.issuable_sms:
-            return
+        """Each SM in `issuable`, in SM-id order, tries to issue one warp
+        instruction.  Any other SM is skipped: its `select_warp` would
+        return None and change nothing.  Only the SM being visited changes
+        its own membership, so a snapshot of the set is safe to walk."""
         queues = self.mc_queues
-        for sm in self.sms:
-            if not sm.issuable:
-                continue
+        for sm_id in sorted(self.issuable):
+            sm = self.sms[sm_id]
             warp = sm.scheduler.select_warp()
             if warp is None:
                 raise SimulationFault(
-                    self.cycle, f"SM {sm.sm_id} is flagged issuable, "
+                    self.cycle, f"SM {sm_id} is flagged issuable, "
                     "but its scheduler picked no warp")
             if not warp.is_ready(self.cycle):
                 raise SimulationFault(
@@ -392,7 +390,7 @@ class World:
                 pool, line = key
                 req = self._make_request(
                     pool, d, is_read, GPU_AGENT, sm.sm_id, warp.warp_id,
-                    warp.batch_id, line)
+                    warp.batch_id, line, self.cycle)
                 if not queues[qkey].enqueue(req, self.cycle):
                     raise SimulationFault(self.cycle, "queue overflow after space check")
                 self.log.append(req)
@@ -430,8 +428,7 @@ class World:
                     self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
                     "which is not ready")
             sm.scheduler.wake(warp)
-            if not sm.issuable:  # a wake-up never takes the flag away
-                self._recheck(sm)
+            self._recheck(sm)
 
     def _finish_warp(self, sm: SmModel, warp: WarpState):
         warp.finished = True
@@ -457,20 +454,20 @@ class World:
             self.cpu_next_at = ev.cycle
 
     def _phase_cpu(self):
+        """Hand over the arrivals due by this cycle, then enqueue the waiting
+        ones in arrival order, up to the first whose queue is full."""
         while self.cpu_next_at is not None and self.cpu_next_at <= self.cycle:
-            self.cpu_deferred.append(self.cpu_stream[self.cpu_next])
             self.cpu_next += 1
             self._draw_cpu()
-        while self.cpu_deferred:
-            ev = self.cpu_deferred[0]
+        while self.cpu_sent < self.cpu_next:
+            ev = self.cpu_stream[self.cpu_sent]
             pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
             req = self._make_request(pool, d, ev.is_read, CPU_AGENT, -1, -1,
-                                     -1, line)
-            req.t_arrival = ev.cycle
+                                     -1, line, ev.cycle)
             q = self.mc_queues[(pool, req.channel)]
             if not q.enqueue(req, self.cycle):
                 break
-            self.cpu_deferred.popleft()
+            self.cpu_sent += 1
             self.log.append(req)
             self.queued += 1
 
@@ -496,8 +493,7 @@ class World:
         warp.pending -= 1
         if not warp.pending:
             self._resume(sm, warp)
-            if warp.finished:  # on_finish may have let another batch run
-                self._recheck(sm)
+            self._recheck(sm)
 
     def _phase_reply(self):
         """The SMs with replies waiting, in SM-id order, take theirs; then
@@ -540,11 +536,12 @@ class World:
         Every term is a running count, so the answer costs O(1): `queued`
         rises with each enqueue and falls with each `mc_pick`, `in_service`
         counts the busy banks, and `replying` holds the SMs with a reply
-        queued or overflowed."""
-        return (len(self.dispatch_log) >= len(self.blocks)
-                and self.finished_warps >= self.total_warps
-                and not (self.in_service or self.cpu_deferred or self.queued
-                         or self.replying))
+        queued or overflowed.  Every block has been dispatched once
+        `finished_warps` reaches `total_warps`, since each block brings all
+        `warps_per_block` of its warps."""
+        return (self.finished_warps >= self.total_warps
+                and not (self.in_service or self.cpu_sent < self.cpu_next
+                         or self.queued or self.replying))
 
     def _conservation_check(self):
         # every logged request was enqueued once; `_crosscheck` compares the
@@ -580,20 +577,20 @@ class World:
         earliest cycle at which one could, or None when no event is pending.
 
         Each event source is listed once and answers for itself: the
-        dispatcher through `has_block`, the schedulers through the count of
-        SMs flagged issuable (each flag rechecked after the hooks that can
-        change it), the reply network through the overflow count and the
-        queue heads of the replying SMs only, the controllers through
-        `has_ready`, the CPU stream through `cpu_next_at`, the cycle of its
-        one arrival drawn ahead.  Warp wake-ups come from `World`'s own
-        heap: the due ones are handed to the schedulers first, which may
-        flag their SMs, so its top is the next cycle at which a waiting warp
-        becomes ready.  A controller becomes ready only when a bank
-        completes, which `completions` already lists."""
+        dispatcher through `has_block`, the schedulers through the set
+        `issuable` (rechecked after every hook), the reply network through
+        the overflow count and the queue heads of the replying SMs only, the
+        controllers through `has_ready`, the CPU stream through its arrivals
+        held back, `cpu_stream[cpu_sent:cpu_next]`, and `cpu_next_at`, the
+        cycle of its one arrival drawn ahead.  Warp wake-ups come from
+        `World`'s own heap: the due ones are handed to the schedulers first,
+        which may add their SMs to `issuable`, so its top is the next cycle
+        at which a waiting warp becomes ready.  A controller becomes ready
+        only when a bank completes, which `completions` already lists."""
         now = self.cycle
         self._wake_due()
         # CPU requests held back by a full queue, and overflowed replies
-        if self.cpu_deferred or self.overflowed:
+        if self.cpu_sent < self.cpu_next or self.overflowed:
             return now
         # reply deliveries (with no reply overflowed, every replying SM has
         # one queued), bank completions, CPU arrivals and warp wake-ups
@@ -611,7 +608,7 @@ class World:
                 and any(self._wants_block(sm) for sm in self.sms):
             return now
         # a warp to issue, then a queued request whose bank is free
-        if self.issuable_sms:
+        if self.issuable:
             return now
         if any(q.has_ready(now) for q in self.mc_queues.values()):
             return now
@@ -688,7 +685,8 @@ class World:
         if activates + hits != accesses:
             raise SimulationFault(
                 self.cycle, "bank counters: activates + hits != accesses")
-        if hits != report.row_hits or accesses != report.total_accesses:
+        if (hits != report.row_hits or reads != report.reads
+                or accesses != report.total_accesses):
             raise SimulationFault(
                 self.cycle, "request log disagrees with bank counters")
         blp = self.blp_sum / self.blp_cycles if self.blp_cycles else 0.0

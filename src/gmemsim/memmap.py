@@ -142,16 +142,11 @@ class FrameRegion:
     gpu_rows: tuple[int, int]
     cpu_rows: tuple[int, int]
 
-    def validate(self, num_rows: int):
-        g_lo, g_hi = self.gpu_rows
-        c_lo, c_hi = self.cpu_rows
-        if not (g_lo == 0 and g_hi == c_lo and c_hi == num_rows):
-            raise ValueError("row regions must be disjoint and cover the bank")
-        if g_hi <= g_lo or c_hi <= c_lo:
-            raise ValueError("row regions must be non-empty")
-
     @staticmethod
     def split(num_rows: int, cpu_fraction: float) -> FrameRegion:
+        """Rows [0, num_rows) cut into two non-empty ranges that cover them,
+        the CPU's about `cpu_fraction` of the rows.  Needs num_rows >= 2,
+        which `RunConfig.validate` checks under coloring_hetero."""
         cpu_rows = max(1, min(num_rows - 1, round(num_rows * cpu_fraction)))
         return FrameRegion(gpu_rows=(0, num_rows - cpu_rows),
                            cpu_rows=(num_rows - cpu_rows, num_rows))

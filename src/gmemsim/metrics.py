@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .dram import EnergyParams, MemoryRequest
+from .dram import GPU_AGENT, EnergyParams, MemoryRequest
 from .memmap import Pool
 
 REPORT_SCHEMA_VERSION = 1
@@ -104,51 +104,48 @@ def bank_parallelism(requests: list[MemoryRequest],
     return busy_sum / any_busy if any_busy else 0.0
 
 
-def mean_delay(requests: list[MemoryRequest], agent: str | None = None) -> float:
-    done = [r for r in requests
-            if r.t_complete >= 0 and (agent is None or r.agent == agent)]
-    if not done:
-        return 0.0
-    return sum(r.t_complete - r.t_enqueue for r in done) / len(done)
-
-
-def peak_request_window(requests: list[MemoryRequest], window: int = 100) -> int:
-    """Largest number of requests enqueued inside any aligned window."""
-    counts: dict[int, int] = {}
-    for r in requests:
-        counts[r.t_enqueue // window] = counts.get(r.t_enqueue // window, 0) + 1
-    return max(counts.values(), default=0)
-
-
 def compute_metrics(requests: list[MemoryRequest], page_table,
                     window: int = 100, end: int | None = None) -> dict:
-    """DRAM-side statistics derived purely from the request log of a run
-    that ended at cycle `end` (see bank_parallelism)."""
-    done = [r for r in requests if r.t_complete >= 0]
-    hits = sum(1 for r in done if r.was_hit)
-    reads = sum(1 for r in done if r.is_read)
-    gpu = [r for r in done if r.agent == "gpu"]
-    local = sum(
-        1 for r in gpu
-        if page_table.is_local(r.sm_id, Pool(r.pool), r.channel, r.bank)
-    )
+    """DRAM-side statistics derived purely from the completed requests in the
+    log of a run that ended at cycle `end` (see bank_parallelism).  One walk
+    gathers every count and integer sum; `peak_window_requests` is the
+    largest number of them enqueued inside any aligned `window`."""
+    done = []
+    hits = reads = gpu = local = delay = gpu_delay = 0
+    per_window: dict[int, int] = {}
+    for r in requests:
+        if r.t_complete < 0:
+            continue
+        done.append(r)
+        hits += r.was_hit
+        reads += r.is_read
+        d = r.t_complete - r.t_enqueue
+        delay += d
+        w = r.t_enqueue // window
+        per_window[w] = per_window.get(w, 0) + 1
+        if r.agent == GPU_AGENT:
+            gpu += 1
+            gpu_delay += d
+            local += page_table.is_local(r.sm_id, Pool(r.pool), r.channel,
+                                         r.bank)
+    n, cpu = len(done), len(done) - gpu
     return {
-        "total_accesses": len(done),
+        "total_accesses": n,
         "reads": reads,
-        "writes": len(done) - reads,
+        "writes": n - reads,
         "row_hits": hits,
-        "activates": len(done) - hits,
-        "rbhr": hits / len(done) if done else 0.0,
+        "activates": n - hits,
+        "rbhr": hits / n if n else 0.0,
         "blp": bank_parallelism(done, end),
-        "mean_access_delay": mean_delay(done),
+        "mean_access_delay": delay / n if n else 0.0,
         "local_accesses": local,
-        "remote_accesses": len(gpu) - local,
-        "local_ratio": local / len(gpu) if gpu else 0.0,
-        "gpu_requests": len(gpu),
-        "cpu_requests": len(done) - len(gpu),
-        "gpu_mean_delay": mean_delay(done, "gpu"),
-        "cpu_mean_delay": mean_delay(done, "cpu"),
-        "peak_window_requests": peak_request_window(done, window),
+        "remote_accesses": gpu - local,
+        "local_ratio": local / gpu if gpu else 0.0,
+        "gpu_requests": gpu,
+        "cpu_requests": cpu,
+        "gpu_mean_delay": gpu_delay / gpu if gpu else 0.0,
+        "cpu_mean_delay": (delay - gpu_delay) / cpu if cpu else 0.0,
+        "peak_window_requests": max(per_window.values(), default=0),
     }
 
 

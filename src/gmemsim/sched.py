@@ -36,11 +36,12 @@ future wake-ups and, at the start of each step and of each skip check, calls
 scheduler anything.  `is_ready` stays the oracle that `assert_invariants`
 and the tests compare the index against.
 
-`World` asks `has_issuable` right after each hook that can change its
-answer and keeps the answer as the SM's issuable flag; the issue phase and
-the skip check read the flags, not the schedulers.  The query never changes
-the schedule, and whenever it is False `select_warp` returns None and
-changes nothing either, so an SM that is not flagged need not be asked.
+`World` asks `has_issuable` again after every engine action that calls one
+of these hooks, and keeps the SMs whose answer is True in one set,
+`World.issuable`; the issue phase and the skip check read the set, not the
+schedulers.  The query never changes the schedule, so an extra ask cannot
+move it, and whenever the answer is False `select_warp` returns None and
+changes nothing either, so an SM outside the set need not be asked.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
                          main)
 from gmemsim.config import RunConfig
 from gmemsim.engine import SimulationFault, World
+from gmemsim.sched import TbasScheduler
 from gmemsim.workload import CpuTrafficSpec, KernelSpec, load_workload
 
 
@@ -90,13 +91,21 @@ MALFORMED = {
     "negative starvation_cap": (
         "hardware.starvation_cap", -1,
         "config.hardware.starvation_cap must be >= 0, not -1"),
+    "one-row bank split": (
+        "hardware.gddr.layout.row_bits", 0,
+        "config.hardware.gddr.layout.row_bits must be >= 1 under "
+        "coloring_hetero"),
 }
+# the other fields a case sets first, to make its field malformed
+ALSO_SET = {"one-row bank split": {"allocator": "coloring_hetero"}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_validate_names_the_malformed_field(case, tmp_path, capsys):
     key, value, message = MALFORMED[case]
     config = copy.deepcopy(base_config())
+    for other, v in ALSO_SET.get(case, {}).items():
+        _set(config, other, v)
     _set(config, key, value)
     path = write(tmp_path / "config.json", config)
     assert main(["validate", "--config", path]) == EXIT_INVALID
@@ -269,6 +278,36 @@ def test_simulation_fault_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", path,
                  "--out", str(tmp_path / "r.json")]) == EXIT_FAULT
     assert "cycle 7: injected" in capsys.readouterr().err
+    # a scheduler's own check raises a bare AssertionError
+    monkeypatch.undo()
+    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    assert main(["run", "--config", path,
+                 "--out", str(tmp_path / "r.json")]) == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "injected check" in err and "Traceback" not in err
+
+
+def failed_check(self, cycle):
+    raise AssertionError("injected check")
+
+
+def test_compare_records_a_cell_whose_engine_check_fails(
+        tmp_path, monkeypatch, capsys):
+    # the tbas_e cell's scheduler check fails; the sweep goes on, and
+    # summary.csv lists that cell as failed
+    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": {"scheduler": ["ccws", "tbas_e"]}})
+    out = tmp_path / "out"
+    assert main(["compare", "--experiment", path,
+                 "--out", str(out)]) == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "cell scheduler-tbas_e failed: injected check" in err
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] \
+        == [("scheduler-ccws", "ok"), ("scheduler-tbas_e", "failed")]
 
 
 @pytest.mark.parametrize("allocator", ["first_touch", "coloring"])

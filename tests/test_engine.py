@@ -231,6 +231,44 @@ def test_goldens_exercise_the_issue_path():
                for r in reports)
 
 
+# per golden cell with CPU traffic, the stepped cycles after which CPU
+# arrivals wait for room in a full controller queue; bench-corun's
+# 4096-deep queues never make them wait
+CPU_HOLD_BACK_STEPS = {
+    "clustered-ccws-first_touch-serial-cpu": 0,
+    "clustered-tbas_e-coloring_hetero-serial-cpu": 11,
+    "interleaved-ccws-coloring_hetero-interleaved-cpu": 74,
+    "interleaved-tbas_c-bw_aware-serial-cpu": 200,
+    "interleaved-tbas_d-coloring-serial-cpu": 0,
+    "interleaved-tbas_e-first_touch-interleaved-cpu": 0,
+    "starve-interleaved-tbas_e-first_touch-interleaved-cpu": 0,
+    "bench-corun": 0,
+}
+
+
+def held_back_steps(config: dict) -> int:
+    """The stepped cycles of a run after which CPU arrivals wait for queue
+    room."""
+    world = World(config_from_dict(config))
+    held, step = 0, world.step
+
+    def counting_step():
+        nonlocal held
+        step()
+        held += world.cpu_sent < world.cpu_next
+
+    world.step = counting_step
+    world.run()
+    return held
+
+
+def test_goldens_exercise_the_cpu_hold_back():
+    assert {n for n in ALL_GOLDEN if n.endswith("-cpu")} | {"bench-corun"} \
+        == set(CPU_HOLD_BACK_STEPS)
+    assert {name: held_back_steps(ALL_GOLDEN[name])
+            for name in CPU_HOLD_BACK_STEPS} == CPU_HOLD_BACK_STEPS
+
+
 # golden-sized runs over every policy axis; the short horizons cut runs
 # mid-flight
 RUN_CONFIGS = st.builds(
@@ -256,9 +294,8 @@ def test_skipping_matches_the_per_cycle_loop(config):
 
 
 def assert_running_indexes_match_a_rescan(world: World):
-    for sm in world.sms:
-        assert sm.issuable == sm.scheduler.has_issuable(), sm.sm_id
-    assert world.issuable_sms == sum(sm.issuable for sm in world.sms)
+    assert world.issuable == {sm.sm_id for sm in world.sms
+                              if sm.scheduler.has_issuable()}
     assert world.queued == sum(len(q) for q in world.mc_queues.values())
     assert world.replying == {sm.sm_id for sm in world.sms
                               if sm.reply_queue or sm.reply_overflow}
@@ -284,6 +321,13 @@ def assert_running_indexes_match_a_rescan(world: World):
         assert sm.resident_blocks == {
             blin: n for (sm_id, blin), n in unfinished.items()
             if sm_id == sm.sm_id}, sm.sm_id
+    # the CPU cursors: the arrivals handed over and not yet enqueued are
+    # due, and at most one arrival is drawn ahead of them
+    stream, sent, nxt = world.cpu_stream, world.cpu_sent, world.cpu_next
+    assert sent <= nxt <= len(stream) <= nxt + 1
+    assert all(ev.cycle <= world.cycle for ev in stream[sent:nxt])
+    assert world.cpu_next_at == (stream[nxt].cycle if nxt < len(stream)
+                                 else None)
 
 
 def read_twice_config() -> dict:
@@ -306,11 +350,11 @@ def read_twice_config() -> dict:
 @given(config=RUN_CONFIGS)
 @example(config=read_twice_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
-    # the per-cycle loop, checked after each step: World's issuable flags,
+    # the per-cycle loop, checked after each step: World's issuable set,
     # queued count, replying set, overflow count, in-service count, each
-    # warp's count of outstanding reads and each SM's resident blocks
-    # against a rescan of the schedulers, controllers, banks, reply queues
-    # and warps they stand for
+    # warp's count of outstanding reads, each SM's resident blocks and the
+    # CPU cursors against a rescan of the schedulers, controllers, banks,
+    # reply queues, warps and CPU stream they stand for
     world = World(config_from_dict(config))
     while world.cycle < world.cfg.horizon and not world.done():
         world.step()

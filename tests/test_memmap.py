@@ -156,7 +156,6 @@ def test_bw_aware_ratio():
 
 def test_hetero_row_split():
     region = FrameRegion.split(SMALL.num_rows, 0.5)
-    region.validate(SMALL.num_rows)
     t = make_table(PagePolicy.COLORING_HETERO, region=region,
                    cpu_pool=Pool.GDDR)
     gpu = [t.allocate_page(v, 0) for v in range(8)]
@@ -218,11 +217,21 @@ def test_pool_exhaustion_faults():
 
 def test_region_split_covers_bank():
     region = FrameRegion.split(32, 0.25)
-    region.validate(32)
     assert region.gpu_rows == (0, 24)
     assert region.cpu_rows == (24, 32)
-    with pytest.raises(ValueError):
-        FrameRegion(gpu_rows=(0, 10), cpu_rows=(12, 32)).validate(32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(num_rows=st.integers(2, 1 << 16),
+       fraction=st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_region_split_is_two_nonempty_ranges_that_cover_the_bank(
+        num_rows, fraction):
+    # the GPU's rows, then the CPU's: each range non-empty, the two disjoint,
+    # together every row of the bank
+    region = FrameRegion.split(num_rows, fraction)
+    (g_lo, g_hi), (c_lo, c_hi) = region.gpu_rows, region.cpu_rows
+    assert g_lo == 0 and g_hi == c_lo and c_hi == num_rows
+    assert g_lo < g_hi and c_lo < c_hi
 
 
 @settings(max_examples=60, deadline=None)

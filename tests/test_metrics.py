@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gmemsim.dram import BankState, EnergyParams, MemoryRequest, TimingParams, bank_advance
 from gmemsim.memmap import AddressLayout, PagePolicy, PageTable, Pool, build_color_map
 from gmemsim.metrics import (MetricsReport, bank_parallelism, compute_metrics,
-                             energy_total, mean_delay, peak_request_window)
+                             energy_total)
 
 TIMING = TimingParams(tRCD=4, tRP=4, tCAS=4, tBURST=2)
 ENERGY = EnergyParams(e_activate=15.0, e_read=4.0, e_write=4.0, p_background=0.05)
@@ -93,17 +93,89 @@ def test_rbhr_matches_second_pass_random():
     assert bank.activates + bank.row_hits == len(reqs)
 
 
+def reference_metrics(requests, page_table, window=100, end=None) -> dict:
+    """compute_metrics worked out the long way, independently of its single
+    walk: one filtering pass per statistic."""
+    done = [r for r in requests if r.t_complete >= 0]
+
+    def mean_delay(agent=None):
+        mine = [r for r in done if agent is None or r.agent == agent]
+        if not mine:
+            return 0.0
+        return sum(r.t_complete - r.t_enqueue for r in mine) / len(mine)
+
+    counts = {}
+    for r in done:
+        w = r.t_enqueue // window
+        counts[w] = counts.get(w, 0) + 1
+    hits = sum(1 for r in done if r.was_hit)
+    reads = sum(1 for r in done if r.is_read)
+    gpu = [r for r in done if r.agent == "gpu"]
+    local = sum(1 for r in gpu if page_table.is_local(
+        r.sm_id, Pool(r.pool), r.channel, r.bank))
+    return {
+        "total_accesses": len(done),
+        "reads": reads,
+        "writes": len(done) - reads,
+        "row_hits": hits,
+        "activates": len(done) - hits,
+        "rbhr": hits / len(done) if done else 0.0,
+        "blp": bank_parallelism(done, end),
+        "mean_access_delay": mean_delay(),
+        "local_accesses": local,
+        "remote_accesses": len(gpu) - local,
+        "local_ratio": local / len(gpu) if gpu else 0.0,
+        "gpu_requests": len(gpu),
+        "cpu_requests": len(done) - len(gpu),
+        "gpu_mean_delay": mean_delay("gpu"),
+        "cpu_mean_delay": mean_delay("cpu"),
+        "peak_window_requests": max(counts.values(), default=0),
+    }
+
+
 def test_mean_delay_and_agent_split():
     reqs = [make_req(t_enqueue=0, t_complete=10),
             make_req(t_enqueue=5, t_complete=11, agent="cpu")]
-    assert mean_delay(reqs) == 8.0
-    assert mean_delay(reqs, "gpu") == 10.0
-    assert mean_delay(reqs, "cpu") == 6.0
+    stats = compute_metrics(reqs, reference_table())
+    assert stats["mean_access_delay"] == 8.0
+    assert stats["gpu_mean_delay"] == 10.0
+    assert stats["cpu_mean_delay"] == 6.0
 
 
 def test_peak_window():
     reqs = [make_req(t_enqueue=c) for c in (0, 1, 2, 150, 151, 152, 153)]
-    assert peak_request_window(reqs, window=100) == 4
+    stats = compute_metrics(reqs, reference_table(), window=100)
+    assert stats["peak_window_requests"] == 4
+
+
+def drawn_request(pool, bank, channel, sm_id, agent, is_read, was_hit,
+                  t_enqueue, wait, service, completed):
+    """A logged request; one never issued keeps t_issue and t_complete at
+    -1."""
+    r = make_req(bank=bank, channel=channel, sm_id=sm_id, agent=agent,
+                 is_read=is_read, was_hit=was_hit, t_enqueue=t_enqueue,
+                 t_issue=t_enqueue + wait if completed else -1,
+                 t_complete=t_enqueue + wait + service if completed else -1)
+    r.pool = pool
+    return r
+
+
+REQUESTS = st.lists(st.builds(
+    drawn_request, st.sampled_from(["gddr", "ddr"]), st.integers(0, 3),
+    st.integers(0, 1), st.integers(-1, 2), st.sampled_from(["gpu", "cpu"]),
+    st.booleans(), st.booleans(), st.integers(0, 400), st.integers(0, 30),
+    st.integers(1, 20), st.booleans()), max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=REQUESTS, window=st.sampled_from([1, 7, 100, 1000]),
+       end=st.one_of(st.none(), st.integers(0, 500)))
+def test_compute_metrics_matches_the_reference(requests, window, end):
+    # exact equality: every sum is an integer, so each mean is the same
+    # float however the sum was gathered
+    table = reference_table()
+    assert compute_metrics(requests, table, window, end) \
+        == reference_metrics(requests, table, window, end)
 
 
 def test_compute_metrics_fields():

@@ -213,8 +213,8 @@ def test_make_scheduler_dispatches_classes():
 
 def drained_world(policy: SchedPolicy, compute_gap: int) -> World:
     """A World whose run is over, so that no event of its own is pending.
-    Tests hand it warps through `World._make_resident`, which keeps the
-    SM's issuable flag, and it logs every issue."""
+    Tests hand it warps through `World._make_resident`, which keeps
+    `World.issuable` current, and it logs every issue."""
     world = World(config_from_dict({
         "workload": clustered_rows_workload(compute_gap=compute_gap),
         "scheduler": policy.value, "hardware": small_hardware()}),
@@ -298,14 +298,14 @@ def test_a_wake_up_for_a_warp_that_is_not_ready_is_a_fault():
 
 @pytest.mark.parametrize("policy", list(SchedPolicy))
 def test_a_flagged_sm_whose_scheduler_picks_no_warp_is_a_fault(policy):
-    # a hook called behind the engine's back leaves the SM's issuable flag
-    # stale, and the issue phase that trusts it raises
+    # a hook called behind the engine's back leaves the SM in
+    # `World.issuable`, and the issue phase that trusts the set raises
     world = drained_world(policy, compute_gap=0)
     sm = world.sms[0]
     w = warp(0)
     world._make_resident(sm, 0, [w])
     sm.scheduler.on_issue(w)
-    assert sm.issuable and not sm.scheduler.has_issuable()
+    assert world.issuable == {0} and not sm.scheduler.has_issuable()
     with pytest.raises(SimulationFault, match="SM 0 is flagged issuable, "
                        "but its scheduler picked no warp"):
         world._phase_issue()
@@ -317,7 +317,7 @@ def test_a_reply_that_clears_the_running_batch_flags_the_sm():
     # only writes, so y finishes at issue.  B is then running with no ready
     # warp and the SM has nothing to issue, although pending batch C has a
     # ready warp z.  The reply to x's read finishes x, B leaves the running
-    # set, and the SM must be flagged issuable from that delivery on
+    # set, and the SM must be in `World.issuable` from that delivery on
     world = drained_world(SchedPolicy.TBAS_E, compute_gap=0)
     sm = world.sms[0]
     y = WarpState(warp_id=0, batch_id=100, block_linear=100,
@@ -328,17 +328,17 @@ def test_a_reply_that_clears_the_running_batch_flags_the_sm():
     world._make_resident(sm, 100, [y, x])
     world._make_resident(sm, 101, [z])
     world.step()  # round robin starts after bit 0: x issues
-    assert x.pending and not y.next_slot and sm.issuable
+    assert x.pending and not y.next_slot and 0 in world.issuable
     world.step()
     assert y.finished and sm.scheduler.running_batch == 100
-    assert not sm.issuable
+    assert 0 not in world.issuable
     for _ in range(100):
         if x.finished:
             break
-        assert not sm.issuable
+        assert 0 not in world.issuable
         world.step()
     assert x.finished and sm.scheduler.running_batch is None
-    assert sm.issuable and world._next_event_cycle() == world.cycle
+    assert 0 in world.issuable and world._next_event_cycle() == world.cycle
     world.step()
     assert z.next_slot == 1
 
