@@ -472,6 +472,69 @@ def test_dispatch_log_batches_match_the_plan(name):
         assert batch == batch_of[world.blocks[blin]]
 
 
+# sha256 of the JSON of `World.dispatch_log` for each golden cell under
+# interleaved dispatch, unseeded and at `random_dispatch_seed` 5, and for
+# bench-compute at its own seed: a report can hide a permuted dispatch order
+DISPATCH_LOG_SHA256 = {
+    "clustered-ccws-bw_aware-interleaved": (
+        "519b009b43586a0c6282607e495c1b4e6db96ad4ff1f3737d6f4f87ba1a73148",
+        "2c0cec06f34706634e4c4a651c5aa4e8e239ad08def3f8cb1e0aa064487f2754"),
+    "clustered-tbas_c-coloring-interleaved": (
+        "7bb0f92e84b0ecaa1a39c1d15c163873e5cc598e58196048e6b6dd6df21f72a9",
+        "bd7eb9897ed156616488bdd0b7d26474376b22417c5f03e5662999610a2dd688"),
+    "clustered-tbas_d-bw_aware-interleaved": (
+        "b63f5020923b4a6f6301bc59a6137e62b1e6de4feb5a3bd075544ab6a5006ab1",
+        "e402f302ec98338f2ef0ea7b359a45b7d8c90fe267ed0b3b0d63a83be1dd946f"),
+    "clustered-tbas_e-coloring-interleaved": (
+        "25230cbee2bef49aca1e8fc0645b424cba46ecc7eebcbe710d58999a08f35fa0",
+        "f4f3f8269e70db089023cd77302d5c1ec3011d3c1fbe217eaa563200af3146f1"),
+    "interleaved-ccws-coloring_hetero-interleaved-cpu": (
+        "cff7396357320c0ae9b83c7bdd907854c3532c0c83c74559e480a9dcb0b0eec5",
+        "df787b4ba4a698d35f0c182c2196b6f37f421176e3905b1ed3e2ef0c06371755"),
+    "interleaved-tbas_c-first_touch-interleaved": (
+        "9845b349d6fd77b8499451b0b0027456c4581c42415551ff32464320b11d3872",
+        "65b3ee80cb24f879b0506bdefe603c265d20998f985f54db1132375aa363bdef"),
+    "interleaved-tbas_d-coloring_hetero-interleaved": (
+        "d90f75f23da9937f56101f7d090ec271930d9a87b4925b530f35c1ee56f57b7b",
+        "96a2425c3c7c7281b2896d7c898b94971234f01aedfad3f5144141833b2c5550"),
+    "interleaved-tbas_e-first_touch-interleaved-cpu": (
+        "ec1a6b601a29a7fedb82a12cb8f5bedbf5161a5ffc88046bb67f2dbf33e10f25",
+        "1966bbf0bea680bac98440b7322baad148bd5fb03d51c92a3db6871c538a1778"),
+    "starve-clustered-tbas_e-first_touch-interleaved": (
+        "d9ba59485029d0fe86b56191f38b703f395745aaf2723d07e40e60be741f5cce",
+        "b0a56aa1ec612775d100742024a962701dbbc54a5a3bc7681a871590e7607421"),
+    "starve-interleaved-tbas_e-first_touch-interleaved-cpu": (
+        "007d3c054ecfd1d85a2fde86dfea88640152df440100e4b1bead209089df6312",
+        "1e3fe6cf24242c64b2b40112050359732f46a2f1e11d08d8dbbf63b3ef6f6a2c"),
+}
+DISPATCH_LOG_PINS = {
+    **{f"{name}-{'seed5' if seed else 'unseeded'}": (
+        dict(ALL_GOLDEN[name], random_dispatch_seed=seed), sha)
+       for name, shas in DISPATCH_LOG_SHA256.items()
+       for seed, sha in zip((None, 5), shas)},
+    "bench-compute": (
+        ALL_GOLDEN["bench-compute"],
+        "94bac71021ef779a1b2002b73f9b3cba41248cc2bece536df4a16de4181f439b"),
+}
+
+
+def test_the_dispatch_log_pins_cover_every_interleaved_golden_cell():
+    assert set(DISPATCH_LOG_SHA256) | {"bench-compute"} == {
+        name for name, config in ALL_GOLDEN.items()
+        if config.get("dispatch") == "interleaved"}
+    assert ALL_GOLDEN["bench-compute"]["random_dispatch_seed"] is not None
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_LOG_PINS))
+def test_the_dispatch_log_is_pinned(name):
+    config, sha = DISPATCH_LOG_PINS[name]
+    world = World(config_from_dict(config))
+    while len(world.dispatch_log) < len(world.blocks):
+        world.step()
+    assert hashlib.sha256(json.dumps(world.dispatch_log).encode()) \
+        .hexdigest() == sha
+
+
 @pytest.mark.parametrize("sched", SCHEDS)
 def test_batch_whose_blocks_arrive_after_it_finished_still_runs(sched):
     # stride 2 and one resident block per SM: a batch's second block is
