@@ -1,8 +1,15 @@
-"""Command line runner: validate configs, execute runs, profile kernels, and
-sweep policy comparisons into plot-ready CSV tables.
+"""Command line runner: validate configs, execute runs, write batch plans,
+and sweep policy comparisons into plot-ready CSV tables.
+
+`validate`, `run` and `profile` each build the `World` of one config, so
+they reject the same configs with the same message, and `profile` writes
+the batch plan (stride, batches, page-sharing histogram) that `run`
+follows: its page size and any fixed `stride` come from the config.
 
 Exit codes: 0 ok, 2 run truncated at the horizon, 3 invalid input,
-4 simulation fault.
+4 simulation fault.  `compare` records each failed cell and goes on; it
+exits 4 if any cell hit an engine check (an `AssertionError`), else 3 if
+any cell's input was invalid or unreadable, else 0.
 """
 
 from __future__ import annotations
@@ -15,13 +22,11 @@ import json
 import os
 import sys
 
-from .batching import (form_batches, plan_to_dict, profile_stride,
-                       sharing_histogram)
+from .batching import plan_to_dict, sharing_histogram
 from .config import config_from_dict, load_config
 from .engine import World
 from .loader import from_dict, strip_version
 from .metrics import MetricsReport
-from .workload import load_workload
 
 EXIT_OK = 0
 EXIT_TRUNCATED = 2
@@ -100,11 +105,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    kernel, _ = load_workload(args.workload)
-    stride, formation = profile_stride(kernel, args.page_size)
-    plan = form_batches(kernel, stride, args.page_size, formation)
+    # the World that `run` builds, so the plan is the one `run` follows
+    world = World(load_config(args.config))
+    kernel, plan = world.kernel, world.plan
     hist = sharing_histogram(kernel, plan)
-    if formation.value == "fallback":
+    if plan.formation.value == "fallback":
         print("warning: no fixed stride suppresses page sharing well; "
               "plan marked fallback", file=sys.stderr)
     out = args.out or os.path.join(_default_out(), f"{kernel.name}_plan.json")
@@ -118,8 +123,8 @@ def cmd_profile(args) -> int:
     with open(out, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"{kernel.name}: stride={stride} formation={formation.value} "
-          f"batches={len(plan.batches)} "
+    print(f"{kernel.name}: stride={plan.stride} "
+          f"formation={plan.formation.value} batches={len(plan.batches)} "
           f"exclusive={hist.exclusive_fraction:.3f} -> {out}")
     return EXIT_OK
 
@@ -176,7 +181,7 @@ def cmd_compare(args) -> int:
     out_dir = args.out or exp.out_dir or os.path.join(_default_out(), exp.name)
     os.makedirs(out_dir, exist_ok=True)
 
-    rows, failed = {}, {}
+    rows, failed, faulted = {}, {}, False
     for cell in cells:
         obj = dict(base_obj)
         obj.update(cell)
@@ -189,6 +194,7 @@ def cmd_compare(args) -> int:
             rows[name] = (cell, report.flat())
         except (ValueError, AssertionError, OSError) as e:
             failed[name] = str(e)
+            faulted |= isinstance(e, AssertionError)
             print(f"cell {name} failed: {e}", file=sys.stderr)
 
     base_name = _cell_name({k: baseline_cell[k] for k in sorted(baseline_cell)})
@@ -219,7 +225,9 @@ def cmd_compare(args) -> int:
             w.writerow([name] + [cell[k] for k in cell_keys]
                        + [flat[k] for k in metric_keys] + norm + ["ok"])
     print(f"{len(rows)} cells ok, {len(failed)} failed -> {csv_path}")
-    return EXIT_OK if not failed else EXIT_FAULT
+    if faulted:
+        return EXIT_FAULT
+    return EXIT_INVALID if failed else EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -248,14 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write request/dispatch/issue CSV traces")
     run_p.set_defaults(func=cmd_run)
 
-    prof_p = sub.add_parser("profile", help="profile a kernel's block stride")
-    prof_p.add_argument("--workload", required=True)
-    prof_p.add_argument("--page-size", type=int, default=4096,
-                        dest="page_size")
+    doc = ("write the batch plan that `run` follows for a config: its stride, "
+           "batches and page-sharing histogram")
+    prof_p = sub.add_parser("profile", help=doc, description=doc)
+    prof_p.add_argument("--config", required=True)
     prof_p.add_argument("--out", help="plan JSON path")
     prof_p.set_defaults(func=cmd_profile)
 
-    cmp_p = sub.add_parser("compare", help="run a policy-comparison sweep")
+    doc = ("run a policy-comparison sweep; exit 4 if any cell hit an engine "
+           "check, else 3 if any cell was invalid, else 0")
+    cmp_p = sub.add_parser("compare", help=doc, description=doc)
     cmp_p.add_argument("--experiment", required=True)
     cmp_p.add_argument("--out", help="output directory")
     cmp_p.set_defaults(func=cmd_compare)

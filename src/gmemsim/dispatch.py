@@ -1,16 +1,18 @@
 """Thread block dispatch: interleaved baseline vs. serial per-SM ranges.
 
-Serial dispatch gives every SM a contiguous [head, tail) range of block ids,
-computed once before launch so that batch boundaries are respected and the
-maximum per-SM block load is minimal.  Block `i` belongs to batch
-`i // stride`, so every batch holds `stride` blocks but the last, which holds
-the rest.  Each SM then pops ids locally and never waits on a central
-dispatcher.
+Both are one rule, `Dispatcher`: an SM pops the next id of its `[head,
+tail)` range of block ids.  Interleaved dispatch gives every SM one shared
+range, `[0, total_blocks)`, served lowest SM id first, or in a shuffled
+order when `random_dispatch_seed` is set.  Serial dispatch gives each SM a
+contiguous range of its own from `partition_blocks`, computed once before
+launch so that batches stay whole and the maximum per-SM block load is
+minimal, and is never shuffled.  Block `i` belongs to batch `i // stride`,
+so every batch holds `stride` blocks but the last, which holds the rest.
 
-Both dispatchers answer the same three calls: `has_block(sm_id)`, whether a
-block is left for that SM; `next_block(sm_id)`, which hands it out (None
-exactly when `has_block` is false); and `order_idle_sms(idle)`, the order in
-which SMs with room are served.
+The dispatcher answers three calls: `has_block(sm_id)`, whether a block is
+left for that SM; `next_block(sm_id)`, which hands it out (None exactly
+when `has_block` is false); and `order_idle_sms(idle)`, the order in which
+the SMs with room, listed in SM-id order, are served.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _fits(sizes: list[int], num_sms: int, cap: int) -> bool:
 
 
 def partition_blocks(total_blocks: int, num_sms: int,
-                     stride: int = 1) -> list[tuple[int, int]]:
+                     stride: int = 1) -> list[list[int]]:
     """Contiguous per-SM [head, tail) block ranges balanced at batch granularity.
 
     The split minimizes the maximum per-SM block count without cutting a batch
@@ -49,7 +51,7 @@ def partition_blocks(total_blocks: int, num_sms: int,
     if num_sms < 1:
         raise ValueError("num_sms must be >= 1")
     if total_blocks == 0:
-        return [(0, 0)] * num_sms
+        return [[0, 0] for _ in range(num_sms)]
     full, rest = divmod(total_blocks, stride)
     sizes = [stride] * full + ([rest] if rest else [])
     even_share = -(-total_blocks // num_sms)
@@ -58,7 +60,7 @@ def partition_blocks(total_blocks: int, num_sms: int,
         start = 0
         for sm in range(num_sms):
             take = total_blocks // num_sms + (1 if sm < total_blocks % num_sms else 0)
-            ranges.append((start, start + take))
+            ranges.append([start, start + take])
             start += take
         return ranges
     lo, hi = max(max(sizes), even_share), total_blocks
@@ -78,20 +80,25 @@ def partition_blocks(total_blocks: int, num_sms: int,
             load += sizes[i]
             boundary += sizes[i]
             i += 1
-        ranges.append((begin, boundary))
+        ranges.append([begin, boundary])
     if i != len(sizes):
         raise AssertionError("batch partition failed to place every batch")
     return ranges
 
 
-class SerialDispatcher:
-    """Serial dispatch: each SM pops ids from its own [head, tail) range,
-    kept as `ranges[sm_id] == [head, tail]`."""
+class Dispatcher:
+    """Each SM pops ids from its range `ranges[sm_id] == [head, tail]`;
+    SMs whose entries are one list object share its blocks.  A seed
+    shuffles the order in which SMs with room are served, standing in for
+    hardware that picks SMs randomly."""
 
-    def __init__(self, ranges: list[tuple[int, int]]):
-        self.ranges = [[head, tail] for head, tail in ranges]
+    def __init__(self, ranges: list[list[int]], seed: int | None = None):
+        self.ranges = ranges
+        self._rng = random.Random(seed) if seed is not None else None
 
     def order_idle_sms(self, idle_sms: list[int]) -> list[int]:
+        if self._rng is not None:
+            self._rng.shuffle(idle_sms)
         return idle_sms
 
     def has_block(self, sm_id: int) -> bool:
@@ -103,30 +110,3 @@ class SerialDispatcher:
             return None
         self.ranges[sm_id][0] += 1
         return self.ranges[sm_id][0] - 1
-
-
-class InterleavedDispatcher:
-    """Baseline dispatcher: a global sequential id counter handed to whichever
-    SM reports an idle slot, lowest SM id first on ties.  A seeded mode
-    shuffles the per-cycle idle order instead, standing in for hardware that
-    picks SMs randomly."""
-
-    def __init__(self, total_blocks: int, seed: int | None = None):
-        self.total_blocks = total_blocks
-        self.next_id = 0
-        self._rng = random.Random(seed) if seed is not None else None
-
-    def order_idle_sms(self, idle_sms: list[int]) -> list[int]:
-        idle = sorted(idle_sms)
-        if self._rng is not None:
-            self._rng.shuffle(idle)
-        return idle
-
-    def has_block(self, sm_id: int) -> bool:
-        return self.next_id < self.total_blocks
-
-    def next_block(self, sm_id: int) -> int | None:
-        if not self.has_block(sm_id):
-            return None
-        self.next_id += 1
-        return self.next_id - 1

@@ -21,12 +21,14 @@ is drawn lazily from `gen_cpu_traffic`'s iterator onto `World.cpu_stream`,
 at most one arrival ahead of the clock, so its cost follows the cycles
 simulated, not the horizon; `cpu_next_at` is the cycle of the arrival drawn
 ahead, and `cpu_stream[cpu_sent:cpu_next]` the arrivals held back by a full
-queue.  Warp wake-ups are timed by `World` alone: a warp left with no
-outstanding reads and a slot to go gets `ready_at = cycle + 1 +
-compute_gap` and an entry in one `(ready_at, seq, sm, warp)` heap, and each
-step and each skip check first hands every due entry to its SM's
-`scheduler.wake`.  The jump never crosses an event boundary, so per-cycle
-state along the executed prefix is identical to the unskipped loop.
+queue, the first of them translated once and kept in `cpu_head`, as a
+warp's slot keeps its lines in `WarpState.lines`.  Warp wake-ups are timed
+by `World` alone: a warp left with no outstanding reads and a slot to go
+gets `ready_at = cycle + 1 + compute_gap` and an entry in one `(ready_at,
+seq, sm, warp)` heap, and each step and each skip check first hands every
+due entry to its SM's `scheduler.wake`.  The jump never crosses an event
+boundary, so per-cycle state along the executed prefix is identical to the
+unskipped loop.
 
 `World.issuable` holds the SMs whose scheduler's `has_issuable()` is True.
 One rule keeps it current: `_recheck` asks again after every engine action
@@ -49,8 +51,7 @@ from itertools import count
 
 from .batching import BatchPlan, form_batches, profile_stride
 from .config import L1Config, RunConfig, policies_dict
-from .dispatch import (DispatchKind, InterleavedDispatcher, SerialDispatcher,
-                       partition_blocks)
+from .dispatch import DispatchKind, Dispatcher, partition_blocks
 from .dram import (CPU_AGENT, GPU_AGENT, McQueue, MemoryRequest, bank_advance,
                    mc_pick)
 from .memmap import (CPU_OWNER, DecodedAddress, FrameRegion, PagePolicy,
@@ -160,11 +161,11 @@ class World:
         ]
 
         if cfg.dispatch is DispatchKind.SERIAL:
-            self.dispatcher = SerialDispatcher(
-                partition_blocks(len(self.blocks), hw.num_sms, self.plan.stride))
-        else:
-            self.dispatcher = InterleavedDispatcher(
-                len(self.blocks), seed=cfg.random_dispatch_seed)
+            self.dispatcher = Dispatcher(partition_blocks(
+                len(self.blocks), hw.num_sms, self.plan.stride))
+        else:  # every SM pops from the one shared range
+            self.dispatcher = Dispatcher([[0, len(self.blocks)]] * hw.num_sms,
+                                         seed=cfg.random_dispatch_seed)
 
         self.pools = {Pool.GDDR: hw.gddr, Pool.DDR: hw.ddr}
         # one controller per (pool, channel), in (pool name, channel) order
@@ -178,7 +179,8 @@ class World:
 
         # the CPU stream is drawn as the run reaches it: `cpu_stream` holds
         # the arrivals drawn so far, the first `cpu_next` of them handed
-        # over and the first `cpu_sent` enqueued; `cpu_next_at` is the cycle
+        # over and the first `cpu_sent` enqueued; `cpu_head` is the request
+        # of a held-back `cpu_stream[cpu_sent]`, and `cpu_next_at` the cycle
         # of the one drawn ahead (None once the stream has ended)
         self.cpu_arrivals = iter(())
         if self.cpu_spec is not None and cfg.horizon > 0:
@@ -186,6 +188,7 @@ class World:
         self.cpu_stream: list[CpuRequest] = []
         self.cpu_next = 0
         self.cpu_sent = 0
+        self.cpu_head: MemoryRequest | None = None
         self._draw_cpu()
 
         self.cycle = 0
@@ -455,18 +458,23 @@ class World:
 
     def _phase_cpu(self):
         """Hand over the arrivals due by this cycle, then enqueue the waiting
-        ones in arrival order, up to the first whose queue is full."""
+        ones in arrival order, up to the first whose queue is full.  Each is
+        translated at its first attempt, and a held-back head keeps its
+        request in `cpu_head` for the next."""
         while self.cpu_next_at is not None and self.cpu_next_at <= self.cycle:
             self.cpu_next += 1
             self._draw_cpu()
         while self.cpu_sent < self.cpu_next:
-            ev = self.cpu_stream[self.cpu_sent]
-            pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
-            req = self._make_request(pool, d, ev.is_read, CPU_AGENT, -1, -1,
-                                     -1, line, ev.cycle)
-            q = self.mc_queues[(pool, req.channel)]
-            if not q.enqueue(req, self.cycle):
+            req = self.cpu_head
+            if req is None:
+                ev = self.cpu_stream[self.cpu_sent]
+                pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
+                req = self.cpu_head = self._make_request(
+                    pool, d, ev.is_read, CPU_AGENT, -1, -1, -1, line, ev.cycle)
+            if not self.mc_queues[(Pool(req.pool), req.channel)].enqueue(
+                    req, self.cycle):
                 break
+            self.cpu_head = None
             self.cpu_sent += 1
             self.log.append(req)
             self.queued += 1

@@ -10,13 +10,13 @@ import typing
 import pytest
 
 from conftest import interleaved_grid_workload, small_hardware
-from gmemsim.batching import form_batches, plan_to_dict, sharing_histogram
+from gmemsim.batching import plan_to_dict, sharing_histogram
 from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
                          main)
-from gmemsim.config import RunConfig
+from gmemsim.config import RunConfig, config_from_dict
 from gmemsim.engine import SimulationFault, World
 from gmemsim.sched import TbasScheduler
-from gmemsim.workload import CpuTrafficSpec, KernelSpec, load_workload
+from gmemsim.workload import CpuTrafficSpec, KernelSpec
 
 
 def base_config() -> dict:
@@ -248,16 +248,22 @@ REJECTED_BY_WORLD = {
 }
 
 
+@pytest.mark.parametrize("command", ["validate", "profile"])
 @pytest.mark.parametrize("case", sorted(REJECTED_BY_WORLD))
-def test_validate_rejects_what_run_rejects(case, tmp_path, capsys):
+def test_validate_rejects_what_run_rejects(case, command, tmp_path, capsys):
+    # `validate` and `profile` build the World that `run` builds
     changes, message = REJECTED_BY_WORLD[case]
     config = base_config()
     for path, value in changes.items():
         _set_path(config, path, value)
     path = write(tmp_path / "config.json", config)
-    assert main(["validate", "--config", path]) == EXIT_INVALID
+    plan = tmp_path / "plan.json"
+    assert main([command, "--config", path, "--out", str(plan)]
+                if command == "profile"
+                else [command, "--config", path]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not plan.exists()
     out = tmp_path / "report.json"
     assert main(["run", "--config", path, "--out", str(out)]) == EXIT_INVALID
     assert capsys.readouterr().err == err
@@ -310,6 +316,38 @@ def test_compare_records_a_cell_whose_engine_check_fails(
         == [("scheduler-ccws", "ok"), ("scheduler-tbas_e", "failed")]
 
 
+# a sweep whose horizon -1 cells fail config validation
+INVALID_CELL_AXES = {"horizon": [10_000, -1]}
+
+
+@pytest.mark.parametrize("schedulers, code",
+                         [(["ccws"], EXIT_INVALID),
+                          (["ccws", "tbas_e"], EXIT_FAULT)],
+                         ids=["invalid", "invalid-and-fault"])
+def test_compare_exits_3_for_invalid_cells_and_4_for_a_fault(
+        schedulers, code, tmp_path, monkeypatch, capsys):
+    # the tbas_e cell at horizon 10,000 fails its scheduler check, and a
+    # fault outranks an invalid cell
+    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": dict(INVALID_CELL_AXES, scheduler=schedulers),
+        "baseline": {"horizon": 10_000, "scheduler": "ccws"}})
+    out = tmp_path / "out"
+    assert main(["compare", "--experiment", path,
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "cell horizon--1__scheduler-ccws failed: config.horizon must be " \
+        ">= 0, not -1" in err
+    rows = [r.split(",") for r in
+            (out / "summary.csv").read_text().splitlines()[1:]]
+    assert {r[0]: r[-1] for r in rows} == {
+        f"horizon-{h}__scheduler-{s}":
+            "ok" if (h, s) == (10_000, "ccws") else "failed"
+        for h in INVALID_CELL_AXES["horizon"] for s in schedulers}
+
+
 @pytest.mark.parametrize("allocator", ["first_touch", "coloring"])
 def test_pool_exhaustion_exits_3(allocator, tmp_path, capsys):
     # a 64 KiB matrix (16 pages) over a GDDR pool of one row of 4 banks of
@@ -329,18 +367,17 @@ def test_pool_exhaustion_exits_3(allocator, tmp_path, capsys):
 
 
 def test_profile_writes_the_plan(tmp_path):
-    workload = interleaved_grid_workload()
-    path = write(tmp_path / "workload.json", workload)
+    # 32-byte pages and a fixed stride, both read from the config
+    config = dict(base_config(), stride=2)
+    path = write(tmp_path / "config.json", config)
     out = tmp_path / "plan.json"
-    assert main(["profile", "--workload", path, "--page-size", "32",
-                 "--out", str(out)]) == EXIT_OK
+    assert main(["profile", "--config", path, "--out", str(out)]) == EXIT_OK
     plan = json.loads(out.read_text())
-    kernel, _ = load_workload(workload)
-    expected = form_batches(kernel, plan["stride"], 32)
-    assert plan["formation"] == "fixed_stride"
+    world = World(config_from_dict(config))
+    assert (plan["page_size"], plan["stride"]) == (32, 2)
     assert {k: v for k, v in plan.items() if k != "sharing_histogram"} \
-        == plan_to_dict(kernel, expected)
-    hist = sharing_histogram(kernel, expected)
+        == plan_to_dict(world.kernel, world.plan)
+    hist = sharing_histogram(world.kernel, world.plan)
     assert plan["sharing_histogram"] == {
         "bins": {str(k): v for k, v in hist.bins.items()},
         "total_pages": hist.total_pages,
@@ -348,18 +385,6 @@ def test_profile_writes_the_plan(tmp_path):
     }
     blocks = [tuple(b) for batch in plan["batches"] for b in batch["block_ids"]]
     assert blocks == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-
-
-@pytest.mark.parametrize("page_size", [0, -4096])
-def test_profile_rejects_a_page_size_below_one(page_size, tmp_path, capsys):
-    path = write(tmp_path / "workload.json", interleaved_grid_workload())
-    out = tmp_path / "plan.json"
-    assert main(["profile", "--workload", path, "--page-size", str(page_size),
-                 "--out", str(out)]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert "page size must be >= 1" in err
-    assert "Traceback" not in err
-    assert not out.exists()
 
 
 def test_compare_output_is_reproducible(tmp_path):

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from conftest import bench_workloads, fixture_path, small_hardware
 from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
 from gmemsim.config import L1Config, config_from_dict
-from gmemsim.dram import GPU_AGENT
+from gmemsim.dram import CPU_AGENT, GPU_AGENT
 from gmemsim.engine import L1Cache, World
-from gmemsim.memmap import Pool
+from gmemsim.memmap import CPU_OWNER, PageTable, Pool
 from gmemsim.workload import load_workload
 from lane_model import assert_matches_lane_model
 
@@ -269,6 +269,20 @@ def test_goldens_exercise_the_cpu_hold_back():
             for name in CPU_HOLD_BACK_STEPS} == CPU_HOLD_BACK_STEPS
 
 
+@pytest.mark.parametrize("name", sorted(CPU_HOLD_BACK_STEPS))
+def test_each_cpu_request_is_translated_once(name, monkeypatch):
+    # a held-back arrival keeps its request across the cycles it waits
+    calls, translate = Counter(), PageTable.translate
+
+    def counting_translate(self, vaddr, owner):
+        calls[owner] += 1
+        return translate(self, vaddr, owner)
+
+    monkeypatch.setattr(PageTable, "translate", counting_translate)
+    report, _ = run_report(ALL_GOLDEN[name])
+    assert calls[CPU_OWNER] == report.cpu_requests > 0
+
+
 # golden-sized runs over every policy axis; the short horizons cut runs
 # mid-flight
 RUN_CONFIGS = st.builds(
@@ -328,6 +342,15 @@ def assert_running_indexes_match_a_rescan(world: World):
     assert all(ev.cycle <= world.cycle for ev in stream[sent:nxt])
     assert world.cpu_next_at == (stream[nxt].cycle if nxt < len(stream)
                                  else None)
+    # a held-back head keeps the request it was translated to at its first
+    # attempt, which no controller holds yet
+    head = world.cpu_head
+    assert (head is None) == (sent == nxt)
+    if head is not None:
+        ev = stream[sent]
+        assert (head.agent, head.is_read, head.t_arrival) \
+            == (CPU_AGENT, ev.is_read, ev.cycle)
+        assert all(req is not head for req in in_flight)
 
 
 def read_twice_config() -> dict:
