@@ -558,6 +558,45 @@ def test_the_dispatch_log_is_pinned(name):
         .hexdigest() == sha
 
 
+# sha256 of the plan JSON that `gmemsim profile` writes (stride, batches,
+# page sets and sharing histogram), per kernel and stride: the golden cells
+# of one kernel share one plan whatever their policies, and at stride 3 the
+# 16 blocks of a golden kernel end in a short batch
+PLAN_SHA256 = {
+    "golden_clustered":
+        "f116b3c63a551c9d88450eddb31b9e33db9462cecfda7dce584459c8445e52dd",
+    "golden_interleaved":
+        "c6982055a5b34478b0517c4cfef4e168f045fad87cd7fbd114883ebdb43ecac2",
+    "stencil16x16":
+        "524d35a27a9e2807e5a67a36a458a82b5c25777c9bbeadd4802aea165c3ee0f2",
+    "records96":
+        "d564259d4a9b1c34d36bd4cafff79929e13a17859ed6bd6dad176ab1b21283c5",
+    "compute8x8":
+        "6affbaabcbf944fcfbe86d3caa22d63c5fbd9de0a00913aa4700c6b6f8f6f928",
+}
+PLAN_PINS = {
+    **{name: (config, PLAN_SHA256[config["workload"]["kernel"]["name"]])
+       for name, config in ALL_GOLDEN.items()},
+    "clustered-stride3": (
+        DISPATCH_LOG_CASES["clustered-stride3"],
+        "3e22e1a1e9824bc850ed963ae5ddc62dddda3fb9c755b2da76d1727206d694a3"),
+    "interleaved-stride3": (
+        DISPATCH_LOG_CASES["interleaved-stride3"],
+        "7886577e6b80e363c03bbc2812502a9dfd36d65bf71aac1a239b8a6901db5030"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_PINS))
+def test_the_plan_is_pinned(name, tmp_path):
+    config, sha = PLAN_PINS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "plan.json"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) \
+        == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 @pytest.mark.parametrize("sched", SCHEDS)
 def test_batch_whose_blocks_arrive_after_it_finished_still_runs(sched):
     # stride 2 and one resident block per SM: a batch's second block is
