@@ -6,9 +6,11 @@ cross-batch page sharing; the resulting plan drives serial dispatch and
 SM-bound page coloring.
 
 One rule defines the batches: block `i`, in `enumerate_blocks` order, belongs
-to batch `i // stride`.  A batch is the tuple of its block ids, and its id is
-its position in `BatchPlan.batches`.  Page sets are worked out only where they
-are written out: by `batch_page_sets`, `plan_to_dict` and `sharing_histogram`.
+to batch `i // stride`, so a `BatchPlan` is its stride and how it was formed.
+Batches and their page sets are worked out only where they are written out,
+by `plan_to_dict` and `sharing_histogram`, at the page size they are given.
+Neither input is checked here: a stride is at least 1 by the bound on
+`config.stride`, and a page size is `1 << page_offset_bits`.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ class Formation(str, Enum):
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """`batches[k]` holds the block ids of batch k: blocks k*stride up to
-    (k+1)*stride in `enumerate_blocks` order; the last batch may be short."""
+    """Batch k holds blocks k*stride up to (k+1)*stride in `enumerate_blocks`
+    order; the last batch may be short."""
 
     stride: int
     formation: Formation
-    batches: tuple[tuple[tuple[int, int, int], ...], ...]
-    page_size: int
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ def _span_bins(block_pages, stride: int) -> dict[int, int]:
     return bins
 
 
-def _check_page_size(page_size: int):
-    if page_size < 1:
-        raise ValueError("page size must be >= 1")
-
-
 def candidate_strides(spec: KernelSpec) -> list[int]:
     """Strides worth trying: 1..16 exhaustively, plus divisors and multiples
     of the number of blocks spanning one matrix row, capped at
@@ -131,7 +126,6 @@ def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:
     all pages shared between batches, the kernel is marked FALLBACK: its
     mapping cannot be captured by a fixed stride.
     """
-    _check_page_size(page_size)
     block_pages = [block_page_set(spec, b, page_size, zero_base=True)
                    for b in enumerate_blocks(spec)]
     if not any(block_pages):
@@ -149,54 +143,39 @@ def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:
     return best_stride, formation
 
 
-def form_batches(spec: KernelSpec, stride: int, page_size: int,
+def form_batches(spec: KernelSpec, stride: int,
                  formation: Formation = Formation.FIXED_STRIDE) -> BatchPlan:
-    """Group consecutive blocks `stride` at a time; the last batch may be short.
-
-    A stride above the block count is clamped to it, so block `i` is in
-    batch `i // plan.stride` for every plan.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    _check_page_size(page_size)
-    blocks = enumerate_blocks(spec)
-    stride = min(stride, len(blocks))
-    batches = tuple(tuple(blocks[i:i + stride])
-                    for i in range(0, len(blocks), stride))
-    return BatchPlan(stride=stride, formation=formation, batches=batches,
-                     page_size=page_size)
+    """The plan that groups consecutive blocks `stride` at a time.  A stride
+    above the block count is clamped to it."""
+    return BatchPlan(stride=min(stride, spec.total_blocks), formation=formation)
 
 
-def batch_page_sets(spec: KernelSpec, plan: BatchPlan) -> list[frozenset[int]]:
-    """Each batch's virtual pages, at the declared matrix base addresses
-    (the runtime view)."""
-    return [frozenset().union(*(block_page_set(spec, b, plan.page_size)
-                                for b in batch))
-            for batch in plan.batches]
-
-
-def sharing_histogram(spec: KernelSpec, plan: BatchPlan) -> SharingHistogram:
-    """Distance histogram of page sharing across the plan's batches."""
-    if not plan.batches:
-        raise ValueError("plan has no batches")
-    bins = _span_bins([block_page_set(spec, b, plan.page_size)
-                       for batch in plan.batches for b in batch], plan.stride)
+def sharing_histogram(spec: KernelSpec, plan: BatchPlan,
+                      page_size: int) -> SharingHistogram:
+    """Distance histogram of page sharing across the plan's batches, at the
+    declared matrix base addresses."""
+    bins = _span_bins([block_page_set(spec, b, page_size)
+                       for b in enumerate_blocks(spec)], plan.stride)
     return SharingHistogram(bins=bins, total_pages=sum(bins.values()))
 
 
-def plan_to_dict(spec: KernelSpec, plan: BatchPlan) -> dict:
+def plan_to_dict(spec: KernelSpec, plan: BatchPlan, page_size: int) -> dict:
+    """The plan with each batch's block ids and virtual pages, at the
+    declared matrix base addresses (the runtime view)."""
+    blocks, stride = enumerate_blocks(spec), plan.stride
     return {
         "schema_version": PLAN_SCHEMA_VERSION,
         "stride": plan.stride,
         "formation": plan.formation.value,
-        "page_size": plan.page_size,
+        "page_size": page_size,
         "batches": [
             {
                 "batch_id": k,
                 "block_ids": [list(b) for b in batch],
-                "page_set": sorted(pages),
+                "page_set": sorted(frozenset().union(
+                    *(block_page_set(spec, b, page_size) for b in batch))),
             }
-            for k, (batch, pages) in enumerate(
-                zip(plan.batches, batch_page_sets(spec, plan)))
+            for k, batch in enumerate(blocks[i:i + stride]
+                                      for i in range(0, len(blocks), stride))
         ],
     }

@@ -7,9 +7,10 @@ the batch plan (stride, batches, page-sharing histogram) that `run`
 follows: its page size and any fixed `stride` come from the config.
 
 Exit codes: 0 ok, 2 run truncated at the horizon, 3 invalid input,
-4 simulation fault.  `compare` records each failed cell and goes on; it
-exits 4 if any cell hit an engine check (an `AssertionError`), else 3 if
-any cell's input was invalid or unreadable, else 0.
+4 simulation fault.  `compare` exits 3 before any cell runs if its
+baseline names no cell; otherwise it records each failed cell and goes on,
+and exits 4 if any cell hit an engine check (an `AssertionError`), else 3
+if any cell's input was invalid or unreadable, else 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 from .batching import plan_to_dict, sharing_histogram
 from .config import config_from_dict, load_config
-from .engine import World
+from .engine import BANK_COUNTERS, World
 from .loader import from_dict, strip_version
 from .metrics import MetricsReport
 
@@ -54,37 +55,34 @@ def _write_report(report: MetricsReport, path: str):
 
 def _write_traces(world: World, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "requests.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pool", "channel", "bank", "row", "column", "is_read",
-                    "agent", "sm_id", "warp_id", "batch_id", "t_arrival",
-                    "t_enqueue", "t_issue", "t_complete", "was_hit"])
-        for r in world.log:
-            w.writerow([r.pool, r.channel, r.bank, r.row, r.column,
-                        int(r.is_read), r.agent, r.sm_id, r.warp_id,
-                        r.batch_id, r.t_arrival, r.t_enqueue, r.t_issue,
-                        r.t_complete, int(r.was_hit)])
-    with open(os.path.join(out_dir, "dispatch.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["cycle", "sm_id", "block_linear", "batch_id"])
-        w.writerows(world.dispatch_log)
-    if world.issue_log is not None:
-        with open(os.path.join(out_dir, "issues.csv"), "w", newline="") as f:
+    # the MemoryRequest fields that requests.csv holds, a flag as 0 or 1
+    fields = ["pool", "channel", "bank", "row", "column", "is_read", "agent",
+              "sm_id", "warp_id", "batch_id", "t_arrival", "t_enqueue",
+              "t_issue", "t_complete", "was_hit"]
+    tables = [
+        ("requests.csv", fields,
+         ([int(v) if isinstance(v, bool) else v
+           for v in (getattr(r, k) for k in fields)] for r in world.log)),
+        ("dispatch.csv", ["cycle", "sm_id", "block_linear", "batch_id"],
+         world.dispatch_log),
+        # None when the run collected no issue log
+        ("issues.csv", ["cycle", "sm_id", "warp_id", "batch_id", "slot"],
+         world.issue_log),
+        ("pagetable.csv",
+         ["vpn", "pool", "channel", "bank", "row", "owner_sm"],
+         world.page_table.dump_rows()),
+        ("banks.csv", ["pool", "channel", "bank", *BANK_COUNTERS],
+         ([pool.value, ch, b, *(getattr(st, k) for k in BANK_COUNTERS)]
+          for (pool, ch), q in world.mc_queues.items()
+          for b, st in enumerate(q.banks))),
+    ]
+    for name, header, rows in tables:
+        if rows is None:
+            continue
+        with open(os.path.join(out_dir, name), "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["cycle", "sm_id", "warp_id", "batch_id", "slot"])
-            w.writerows(world.issue_log)
-    with open(os.path.join(out_dir, "pagetable.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["vpn", "pool", "channel", "bank", "row", "owner_sm"])
-        w.writerows(world.page_table.dump_rows())
-    with open(os.path.join(out_dir, "banks.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pool", "channel", "bank", "activates", "reads", "writes",
-                    "row_hits"])
-        for (pool, ch), q in world.mc_queues.items():
-            for b, st in enumerate(q.banks):
-                w.writerow([pool.value, ch, b, st.activates, st.reads,
-                            st.writes, st.row_hits])
+            w.writerow(header)
+            w.writerows(rows)
 
 
 def cmd_run(args) -> int:
@@ -107,14 +105,14 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     # the World that `run` builds, so the plan is the one `run` follows
     world = World(load_config(args.config))
-    kernel, plan = world.kernel, world.plan
-    hist = sharing_histogram(kernel, plan)
+    kernel, plan, page_size = world.kernel, world.plan, world.cfg.page_size
+    hist = sharing_histogram(kernel, plan, page_size)
     if plan.formation.value == "fallback":
         print("warning: no fixed stride suppresses page sharing well; "
               "plan marked fallback", file=sys.stderr)
     out = args.out or os.path.join(_default_out(), f"{kernel.name}_plan.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    payload = plan_to_dict(kernel, plan)
+    payload = plan_to_dict(kernel, plan, page_size)
     payload["sharing_histogram"] = {
         "bins": {str(k): v for k, v in sorted(hist.bins.items())},
         "total_pages": hist.total_pages,
@@ -124,7 +122,8 @@ def cmd_profile(args) -> int:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"{kernel.name}: stride={plan.stride} "
-          f"formation={plan.formation.value} batches={len(plan.batches)} "
+          f"formation={plan.formation.value} "
+          f"batches={len(payload['batches'])} "
           f"exclusive={hist.exclusive_fraction:.3f} -> {out}")
     return EXIT_OK
 
@@ -178,6 +177,11 @@ def cmd_compare(args) -> int:
     base_dir = os.path.dirname(exp.base_config)
     cells = _experiment_cells(exp)
     baseline_cell = exp.baseline or {"scheduler": "ccws"}
+    base_name = _cell_name(baseline_cell)
+    if base_name not in map(_cell_name, cells):
+        raise ValueError(
+            f"experiment.baseline {baseline_cell} names no cell: it must "
+            f"set one value of each axis {sorted(exp.axes)}")
     out_dir = args.out or exp.out_dir or os.path.join(_default_out(), exp.name)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -197,9 +201,8 @@ def cmd_compare(args) -> int:
             faulted |= isinstance(e, AssertionError)
             print(f"cell {name} failed: {e}", file=sys.stderr)
 
-    base_name = _cell_name({k: baseline_cell[k] for k in sorted(baseline_cell)})
     if base_name not in rows:
-        print(f"baseline cell {base_name} missing or failed; cannot normalize",
+        print(f"baseline cell {base_name} failed; cannot normalize",
               file=sys.stderr)
         return EXIT_INVALID
     base_flat = rows[base_name][1]

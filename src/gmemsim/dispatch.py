@@ -6,8 +6,10 @@ range, `[0, total_blocks)`, served lowest SM id first, or in a shuffled
 order when `random_dispatch_seed` is set.  Serial dispatch gives each SM a
 contiguous range of its own from `partition_blocks`, computed once before
 launch so that batches stay whole and the maximum per-SM block load is
-minimal, and is never shuffled.  Block `i` belongs to batch `i // stride`,
-so every batch holds `stride` blocks but the last, which holds the rest.
+minimal, and is never shuffled.  Block `i` belongs to batch `i // stride`
+(the plan's stride, see `gmemsim.batching`), so every batch holds `stride`
+blocks but the last, which holds the rest.  The SM count and the stride
+are at least 1 by their config bounds, which are checked at load.
 
 The dispatcher answers three calls: `has_block(sm_id)`, whether a block is
 left for that SM; `next_block(sm_id)`, which hands it out (None exactly
@@ -48,8 +50,6 @@ def partition_blocks(total_blocks: int, num_sms: int,
     larger than an even share, batch boundaries cannot balance the load and
     the split falls back to an even block-granular partition.
     """
-    if num_sms < 1:
-        raise ValueError("num_sms must be >= 1")
     if total_blocks == 0:
         return [[0, 0] for _ in range(num_sms)]
     full, rest = divmod(total_blocks, stride)

@@ -49,7 +49,7 @@ import heapq
 from collections import deque
 from itertools import count
 
-from .batching import BatchPlan, form_batches, profile_stride
+from .batching import form_batches, profile_stride
 from .config import L1Config, RunConfig, policies_dict
 from .dispatch import DispatchKind, Dispatcher, partition_blocks
 from .dram import (CPU_AGENT, GPU_AGENT, McQueue, MemoryRequest, bank_advance,
@@ -128,16 +128,41 @@ class World:
         self.cfg = cfg
         hw = cfg.hardware
         self.kernel, self.cpu_spec = load_workload(cfg.workload)
-        if hw.max_threads_per_sm // self.kernel.warp_size < self.kernel.warps_per_block:
-            raise ValueError("one block's warps exceed the SM warp capacity")
-        for m in self.kernel.matrices:
-            if m.base_addr % cfg.page_size:
+        kernel, page = self.kernel, cfg.page_size
+        max_warps = hw.max_threads_per_sm // kernel.warp_size
+        if max_warps < kernel.warps_per_block:
+            raise ValueError(
+                f"config.hardware.max_threads_per_sm "
+                f"({hw.max_threads_per_sm}) must hold one block's "
+                f"{kernel.warps_per_block} warps of {kernel.warp_size} "
+                f"threads")
+        # coloring_hetero keeps CPU and GPU pages in rows of their own, so
+        # the CPU region's pages must miss every matrix the GPU touches
+        cpu_pages = None
+        if cfg.allocator is PagePolicy.COLORING_HETERO and self.cpu_spec:
+            lo, hi = self.cpu_spec.address_region
+            cpu_pages = (lo // page, (hi - 1) // page)
+        threads = kernel.total_blocks * kernel.threads_per_block
+        for i, m in enumerate(kernel.matrices):
+            where = f"workload.kernel.matrices[{i}]"
+            if m.base_addr % page:
                 raise ValueError(
-                    f"matrix base {m.base_addr:#x} not aligned to the "
-                    f"{cfg.page_size}-byte page size")
+                    f"{where}.base_addr ({m.base_addr:#x}) must be a "
+                    f"multiple of the {page}-byte page size")
+            # each mapping gives each thread an element index below `threads`
+            last = m.base_addr + (threads - 1) * m.element_size
+            if cpu_pages and m.accesses_per_thread \
+                    and cpu_pages[0] <= last // page \
+                    and m.base_addr // page <= cpu_pages[1]:
+                raise ValueError(
+                    f"workload.cpu_traffic.address_region [{lo}, {hi}] "
+                    f"shares pages with {where}, whose elements start at "
+                    f"bytes {m.base_addr} to {last}, but coloring_hetero "
+                    f"keeps CPU and GPU pages in separate rows")
 
-        self.plan = self._make_plan()
-        self.blocks = enumerate_blocks(self.kernel)
+        self.plan = (form_batches(kernel, cfg.stride) if cfg.stride is not None
+                     else form_batches(kernel, *profile_stride(kernel, page)))
+        self.blocks = enumerate_blocks(kernel)
 
         region = None
         if cfg.allocator is PagePolicy.COLORING_HETERO:
@@ -149,7 +174,6 @@ class World:
             bw_ratio=hw.bw_ratio, cpu_pool=hw.cpu_pool,
         )
 
-        max_warps = hw.max_threads_per_sm // self.kernel.warp_size
         self.sms = [
             SmModel(
                 sm,
@@ -225,15 +249,6 @@ class World:
         self.queued = 0
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._line = hw.l1.line_bytes
-
-    # plan -----------------------------------------------------------------
-
-    def _make_plan(self) -> BatchPlan:
-        cfg = self.cfg
-        if cfg.stride is not None:
-            return form_batches(self.kernel, cfg.stride, cfg.page_size)
-        stride, formation = profile_stride(self.kernel, cfg.page_size)
-        return form_batches(self.kernel, stride, cfg.page_size, formation)
 
     # dispatch -------------------------------------------------------------
 

@@ -162,7 +162,8 @@ def build_color_map(num_sms: int, layout: AddressLayout) -> dict[int, tuple]:
              for b in range(layout.num_banks)]
     if num_sms > len(pairs):
         raise ValueError(
-            f"{num_sms} SMs cannot each own at least one of {len(pairs)} banks")
+            f"config.hardware.num_sms ({num_sms}) must not exceed the "
+            f"{len(pairs)} GDDR banks, as each SM owns at least one")
     base, extra = divmod(len(pairs), num_sms)
     color_map, i = {}, 0
     for sm in range(num_sms):
@@ -215,10 +216,8 @@ class PageTable:
         gddr = layouts[Pool.GDDR]
         self._all_pairs = [(ch, b) for ch in range(gddr.num_channels)
                            for b in range(gddr.num_banks)]
-        sizes = {layouts[p].page_size for p in layouts}
-        if len(sizes) != 1:
-            raise ValueError("pools must share one page size")
-        self.page_size = sizes.pop()
+        # `HardwareConfig.validate` makes the pools share one page size
+        self.page_size = gddr.page_size
         if policy is PagePolicy.COLORING_HETERO and region is None:
             raise ValueError("coloring_hetero requires a frame region split")
 

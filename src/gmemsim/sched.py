@@ -91,7 +91,8 @@ class WarpState:
 class CcwsScheduler:
     """Static wavefront limiting with demote-on-stall.
 
-    The running set holds at most `capacity` warps; a long (memory) stall
+    The running set holds at most `capacity` warps (the config's
+    `running_set_warps`, at least 1 by its bound); a long (memory) stall
     demotes the warp to the pending set and the earliest-pending ready warp
     takes its place.  Round-robin among ready running warps.
     """
@@ -99,8 +100,6 @@ class CcwsScheduler:
     policy = SchedPolicy.CCWS
 
     def __init__(self, capacity: int = 2):
-        if capacity < 1:
-            raise ValueError("running set capacity must be >= 1")
         self.capacity = capacity
         self.running: list[WarpState] = []
         self.pending: list[WarpState] = []

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmemsim.batching import (Formation, batch_page_sets, block_page_set,
-                              form_batches, profile_stride, sharing_histogram)
+from gmemsim.batching import (Formation, block_page_set, form_batches,
+                              plan_to_dict, profile_stride, sharing_histogram)
 from gmemsim.workload import enumerate_blocks, load_workload
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
@@ -27,6 +27,12 @@ def brute_force_stride(kernel, page_size, max_stride=16):
     return best[0]
 
 
+def batches(spec, plan, page_size=32) -> list[tuple[list, list]]:
+    """(block ids, page set) of each batch, as `plan_to_dict` writes them."""
+    return [([tuple(b) for b in batch["block_ids"]], batch["page_set"])
+            for batch in plan_to_dict(spec, plan, page_size)["batches"]]
+
+
 def test_stride_one_when_page_is_one_row(clustered_spec):
     stride, formation = profile_stride(clustered_spec, 16)
     assert stride == 1
@@ -36,19 +42,16 @@ def test_stride_one_when_page_is_one_row(clustered_spec):
 def test_stride_two_when_page_is_two_rows(clustered_spec):
     stride, _ = profile_stride(clustered_spec, 32)
     assert stride == 2
-    plan = form_batches(clustered_spec, stride, 32)
-    assert len(plan.batches) == 2
+    plan = form_batches(clustered_spec, stride)
+    assert len(batches(clustered_spec, plan)) == 2
 
 
 def test_interleaved_stride_two(interleaved_spec):
     stride, _ = profile_stride(interleaved_spec, 16)
     assert stride == 2
-    plan = form_batches(interleaved_spec, 2, 16)
-    assert plan.batches[0] == ((0, 0, 0), (1, 0, 0))
-    assert plan.batches[1] == ((0, 1, 0), (1, 1, 0))
-    pages = batch_page_sets(interleaved_spec, plan)
-    assert pages[0] == {0, 1}
-    assert pages[1] == {2, 3}
+    plan = form_batches(interleaved_spec, 2)
+    assert batches(interleaved_spec, plan, 16) == [
+        ([(0, 0, 0), (1, 0, 0)], [0, 1]), ([(0, 1, 0), (1, 1, 0)], [2, 3])]
 
 
 def test_profile_rejects_empty_trace():
@@ -75,9 +78,9 @@ def test_profile_matches_brute_force_on_block_ranges_per_page():
 
 
 def test_form_batches_grouping(clustered_spec):
-    plan = form_batches(clustered_spec, 2, 32)
-    assert list(plan.batches) == [
-        ((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (1, 1, 0))]
+    plan = form_batches(clustered_spec, 2)
+    assert [blocks for blocks, _ in batches(clustered_spec, plan)] == [
+        [(0, 0, 0), (1, 0, 0)], [(0, 1, 0), (1, 1, 0)]]
 
 
 def test_form_batches_remainder():
@@ -87,20 +90,20 @@ def test_form_batches_remainder():
                        {"base_addr": 0, "element_size": 4, "row_len": 4,
                         "mapping": "clustered", "accesses_per_thread": 1}]},
     })
-    plan = form_batches(kernel, 2, 32)
-    assert [len(batch) for batch in plan.batches] == [2, 2, 1]
+    plan = form_batches(kernel, 2)
+    assert [len(blocks) for blocks, _ in batches(kernel, plan)] == [2, 2, 1]
 
 
 def test_form_batches_oversized_stride_collapses():
     kernel, _ = load_workload(clustered_rows_workload())
-    plan = form_batches(kernel, 99, 32)
-    assert len(plan.batches) == 1
-    assert len(plan.batches[0]) == 4
+    plan = form_batches(kernel, 99)
+    assert plan.stride == 4
+    assert [len(blocks) for blocks, _ in batches(kernel, plan)] == [4]
 
 
 def test_batches_preserve_block_order(clustered_spec):
-    plan = form_batches(clustered_spec, 2, 32)
-    flat = [b for batch in plan.batches for b in batch]
+    plan = form_batches(clustered_spec, 2)
+    flat = [b for blocks, _ in batches(clustered_spec, plan) for b in blocks]
     assert flat == enumerate_blocks(clustered_spec)
 
 
@@ -110,31 +113,22 @@ def test_block_i_is_in_batch_i_over_stride(blocks, stride):
     workload = clustered_rows_workload()
     workload["kernel"]["grid_dim"] = [blocks, 1]
     kernel, _ = load_workload(workload)
-    plan = form_batches(kernel, stride, 32)
+    plan = form_batches(kernel, stride)
     assert plan.stride == min(stride, blocks)
+    written = batches(kernel, plan)
     for i, block in enumerate(enumerate_blocks(kernel)):
-        assert block in plan.batches[i // plan.stride]
-
-
-@pytest.mark.parametrize("page_size", [0, -4096])
-def test_page_size_below_one_is_rejected(clustered_spec, page_size):
-    with pytest.raises(ValueError, match="page size must be >= 1"):
-        profile_stride(clustered_spec, page_size)
-    with pytest.raises(ValueError, match="page size must be >= 1"):
-        form_batches(clustered_spec, 2, page_size)
+        assert block in written[i // plan.stride][0]
 
 
 def test_page_sets_respect_base_addr():
     kernel, _ = load_workload(clustered_rows_workload(base_addr=64))
-    plan = form_batches(kernel, 2, 32)
-    pages = batch_page_sets(kernel, plan)
-    assert pages[0] == {2}
-    assert pages[1] == {3}
+    plan = form_batches(kernel, 2)
+    assert [pages for _, pages in batches(kernel, plan)] == [[2], [3]]
 
 
 def test_histogram_exclusive(clustered_spec):
-    plan = form_batches(clustered_spec, 2, 32)
-    hist = sharing_histogram(clustered_spec, plan)
+    plan = form_batches(clustered_spec, 2)
+    hist = sharing_histogram(clustered_spec, plan, 32)
     assert hist.bins == {0: 2}
     assert hist.total_pages == 2
     assert hist.exclusive_fraction == 1.0
@@ -142,8 +136,8 @@ def test_histogram_exclusive(clustered_spec):
 
 def test_histogram_distance_one(clustered_spec):
     # stride 1 with 32-byte pages: each page is shared by two adjacent batches
-    plan = form_batches(clustered_spec, 1, 32)
-    hist = sharing_histogram(clustered_spec, plan)
+    plan = form_batches(clustered_spec, 1)
+    hist = sharing_histogram(clustered_spec, plan, 32)
     assert hist.bins == {1: 2}
 
 
@@ -158,17 +152,16 @@ def test_histogram_matches_brute_force(blocks, stride, page_rows):
                         "mapping": "clustered", "accesses_per_thread": 1}]},
     })
     page = 16 * page_rows
-    plan = form_batches(kernel, stride, page)
-    hist = sharing_histogram(kernel, plan)
+    plan = form_batches(kernel, stride)
+    hist = sharing_histogram(kernel, plan, page)
     # page-by-page scan, independent of the histogram implementation
     accessors = {}
-    for batch_id, batch in enumerate(plan.batches):
-        for blk in batch:
-            for p in block_page_set(kernel, blk, page):
-                accessors.setdefault(p, set()).add(batch_id)
+    for i, blk in enumerate(enumerate_blocks(kernel)):
+        for p in block_page_set(kernel, blk, page):
+            accessors.setdefault(p, set()).add(i // plan.stride)
     expected = {}
-    for p, batches in accessors.items():
-        d = max(batches) - min(batches)
+    for p, owners in accessors.items():
+        d = max(owners) - min(owners)
         expected[d] = expected.get(d, 0) + 1
     assert hist.bins == expected
     assert hist.total_pages == len(accessors)
@@ -182,6 +175,6 @@ def test_exclusive_fraction_nonincreasing_when_page_doubles(clustered_spec):
     for page in (16, 32, 64):
         stride, _ = profile_stride(clustered_spec, page)
         hist = sharing_histogram(clustered_spec,
-                                 form_batches(clustered_spec, stride, page))
+                                 form_batches(clustered_spec, stride), page)
         fracs.append(hist.exclusive_fraction)
     assert fracs[0] >= fracs[1] >= fracs[2] or fracs == sorted(fracs)

@@ -234,17 +234,30 @@ def kernel_of_256_thread_blocks() -> dict:
 REJECTED_BY_WORLD = {
     "unaligned matrix base": (
         {"workload.kernel.matrices[0].base_addr": 100},
-        "matrix base 0x64 not aligned to the 32-byte page size"),
+        "workload.kernel.matrices[0].base_addr (0x64) must be a multiple of "
+        "the 32-byte page size"),
     "no memory access to profile": (
         {"workload.kernel.matrices[0].accesses_per_thread": 0},
         "kernel issues no memory accesses"),
     "more SMs than GDDR banks": (
         {"config.hardware": {"num_sms": 40}},
-        "40 SMs cannot each own at least one of 32 banks"),
+        "config.hardware.num_sms (40) must not exceed the 32 GDDR banks, as "
+        "each SM owns at least one"),
     "a block too wide for an SM": (
         {"workload.kernel": kernel_of_256_thread_blocks(),
          "config.hardware.max_threads_per_sm": 32},
-        "one block's warps exceed the SM warp capacity"),
+        "config.hardware.max_threads_per_sm (32) must hold one block's 8 "
+        "warps of 32 threads"),
+    # before World rejected it, this run faulted at cycle 10 on a CPU
+    # request to a page that an SM had placed in the GPU's rows
+    "a CPU region over a matrix under coloring_hetero": (
+        {"config.allocator": "coloring_hetero",
+         "config.hardware.cpu_pool": "gddr",
+         "workload.cpu_traffic.request_rate": 1000,
+         "workload.cpu_traffic.address_region": [0, 2048]},
+        "workload.cpu_traffic.address_region [0, 2048] shares pages with "
+        "workload.kernel.matrices[0], whose elements start at bytes 0 to 60, "
+        "but coloring_hetero keeps CPU and GPU pages in separate rows"),
 }
 
 
@@ -268,6 +281,28 @@ def test_validate_rejects_what_run_rejects(case, command, tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out)]) == EXIT_INVALID
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("allocator, cpu_pool", [
+    ("coloring_hetero", "gddr"), ("coloring_hetero", "ddr"),
+    ("coloring", "gddr")])
+@pytest.mark.parametrize("region", [[64, 128], [63, 128], [0, 33]])
+def test_only_coloring_hetero_rejects_a_cpu_region_on_a_matrix_page(
+        allocator, cpu_pool, region):
+    # the matrix's 16 words fill the 32-byte pages 0 and 1.  Under
+    # coloring_hetero with the CPU in DDR, a CPU request to a page an SM
+    # placed in GDDR faults too, so the pool does not matter
+    config = base_config()
+    _set_path(config, "config.allocator", allocator)
+    _set_path(config, "config.hardware.cpu_pool", cpu_pool)
+    _set_path(config, "workload.cpu_traffic.address_region", region)
+    cfg = config_from_dict(config)
+    if allocator == "coloring_hetero" and region[0] < 64:
+        with pytest.raises(ValueError, match=r"address_region \[.*\] shares "
+                           r"pages with workload\.kernel\.matrices\[0\]"):
+            World(cfg)
+    else:
+        World(cfg)
 
 
 def test_validate_accepts_the_base_config(tmp_path):
@@ -348,6 +383,37 @@ def test_compare_exits_3_for_invalid_cells_and_4_for_a_fault(
         for h in INVALID_CELL_AXES["horizon"] for s in schedulers}
 
 
+def test_compare_rejects_a_baseline_that_names_no_cell_before_any_runs(
+        tmp_path, capsys):
+    # the default baseline sets only the scheduler, but every cell also
+    # sets a horizon
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": {"scheduler": ["ccws"], "horizon": [10_000, 20_000]}})
+    out = tmp_path / "out"
+    assert main(["compare", "--experiment", path,
+                 "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "experiment.baseline {'scheduler': 'ccws'} names no cell: it " \
+        "must set one value of each axis ['horizon', 'scheduler']" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_compare_exits_3_when_its_baseline_cell_fails(tmp_path, capsys):
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": dict(INVALID_CELL_AXES, scheduler=["ccws"]),
+        "baseline": {"horizon": -1, "scheduler": "ccws"}})
+    out = tmp_path / "out"
+    assert main(["compare", "--experiment", path,
+                 "--out", str(out)]) == EXIT_INVALID
+    assert "baseline cell horizon--1__scheduler-ccws failed; cannot " \
+        "normalize" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("allocator", ["first_touch", "coloring"])
 def test_pool_exhaustion_exits_3(allocator, tmp_path, capsys):
     # a 64 KiB matrix (16 pages) over a GDDR pool of one row of 4 banks of
@@ -376,8 +442,8 @@ def test_profile_writes_the_plan(tmp_path):
     world = World(config_from_dict(config))
     assert (plan["page_size"], plan["stride"]) == (32, 2)
     assert {k: v for k, v in plan.items() if k != "sharing_histogram"} \
-        == plan_to_dict(world.kernel, world.plan)
-    hist = sharing_histogram(world.kernel, world.plan)
+        == plan_to_dict(world.kernel, world.plan, 32)
+    hist = sharing_histogram(world.kernel, world.plan, 32)
     assert plan["sharing_histogram"] == {
         "bins": {str(k): v for k, v in hist.bins.items()},
         "total_pages": hist.total_pages,
