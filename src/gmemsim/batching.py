@@ -7,8 +7,8 @@ SM-bound page coloring.
 
 One rule defines the batches: block `i`, in `enumerate_blocks` order, belongs
 to batch `i // stride`, so a `BatchPlan` is its stride and how it was formed.
-Batches and their page sets are worked out only where they are written out,
-by `plan_to_dict` and `sharing_histogram`, at the page size they are given.
+Batches, their page sets and the sharing histogram are worked out only where
+they are written out, by `plan_to_dict`, at the page size it is given.
 Neither input is checked here: a stride is at least 1 by the bound on
 `config.stride`, and a page size is `1 << page_offset_bits`.
 """
@@ -41,21 +41,6 @@ class BatchPlan:
 
     stride: int
     formation: Formation
-
-
-@dataclass(frozen=True)
-class SharingHistogram:
-    """bins[d] counts pages whose accessor batches span a batch-index
-    distance of d; bin 0 is pages exclusive to one batch."""
-
-    bins: dict[int, int]
-    total_pages: int
-
-    @property
-    def exclusive_fraction(self) -> float:
-        if self.total_pages == 0:
-            return 1.0
-        return self.bins.get(0, 0) / self.total_pages
 
 
 def block_page_set(spec: KernelSpec, block_id, page_size: int,
@@ -150,19 +135,16 @@ def form_batches(spec: KernelSpec, stride: int,
     return BatchPlan(stride=min(stride, spec.total_blocks), formation=formation)
 
 
-def sharing_histogram(spec: KernelSpec, plan: BatchPlan,
-                      page_size: int) -> SharingHistogram:
-    """Distance histogram of page sharing across the plan's batches, at the
-    declared matrix base addresses."""
-    bins = _span_bins([block_page_set(spec, b, page_size)
-                       for b in enumerate_blocks(spec)], plan.stride)
-    return SharingHistogram(bins=bins, total_pages=sum(bins.values()))
-
-
 def plan_to_dict(spec: KernelSpec, plan: BatchPlan, page_size: int) -> dict:
-    """The plan with each batch's block ids and virtual pages, at the
-    declared matrix base addresses (the runtime view)."""
+    """The plan with each batch's block ids and virtual pages, and the
+    distance histogram of page sharing across its batches, all at the
+    declared matrix base addresses (the runtime view).  Histogram bin d
+    counts the pages whose accessor batches span a batch-index distance of
+    d; bin 0 is the pages exclusive to one batch."""
     blocks, stride = enumerate_blocks(spec), plan.stride
+    block_pages = [block_page_set(spec, b, page_size) for b in blocks]
+    bins = _span_bins(block_pages, stride)
+    total = sum(bins.values())
     return {
         "schema_version": PLAN_SCHEMA_VERSION,
         "stride": plan.stride,
@@ -170,12 +152,16 @@ def plan_to_dict(spec: KernelSpec, plan: BatchPlan, page_size: int) -> dict:
         "page_size": page_size,
         "batches": [
             {
-                "batch_id": k,
-                "block_ids": [list(b) for b in batch],
+                "batch_id": i // stride,
+                "block_ids": [list(b) for b in blocks[i:i + stride]],
                 "page_set": sorted(frozenset().union(
-                    *(block_page_set(spec, b, page_size) for b in batch))),
+                    *block_pages[i:i + stride])),
             }
-            for k, batch in enumerate(blocks[i:i + stride]
-                                      for i in range(0, len(blocks), stride))
+            for i in range(0, len(blocks), stride)
         ],
+        "sharing_histogram": {
+            "bins": {str(d): n for d, n in sorted(bins.items())},
+            "total_pages": total,
+            "exclusive_fraction": bins.get(0, 0) / total if total else 1.0,
+        },
     }

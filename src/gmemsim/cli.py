@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .batching import plan_to_dict, sharing_histogram
+from .batching import plan_to_dict
 from .config import config_from_dict, load_config
 from .engine import BANK_COUNTERS, World
 from .loader import from_dict, strip_version
@@ -105,26 +105,21 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     # the World that `run` builds, so the plan is the one `run` follows
     world = World(load_config(args.config))
-    kernel, plan, page_size = world.kernel, world.plan, world.cfg.page_size
-    hist = sharing_histogram(kernel, plan, page_size)
+    kernel, plan = world.kernel, world.plan
     if plan.formation.value == "fallback":
         print("warning: no fixed stride suppresses page sharing well; "
               "plan marked fallback", file=sys.stderr)
     out = args.out or os.path.join(_default_out(), f"{kernel.name}_plan.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    payload = plan_to_dict(kernel, plan, page_size)
-    payload["sharing_histogram"] = {
-        "bins": {str(k): v for k, v in sorted(hist.bins.items())},
-        "total_pages": hist.total_pages,
-        "exclusive_fraction": hist.exclusive_fraction,
-    }
+    payload = plan_to_dict(kernel, plan, world.cfg.page_size)
     with open(out, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+    exclusive = payload["sharing_histogram"]["exclusive_fraction"]
     print(f"{kernel.name}: stride={plan.stride} "
           f"formation={plan.formation.value} "
           f"batches={len(payload['batches'])} "
-          f"exclusive={hist.exclusive_fraction:.3f} -> {out}")
+          f"exclusive={exclusive:.3f} -> {out}")
     return EXIT_OK
 
 

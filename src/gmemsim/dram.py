@@ -60,7 +60,7 @@ GPU_AGENT = "gpu"
 CPU_AGENT = "cpu"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MemoryRequest:
     """One DRAM transaction with its origin and lifecycle timestamps."""
 
@@ -96,13 +96,7 @@ class McQueue:
     requester; nothing is ever dropped.
 
     `fifos[b]` holds bank b's waiting requests in arrival order as
-    (arrival number, request) pairs; `len` is a running count.  `has_ready`
-    answers whether `mc_pick` would issue now from a cached next-ready
-    cycle, the smallest `busy_until` among the banks with waiting requests.
-    An enqueue lowers the cache and a pick drops it, to be recomputed in
-    O(banks) when next asked.  The cache relies on one condition: bank state
-    changes only through `bank_advance`, on the bank just picked, before
-    `has_ready` is asked again."""
+    (arrival number, request) pairs; `len` is a running count."""
 
     def __init__(self, capacity: int = 64,
                  arbitration: Arbitration = Arbitration.FR_FCFS,
@@ -115,7 +109,6 @@ class McQueue:
             [] for _ in range(num_banks)]
         self._count = 0
         self._arrivals = 0
-        self._next_ready: int | None = None  # None: recompute when asked
 
     def __len__(self):
         return self._count
@@ -127,26 +120,18 @@ class McQueue:
         self.fifos[req.bank].append((self._arrivals, req))
         self._arrivals += 1
         self._count += 1
-        if self._next_ready is not None:
-            self._next_ready = min(self._next_ready,
-                                   self.banks[req.bank].busy_until)
         return True
 
     def has_ready(self, cycle: int) -> bool:
         """Whether some waiting request's bank is free, i.e. whether
         `mc_pick` would return a request this cycle."""
-        if not self._count:
-            return False
-        if self._next_ready is None:
-            self._next_ready = min(self.banks[b].busy_until
-                                   for b, fifo in enumerate(self.fifos) if fifo)
-        return self._next_ready <= cycle
+        return self._count > 0 and any(
+            fifo and bank.busy_until <= cycle
+            for fifo, bank in zip(self.fifos, self.banks))
 
     def take(self, bank: int, idx: int) -> MemoryRequest:
-        """Remove and return bank `bank`'s `idx`-th waiting request.  The
-        bank is about to be advanced, so the cache is dropped."""
+        """Remove and return bank `bank`'s `idx`-th waiting request."""
         self._count -= 1
-        self._next_ready = None
         return self.fifos[bank].pop(idx)[1]
 
 

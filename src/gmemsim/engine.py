@@ -4,31 +4,36 @@ Each cycle runs a fixed phase order: (1) dispatch fills idle SM slots, (2)
 each SM flagged issuable, in SM-id order, issues at most one warp
 instruction, with L1 lookup and back-pressure aware request injection, (3)
 pending CPU traffic enters the controller queues, (4) each controller that
-is due (`has_ready`: a waiting request's bank is free) picks and issues one
-request, and the others are not visited, (5) the SMs with replies waiting,
-in SM-id order, drain them subject to the network's bandwidth, and bank
-completions enter it, (6) counters update.  Given one config and seed the
-whole run is bit-reproducible.
+is due (a waiting request's bank is free) picks and issues one request, in
+`mc_queues` order, and the others are not visited, (5) the SMs with replies
+waiting, in SM-id order, drain them subject to the network's bandwidth, and
+bank completions enter it, (6) counters update.  Given one config and seed
+the whole run is bit-reproducible.
+
+Every timed event is one `(cycle, seq, fire, args)` entry on one heap,
+`World.calendar`, and each step and each skip check first fires the ones
+due.  A warp left with no outstanding reads and a slot to go wakes at
+`cycle + 1 + compute_gap`, into its SM's `scheduler.wake`.  A due CPU
+arrival is handed over and the next drawn from `gen_cpu_traffic`'s iterator
+onto `World.cpu_stream`, so the stream's cost follows the cycles simulated,
+not the horizon; `cpu_stream[cpu_sent:cpu_next]` are the arrivals held back
+by a full queue, the first translated once and kept in `cpu_head`, as a
+warp's slot keeps its lines in `WarpState.lines`.  A bank completion is
+held in `completing` for phase 5, so the order of work within a cycle does
+not change.  No controller is polled: `World.due` holds those with a
+waiting request whose bank is free, updated by an enqueue into a free bank
+(`_enqueue`, which GPU and CPU requests share), by a completion whose bank
+has requests waiting, and by a `has_ready` recheck after each pick.
 
 Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
-decides both, and each source answers for itself: the dispatcher through
-`has_block` (asked only after a warp finished, since nothing else frees an
-SM's room), the schedulers through `World.issuable`, the replying SMs
-through `World.replying` and `World.overflowed`, the controllers through
-their cached `has_ready`, the CPU stream through its cursors.  That stream
-is drawn lazily from `gen_cpu_traffic`'s iterator onto `World.cpu_stream`,
-at most one arrival ahead of the clock, so its cost follows the cycles
-simulated, not the horizon; `cpu_next_at` is the cycle of the arrival drawn
-ahead, and `cpu_stream[cpu_sent:cpu_next]` the arrivals held back by a full
-queue, the first of them translated once and kept in `cpu_head`, as a
-warp's slot keeps its lines in `WarpState.lines`.  Warp wake-ups are timed
-by `World` alone: a warp left with no outstanding reads and a slot to go
-gets `ready_at = cycle + 1 + compute_gap` and an entry in one `(ready_at,
-seq, sm, warp)` heap, and each step and each skip check first hands every
-due entry to its SM's `scheduler.wake`.  The jump never crosses an event
-boundary, so per-cycle state along the executed prefix is identical to the
-unskipped loop.
+decides both, and each source answers for itself: the calendar through its
+top, the dispatcher through `has_block` (asked only after a warp finished,
+since nothing else frees an SM's room), the schedulers through
+`World.issuable`, the controllers through `World.due`, the replying SMs
+through `World.replying` and `World.overflowed`, the CPU stream through its
+cursors.  The jump never crosses an event boundary, so per-cycle state along
+the executed prefix is identical to the unskipped loop.
 
 `World.issuable` holds the SMs whose scheduler's `has_issuable()` is True.
 One rule keeps it current: `_recheck` asks again after every engine action
@@ -201,11 +206,13 @@ class World:
             for pool in sorted(self.pools, key=lambda p: p.value)
             for ch in range(self.pools[pool].layout.num_channels)}
 
+        # (cycle, seq, fire, args) per timed event; `fire(*args)` at `cycle`
+        self.calendar: list[tuple] = []
+        self._seq = count()
         # the CPU stream is drawn as the run reaches it: `cpu_stream` holds
         # the arrivals drawn so far, the first `cpu_next` of them handed
         # over and the first `cpu_sent` enqueued; `cpu_head` is the request
-        # of a held-back `cpu_stream[cpu_sent]`, and `cpu_next_at` the cycle
-        # of the one drawn ahead (None once the stream has ended)
+        # of a held-back `cpu_stream[cpu_sent]`
         self.cpu_arrivals = iter(())
         if self.cpu_spec is not None and cfg.horizon > 0:
             self.cpu_arrivals = gen_cpu_traffic(self.cpu_spec, cfg.horizon)
@@ -219,9 +226,10 @@ class World:
         self.finished_warps = 0
         self.total_warps = len(self.blocks) * self.kernel.warps_per_block
         self.log: list[MemoryRequest] = []
-        self.completions: dict[int, list] = {}
-        # requests in service, one per busy bank
+        # requests in service, one per busy bank, and the ones whose
+        # completion fired this cycle, held for the reply phase
         self.in_service = 0
+        self.completing: list[MemoryRequest] = []
         self.completed = 0
         self.blp_sum = 0
         self.blp_cycles = 0
@@ -235,18 +243,16 @@ class World:
         # set when an SM may have gained room since the last dispatch phase
         self.room_freed = True
         self.warp_index: dict[int, WarpState] = {}
-        # (ready_at, seq, sm, warp) for each warp with no outstanding reads
-        # whose ready_at is still ahead
-        self.wakeups: list[tuple] = []
-        self._wake_seq = count()
         # ids of the SMs whose scheduler has a warp to issue
         self.issuable: set[int] = set()
         # ids of the SMs with a reply queued or overflowed, and the number of
         # overflowed replies
         self.replying: set[int] = set()
         self.overflowed = 0
-        # requests waiting in the controller queues
+        # requests waiting in the controller queues, and the keys of the
+        # controllers with a waiting request whose bank is free
         self.queued = 0
+        self.due: set[tuple] = set()
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._line = hw.l1.line_bytes
 
@@ -409,13 +415,11 @@ class World:
                 req = self._make_request(
                     pool, d, is_read, GPU_AGENT, sm.sm_id, warp.warp_id,
                     warp.batch_id, line, self.cycle)
-                if not queues[qkey].enqueue(req, self.cycle):
+                if not self._enqueue(qkey, req):
                     raise SimulationFault(self.cycle, "queue overflow after space check")
-                self.log.append(req)
                 if is_read:
                     warp.pending += 1
                     stalled = True
-            self.queued += len(sends)
             warp.lines = None
             warp.next_slot += 1
             sm.scheduler.on_issue(warp)
@@ -433,20 +437,16 @@ class World:
             self._finish_warp(sm, warp)
             return
         warp.ready_at = self.cycle + 1 + self.kernel.compute_gap
-        heapq.heappush(self.wakeups,
-                       (warp.ready_at, next(self._wake_seq), sm, warp))
+        self._at(warp.ready_at, self._wake, sm, warp)
 
-    def _wake_due(self):
-        """Hand every wake-up due by this cycle to its SM's scheduler."""
-        heap = self.wakeups
-        while heap and heap[0][0] <= self.cycle:
-            _, _, sm, warp = heapq.heappop(heap)
-            if not warp.is_ready(self.cycle):
-                raise SimulationFault(
-                    self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
-                    "which is not ready")
-            sm.scheduler.wake(warp)
-            self._recheck(sm)
+    def _wake(self, sm: SmModel, warp: WarpState):
+        """Hand a warp whose wake-up is due to its SM's scheduler."""
+        if not warp.is_ready(self.cycle):
+            raise SimulationFault(
+                self.cycle, f"woke warp {warp.warp_id} on SM {sm.sm_id}, "
+                "which is not ready")
+        sm.scheduler.wake(warp)
+        self._recheck(sm)
 
     def _finish_warp(self, sm: SmModel, warp: WarpState):
         warp.finished = True
@@ -462,23 +462,22 @@ class World:
     # cpu traffic ------------------------------------------------------------
 
     def _draw_cpu(self):
-        """Draw the next CPU arrival onto `cpu_stream` and set `cpu_next_at`
-        to its cycle, or to None when the stream has ended."""
+        """Draw the next CPU arrival onto `cpu_stream` and put its hand-over
+        on the calendar; nothing once the stream has ended."""
         ev = next(self.cpu_arrivals, None)
-        if ev is None:
-            self.cpu_next_at = None
-        else:
+        if ev is not None:
             self.cpu_stream.append(ev)
-            self.cpu_next_at = ev.cycle
+            self._at(ev.cycle, self._arrive)
+
+    def _arrive(self):
+        """Hand over the arrival drawn ahead, and draw the next."""
+        self.cpu_next += 1
+        self._draw_cpu()
 
     def _phase_cpu(self):
-        """Hand over the arrivals due by this cycle, then enqueue the waiting
-        ones in arrival order, up to the first whose queue is full.  Each is
-        translated at its first attempt, and a held-back head keeps its
-        request in `cpu_head` for the next."""
-        while self.cpu_next_at is not None and self.cpu_next_at <= self.cycle:
-            self.cpu_next += 1
-            self._draw_cpu()
+        """Enqueue the arrivals handed over, in arrival order, up to the
+        first whose queue is full.  Each is translated at its first attempt,
+        and a held-back head keeps its request in `cpu_head` for the next."""
         while self.cpu_sent < self.cpu_next:
             req = self.cpu_head
             if req is None:
@@ -486,26 +485,52 @@ class World:
                 pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
                 req = self.cpu_head = self._make_request(
                     pool, d, ev.is_read, CPU_AGENT, -1, -1, -1, line, ev.cycle)
-            if not self.mc_queues[(Pool(req.pool), req.channel)].enqueue(
-                    req, self.cycle):
+            if not self._enqueue((Pool(req.pool), req.channel), req):
                 break
             self.cpu_head = None
             self.cpu_sent += 1
-            self.log.append(req)
-            self.queued += 1
 
     # memory controllers ------------------------------------------------------
 
+    def _enqueue(self, key: tuple, req: MemoryRequest) -> bool:
+        """Enqueue `req` into controller `key` and log it; False, with
+        nothing changed, when the queue is full.  A controller that gets a
+        request for a free bank is due."""
+        q = self.mc_queues[key]
+        if not q.enqueue(req, self.cycle):
+            return False
+        self.log.append(req)
+        self.queued += 1
+        if q.banks[req.bank].busy_until <= self.cycle:
+            self.due.add(key)
+        return True
+
     def _phase_mc(self):
-        for (pool, _), q in self.mc_queues.items():
-            if not q.has_ready(self.cycle):
-                continue
+        """Each due controller, in `mc_queues` order, picks and issues one
+        request, and its completion goes on the calendar.  Keys sort as
+        `mc_queues` is built, by pool name, then channel; two completions
+        in one cycle enter the reply network in pick order."""
+        for key in sorted(self.due):
+            q = self.mc_queues[key]
             req = mc_pick(q, self.cycle)
+            if req is None:
+                raise SimulationFault(
+                    self.cycle, f"{key[0].value} channel {key[1]} is due, "
+                    "but its controller picked no request")
             self.queued -= 1
             done = bank_advance(q.banks[req.bank], req,
-                                self.pools[pool].timing, self.cycle)
+                                self.pools[key[0]].timing, self.cycle)
             self.in_service += 1
-            self.completions.setdefault(done, []).append(req)
+            self._at(done, self._complete, key, req)
+            if not q.has_ready(self.cycle):
+                self.due.discard(key)
+
+    def _complete(self, key: tuple, req: MemoryRequest):
+        """`req`'s bank is free: its controller is due if the bank has more
+        waiting, and `req` waits for this cycle's reply phase."""
+        if self.mc_queues[key].fifos[req.bank]:
+            self.due.add(key)
+        self.completing.append(req)
 
     # reply network ------------------------------------------------------------
 
@@ -536,8 +561,7 @@ class World:
                 self.overflowed -= 1
             if not (queue or overflow):
                 self.replying.discard(sm_id)
-        due = self.completions.pop(self.cycle, [])
-        for req in due:
+        for req in self.completing:
             self.in_service -= 1
             self.completed += 1
             if req.agent == GPU_AGENT and req.is_read:
@@ -548,6 +572,7 @@ class World:
                     sm.reply_overflow.append(req)
                     self.overflowed += 1
                 self.replying.add(req.sm_id)
+        self.completing.clear()
         self.reply_stalls += self.overflowed
 
     # main loop ------------------------------------------------------------
@@ -585,8 +610,19 @@ class World:
             self.blp_cycles += cycles
         self.cycle += cycles
 
+    def _at(self, cycle: int, fire, *args):
+        """Put `fire(*args)` on the calendar for `cycle`."""
+        heapq.heappush(self.calendar, (cycle, next(self._seq), fire, args))
+
+    def _fire_due(self):
+        """Fire the calendar's entries due by now, in (cycle, seq) order."""
+        calendar = self.calendar
+        while calendar and calendar[0][0] <= self.cycle:
+            _, _, fire, args = heapq.heappop(calendar)
+            fire(*args)
+
     def step(self):
-        self._wake_due()
+        self._fire_due()
         self._phase_dispatch()
         self._phase_issue()
         self._phase_cpu()
@@ -599,41 +635,27 @@ class World:
         """The current cycle if a step now could change any state, else the
         earliest cycle at which one could, or None when no event is pending.
 
-        Each event source is listed once and answers for itself: the
-        dispatcher through `has_block`, the schedulers through the set
-        `issuable` (rechecked after every hook), the reply network through
-        the overflow count and the queue heads of the replying SMs only, the
-        controllers through `has_ready`, the CPU stream through its arrivals
-        held back, `cpu_stream[cpu_sent:cpu_next]`, and `cpu_next_at`, the
-        cycle of its one arrival drawn ahead.  Warp wake-ups come from
-        `World`'s own heap: the due ones are handed to the schedulers first,
-        which may add their SMs to `issuable`, so its top is the next cycle
-        at which a waiting warp becomes ready.  A controller becomes ready
-        only when a bank completes, which `completions` already lists."""
+        The calendar's due entries fire first, as in a step, and each shows
+        in a source below: a wake-up in `issuable`, an arrival in the CPU
+        arrivals held back, a completion in `completing` and `due`.  The
+        reply network answers through the overflow count and the queue
+        heads of the replying SMs only, the dispatcher through `has_block`,
+        and the calendar's top is the next timed event."""
         now = self.cycle
-        self._wake_due()
-        # CPU requests held back by a full queue, and overflowed replies
-        if self.cpu_sent < self.cpu_next or self.overflowed:
+        self._fire_due()
+        if (self.cpu_sent < self.cpu_next or self.overflowed or self.completing
+                or self.issuable or self.due):
             return now
         # reply deliveries (with no reply overflowed, every replying SM has
-        # one queued), bank completions, CPU arrivals and warp wake-ups
+        # one queued) and the next timed event
         events = [self.sms[i].reply_queue[0][0] for i in self.replying]
-        if self.completions:
-            events.append(min(self.completions))
-        if self.cpu_next_at is not None:
-            events.append(self.cpu_next_at)
-        if self.wakeups:
-            events.append(self.wakeups[0][0])
+        if self.calendar:
+            events.append(self.calendar[0][0])
         if events and min(events) <= now:
             return now
         # an SM with room and a block left for it
         if self.room_freed and len(self.dispatch_log) < len(self.blocks) \
                 and any(self._wants_block(sm) for sm in self.sms):
-            return now
-        # a warp to issue, then a queued request whose bank is free
-        if self.issuable:
-            return now
-        if any(q.has_ready(now) for q in self.mc_queues.values()):
             return now
         return min(events, default=None)
 

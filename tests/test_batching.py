@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmemsim.batching import (Formation, block_page_set, form_batches,
-                              plan_to_dict, profile_stride, sharing_histogram)
+                              plan_to_dict, profile_stride)
 from gmemsim.workload import enumerate_blocks, load_workload
 
 from conftest import clustered_rows_workload, interleaved_grid_workload
@@ -31,6 +31,11 @@ def batches(spec, plan, page_size=32) -> list[tuple[list, list]]:
     """(block ids, page set) of each batch, as `plan_to_dict` writes them."""
     return [([tuple(b) for b in batch["block_ids"]], batch["page_set"])
             for batch in plan_to_dict(spec, plan, page_size)["batches"]]
+
+
+def histogram(spec, plan, page_size) -> dict:
+    """The sharing histogram that `plan_to_dict` writes."""
+    return plan_to_dict(spec, plan, page_size)["sharing_histogram"]
 
 
 def test_stride_one_when_page_is_one_row(clustered_spec):
@@ -128,17 +133,17 @@ def test_page_sets_respect_base_addr():
 
 def test_histogram_exclusive(clustered_spec):
     plan = form_batches(clustered_spec, 2)
-    hist = sharing_histogram(clustered_spec, plan, 32)
-    assert hist.bins == {0: 2}
-    assert hist.total_pages == 2
-    assert hist.exclusive_fraction == 1.0
+    hist = histogram(clustered_spec, plan, 32)
+    assert hist["bins"] == {"0": 2}
+    assert hist["total_pages"] == 2
+    assert hist["exclusive_fraction"] == 1.0
 
 
 def test_histogram_distance_one(clustered_spec):
     # stride 1 with 32-byte pages: each page is shared by two adjacent batches
     plan = form_batches(clustered_spec, 1)
-    hist = sharing_histogram(clustered_spec, plan, 32)
-    assert hist.bins == {1: 2}
+    hist = histogram(clustered_spec, plan, 32)
+    assert hist["bins"] == {"1": 2}
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,7 +158,7 @@ def test_histogram_matches_brute_force(blocks, stride, page_rows):
     })
     page = 16 * page_rows
     plan = form_batches(kernel, stride)
-    hist = sharing_histogram(kernel, plan, page)
+    hist = histogram(kernel, plan, page)
     # page-by-page scan, independent of the histogram implementation
     accessors = {}
     for i, blk in enumerate(enumerate_blocks(kernel)):
@@ -162,10 +167,10 @@ def test_histogram_matches_brute_force(blocks, stride, page_rows):
     expected = {}
     for p, owners in accessors.items():
         d = max(owners) - min(owners)
-        expected[d] = expected.get(d, 0) + 1
-    assert hist.bins == expected
-    assert hist.total_pages == len(accessors)
-    assert sum(hist.bins.values()) == hist.total_pages
+        expected[str(d)] = expected.get(str(d), 0) + 1
+    assert hist["bins"] == expected
+    assert hist["total_pages"] == len(accessors)
+    assert sum(hist["bins"].values()) == hist["total_pages"]
 
 
 def test_exclusive_fraction_nonincreasing_when_page_doubles(clustered_spec):
@@ -174,7 +179,7 @@ def test_exclusive_fraction_nonincreasing_when_page_doubles(clustered_spec):
     fracs = []
     for page in (16, 32, 64):
         stride, _ = profile_stride(clustered_spec, page)
-        hist = sharing_histogram(clustered_spec,
-                                 form_batches(clustered_spec, stride), page)
-        fracs.append(hist.exclusive_fraction)
+        hist = histogram(clustered_spec,
+                         form_batches(clustered_spec, stride), page)
+        fracs.append(hist["exclusive_fraction"])
     assert fracs[0] >= fracs[1] >= fracs[2] or fracs == sorted(fracs)

@@ -2,15 +2,17 @@
 `compare`, and the messages of malformed input."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
 import typing
+from collections import Counter
 
 import pytest
 
 from conftest import interleaved_grid_workload, small_hardware
-from gmemsim.batching import plan_to_dict, sharing_histogram
+from gmemsim.batching import plan_to_dict
 from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
                          main)
 from gmemsim.config import RunConfig, config_from_dict
@@ -25,6 +27,15 @@ def base_config() -> dict:
                                "address_region": [4096, 8192]}
     return {"workload": workload, "horizon": 10_000,
             "hardware": small_hardware()}
+
+
+def cpu_config() -> dict:
+    """`base_config` with CPU requests dense enough that its run enqueues
+    some (7, in 78 cycles) before the GPU finishes; `base_config`'s ends at
+    cycle 30 with none."""
+    config = base_config()
+    config["workload"]["cpu_traffic"]["request_rate"] = 200
+    return config
 
 
 def write(path, obj) -> str:
@@ -45,6 +56,19 @@ def test_run_exits_0_when_complete_and_2_when_truncated(tmp_path):
     assert main(["run", "--config", path, "--out", out]) == EXIT_TRUNCATED
     with open(out) as f:
         assert json.load(f)["truncated"]
+
+
+def test_run_trace_logs_the_cpu_requests(tmp_path):
+    path = write(tmp_path / "config.json", cpu_config())
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--trace"]) == EXIT_OK
+    report = json.loads(out.read_text())
+    with open(tmp_path / "report_trace" / "requests.csv") as f:
+        agents = Counter(row["agent"] for row in csv.DictReader(f))
+    assert report["cpu_requests"] > 0
+    assert agents == {"cpu": report["cpu_requests"],
+                      "gpu": report["gpu_requests"]}
 
 
 DELETE = object()
@@ -441,14 +465,10 @@ def test_profile_writes_the_plan(tmp_path):
     plan = json.loads(out.read_text())
     world = World(config_from_dict(config))
     assert (plan["page_size"], plan["stride"]) == (32, 2)
-    assert {k: v for k, v in plan.items() if k != "sharing_histogram"} \
-        == plan_to_dict(world.kernel, world.plan, 32)
-    hist = sharing_histogram(world.kernel, world.plan, 32)
+    assert plan == plan_to_dict(world.kernel, world.plan, 32)
+    # each batch holds one block-row, on a page of its own
     assert plan["sharing_histogram"] == {
-        "bins": {str(k): v for k, v in hist.bins.items()},
-        "total_pages": hist.total_pages,
-        "exclusive_fraction": hist.exclusive_fraction,
-    }
+        "bins": {"0": 2}, "total_pages": 2, "exclusive_fraction": 1.0}
     blocks = [tuple(b) for batch in plan["batches"] for b in batch["block_ids"]]
     assert blocks == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 

@@ -129,7 +129,7 @@ ALL_GOLDEN = {**GOLDEN, **STARVATION_GOLDEN, **BENCH_GOLDEN}
 
 
 def run_report(config: dict, *, skip: bool = True):
-    world = World(config_from_dict(config))
+    world = World(config_from_dict(config), collect_issue_log=True)
     if not skip:  # every cycle looks eventful, so none is skipped
         world._next_event_cycle = lambda: world.cycle
     return world.run(), world
@@ -300,25 +300,43 @@ RUN_CONFIGS = st.builds(
 @settings(max_examples=25, deadline=None)
 @given(config=RUN_CONFIGS)
 def test_skipping_matches_the_per_cycle_loop(config):
-    # truncated reports are compared too; a controller's cached readiness
-    # feeds the skip check
-    skipped, _ = run_report(config)
-    stepped, _ = run_report(config, skip=False)
+    # truncated reports are compared too, and so are the logs: an event
+    # fired a cycle late can leave the report as it was but moves them
+    skipped, world = run_report(config)
+    stepped, ref = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+    assert world.dispatch_log == ref.dispatch_log
+    assert world.issue_log == ref.issue_log
+    assert [(r.t_enqueue, r.t_issue, r.t_complete) for r in world.log] \
+        == [(r.t_enqueue, r.t_issue, r.t_complete) for r in ref.log]
 
 
 def assert_running_indexes_match_a_rescan(world: World):
     assert world.issuable == {sm.sm_id for sm in world.sms
                               if sm.scheduler.has_issuable()}
     assert world.queued == sum(len(q) for q in world.mc_queues.values())
+    # the controllers due as of the last mc phase, one cycle back
+    assert world.due == {key for key, q in world.mc_queues.items()
+                         if q.has_ready(world.cycle - 1)}
     assert world.replying == {sm.sm_id for sm in world.sms
                               if sm.reply_queue or sm.reply_overflow}
     assert world.overflowed == sum(len(sm.reply_overflow)
                                    for sm in world.sms)
+    # one completion on the calendar per busy bank, at its busy_until, and
+    # the requests in service are theirs; a step leaves none held
+    assert not world.completing
+    completions = [(cycle, *args) for cycle, _, fire, args in world.calendar
+                   if fire == world._complete]
+    assert sorted((key, req.bank, cycle) for cycle, key, req in completions) \
+        == sorted((key, b, bank.busy_until)
+                  for key, q in world.mc_queues.items()
+                  for b, bank in enumerate(q.banks)
+                  if bank.busy_until >= world.cycle)
+    assert all(req.t_complete == cycle for cycle, _, req in completions)
+    in_service = [req for _, _, req in completions]
+    assert world.in_service == len(in_service)
     # each request in flight, where it waits: a controller FIFO, a busy
     # bank, a reply queue or a reply overflow
-    in_service = [req for reqs in world.completions.values() for req in reqs]
-    assert world.in_service == len(in_service)
     in_flight = [*(req for q in world.mc_queues.values()
                    for fifo in q.fifos for _, req in fifo),
                  *in_service,
@@ -340,8 +358,9 @@ def assert_running_indexes_match_a_rescan(world: World):
     stream, sent, nxt = world.cpu_stream, world.cpu_sent, world.cpu_next
     assert sent <= nxt <= len(stream) <= nxt + 1
     assert all(ev.cycle <= world.cycle for ev in stream[sent:nxt])
-    assert world.cpu_next_at == (stream[nxt].cycle if nxt < len(stream)
-                                 else None)
+    # and the one drawn ahead has the calendar's only CPU-arrival entry
+    assert [cycle for cycle, _, fire, _ in world.calendar
+            if fire == world._arrive] == [ev.cycle for ev in stream[nxt:]]
     # a held-back head keeps the request it was translated to at its first
     # attempt, which no controller holds yet
     head = world.cpu_head
@@ -374,10 +393,11 @@ def read_twice_config() -> dict:
 @example(config=read_twice_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable set,
-    # queued count, replying set, overflow count, in-service count, each
-    # warp's count of outstanding reads, each SM's resident blocks and the
-    # CPU cursors against a rescan of the schedulers, controllers, banks,
-    # reply queues, warps and CPU stream they stand for
+    # queued count, due controllers, replying set, overflow count, the
+    # calendar's completions and CPU arrival, each warp's count of
+    # outstanding reads, each SM's resident blocks and the CPU cursors
+    # against a rescan of the schedulers, controllers, banks, reply queues,
+    # warps and CPU stream they stand for
     world = World(config_from_dict(config))
     while world.cycle < world.cfg.horizon and not world.done():
         world.step()

@@ -253,14 +253,14 @@ def test_woken_warp_waits_for_its_ready_at(policy):
     assert not s.has_issuable() and s.select_warp() is None
     world._tick(2)
     assert world._next_event_cycle() == now + 4
-    assert s.has_issuable() and world.wakeups[0][0] == now + 5
+    assert s.has_issuable() and world.calendar[0][0] == now + 5
     assert s.select_warp() is first
     assert issue(world) is first  # ready at now + 8
     assert world._next_event_cycle() == now + 5
     world._tick(1)
     assert world._next_event_cycle() == now + 5
     assert s.select_warp() is second
-    assert [e[0] for e in world.wakeups] == [now + 8]
+    assert [e[0] for e in world.calendar] == [now + 8]
 
 
 @pytest.mark.parametrize("policy", list(SchedPolicy))
