@@ -283,6 +283,21 @@ def test_each_cpu_request_is_translated_once(name, monkeypatch):
     assert calls[CPU_OWNER] == report.cpu_requests > 0
 
 
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+def test_each_gpu_slot_is_translated_once(name, monkeypatch):
+    # a back-pressured slot keeps its lines across the cycles it retries
+    calls, translate = Counter(), PageTable.translate
+
+    def counting_translate(self, vaddr, owner):
+        calls[owner] += 1
+        return translate(self, vaddr, owner)
+
+    monkeypatch.setattr(PageTable, "translate", counting_translate)
+    report, _ = run_report(ALL_GOLDEN[name])
+    gpu_calls = sum(n for owner, n in calls.items() if owner != CPU_OWNER)
+    assert gpu_calls == report.l1_hits + report.l1_misses > 0
+
+
 # golden-sized runs over every policy axis; the short horizons cut runs
 # mid-flight
 RUN_CONFIGS = st.builds(
