@@ -18,7 +18,7 @@ arrival is handed over and the next drawn from `gen_cpu_traffic`'s iterator
 onto `World.cpu_stream`, so the stream's cost follows the cycles simulated,
 not the horizon; `cpu_stream[cpu_sent:cpu_next]` are the arrivals held back
 by a full queue, the first translated once and kept in `cpu_head`, as a
-warp's slot keeps its lines in `WarpState.lines`.  A bank completion is
+warp's slot keeps its issue plan in `WarpState.lines`.  A bank completion is
 held in `completing` for phase 5, so the order of work within a cycle does
 not change.  No controller is polled: `World.due` holds those with a
 waiting request whose bank is free, updated by an enqueue into a free bank
@@ -46,6 +46,13 @@ nothing whenever `has_issuable()` is False, so skipping the SMs outside the
 set keeps the schedule; a back-pressured pick leaves its warp ready and its
 SM in the set.  An SM is in `replying` while its reply queue or overflow
 holds a reply.
+
+A slot's issue plan, its translated lines and the number bound for each
+controller, is built at its first issue attempt and kept by every
+back-pressured retry until the slot issues.  Each attempt still probes L1
+once per line in lane order, so first touches and LRU order do not move; it
+counts the lines it sends again only when a read hit L1, and never writes
+that count back into the plan.
 """
 
 from __future__ import annotations
@@ -69,6 +76,15 @@ from .workload import (CpuRequest, enumerate_blocks, gen_block_trace,
 
 # the BankState counters that _report sums per pool
 BANK_COUNTERS = ("activates", "reads", "writes", "row_hits")
+
+
+def _per_queue(lines: list[tuple]) -> dict[tuple, int]:
+    """{queue key: number of `lines` bound for that controller}, in the
+    order the keys first appear."""
+    need: dict[tuple, int] = {}
+    for _, _, qkey, _ in lines:
+        need[qkey] = need.get(qkey, 0) + 1
+    return need
 
 
 class SimulationFault(AssertionError):
@@ -337,21 +353,21 @@ class World:
         line = paddr // self._line
         return pool, line, self.pools[pool].layout.decompose(line * self._line)
 
-    def _slot_lines(self, warp: WarpState, sm_id: int) -> list[tuple]:
-        """The current slot's lines as ((pool, line), is_read, queue key,
-        decoded line address).
+    def _slot_lines(self, warp: WarpState, sm_id: int) -> tuple:
+        """The current slot's issue plan: its lines as ((pool, line),
+        is_read, queue key, decoded line address), and the number of them
+        bound for each controller, as {queue key: n}.
 
-        Translated on the slot's first issue attempt, which keeps first-touch
+        Built at the slot's first issue attempt, which keeps first-touch
         allocation in lane order and at the same cycle, and kept for every
         back-pressured retry."""
-        lines = warp.lines
-        if lines is None:
+        if warp.lines is None:
             lines = []
             for vaddr, is_read in warp.slots[warp.next_slot]:
                 pool, line, d = self._line_of(vaddr, sm_id)
                 lines.append(((pool, line), is_read, (pool, d.channel), d))
-            warp.lines = lines
-        return lines
+            warp.lines = (lines, _per_queue(lines))
+        return warp.lines
 
     def _recheck(self, sm: SmModel):
         """Ask `sm`'s scheduler again whether it has an issuable warp, after
@@ -378,28 +394,32 @@ class World:
                 raise SimulationFault(
                     self.cycle, f"SM {sm.sm_id} picked warp {warp.warp_id}, "
                     "which is not ready")
-            lines = self._slot_lines(warp, sm.sm_id)
+            lines, need = self._slot_lines(warp, sm.sm_id)
             # write-through: a write goes to DRAM whether or not it hits
+            lookup = sm.l1.lookup
             hits = 0
-            sends = []
+            read_hits = []
             for entry in lines:
-                if sm.l1.lookup(entry[0]):
+                if lookup(entry[0]):
                     hits += 1
                     if entry[1]:
-                        continue
-                sends.append(entry)
-            need: dict[tuple, int] = {}
-            for _, _, qkey, _ in sends:
-                need[qkey] = need.get(qkey, 0) + 1
-            if any(len(queues[k]) + n > queues[k].capacity
-                   for k, n in need.items()):
-                for (pool, ch), n in need.items():
-                    cap = queues[(pool, ch)].capacity
-                    if n > cap:  # no retry could ever fit
+                        read_hits.append(entry)
+            sends = lines
+            if read_hits:  # fewer lines go out than the plan counted
+                sends = [e for e in lines if e not in read_hits]
+                need = _per_queue(sends)
+            blocked = False
+            for key, n in need.items():
+                q = queues[key]
+                if len(q) + n > q.capacity:
+                    if n > q.capacity:  # no retry could ever fit
                         raise ValueError(
-                            f"a warp slot sends {n} requests into {pool.value} "
-                            f"channel {ch}, whose queue holds only {cap} "
+                            f"a warp slot sends {n} requests into "
+                            f"{key[0].value} channel {key[1]}, whose queue "
+                            f"holds only {q.capacity} "
                             "(raise mc_queue_capacity)")
+                    blocked = True
+            if blocked:
                 self.issue_backpressure += 1  # retried next cycle
                 continue
             self.l1_hits += hits
@@ -578,8 +598,12 @@ class World:
     # main loop ------------------------------------------------------------
 
     def done(self) -> bool:
-        """The GPU has finished and every request has drained; CPU arrivals
-        still to come do not hold the run open.
+        """The GPU has finished, no CPU arrival that is due waits for queue
+        room, every enqueued request, GPU or CPU, has been served and every
+        reply delivered.  Arrivals not yet due do not hold the run open,
+        but one held back by a full queue does: a CPU stream that offers
+        more than the controllers serve keeps a finished GPU's run going up
+        to its horizon (the FOUND line on `World.done` in CHANGES.md).
 
         Every term is a running count, so the answer costs O(1): `queued`
         rises with each enqueue and falls with each `mc_pick`, `in_service`

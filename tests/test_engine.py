@@ -654,6 +654,22 @@ def test_slot_larger_than_its_queue_is_rejected():
         run_report(config)
 
 
+def test_slot_whose_read_hits_fit_its_queue_issues():
+    # one warp reads 4-byte elements, then 8-byte elements at the same base:
+    # the second slot's four lines of one channel exceed a 2-deep queue, but
+    # two of them are the first slot's lines, which hit L1 and are not sent
+    config = make_config("clustered", "ccws", "first_touch", "serial",
+                         horizon=20_000)
+    config["workload"]["kernel"].update(
+        grid_dim=[1, 1], block_dim=[8, 1],
+        matrices=[_matrix(0, 4, 8, "clustered", 1, True),
+                  _matrix(0, 8, 8, "clustered", 1, True)])
+    report, _ = run_report(config)
+    assert not report.truncated
+    assert (report.warp_instructions, report.l1_hits, report.l1_misses) \
+        == (2, 2, 4)
+
+
 def gddr_line(line: int) -> tuple:
     return (Pool.GDDR, line)
 
