@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class Pool(str, Enum):
@@ -26,8 +27,7 @@ class PagePolicy(str, Enum):
     COLORING_HETERO = "coloring_hetero"
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     channel: int
     bank: int
     row: int
@@ -94,19 +94,17 @@ class AddressLayout:
             )
 
     def decompose(self, addr: int) -> DecodedAddress:
-        if not 0 <= addr < (1 << self.address_bits):
+        channel_at = self.byte_offset_bits + self.column_bits
+        bank_at = channel_at + self.channel_bits
+        row_at = bank_at + self.bank_bits
+        if not 0 <= addr < (1 << (row_at + self.row_bits)):
             raise ValueError(f"address {addr:#x} outside {self.address_bits}-bit space")
-        byte = addr & ((1 << self.byte_offset_bits) - 1)
-        addr >>= self.byte_offset_bits
-        column = addr & ((1 << self.column_bits) - 1)
-        addr >>= self.column_bits
-        channel = addr & ((1 << self.channel_bits) - 1)
-        addr >>= self.channel_bits
-        bank = addr & ((1 << self.bank_bits) - 1)
-        addr >>= self.bank_bits
-        row = addr
-        return DecodedAddress(channel=channel, bank=bank, row=row,
-                              column=column, byte=byte)
+        return DecodedAddress(
+            (addr >> channel_at) & ((1 << self.channel_bits) - 1),
+            (addr >> bank_at) & ((1 << self.bank_bits) - 1),
+            addr >> row_at,
+            (addr >> self.byte_offset_bits) & ((1 << self.column_bits) - 1),
+            addr & ((1 << self.byte_offset_bits) - 1))
 
     def compose(self, channel: int, bank: int, row: int,
                 column: int = 0, byte: int = 0) -> int:
