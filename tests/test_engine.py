@@ -269,9 +269,9 @@ def test_goldens_exercise_the_cpu_hold_back():
             for name in CPU_HOLD_BACK_STEPS} == CPU_HOLD_BACK_STEPS
 
 
-@pytest.mark.parametrize("name", sorted(CPU_HOLD_BACK_STEPS))
-def test_each_cpu_request_is_translated_once(name, monkeypatch):
-    # a held-back arrival keeps its request across the cycles it waits
+def count_translations(name: str, monkeypatch) -> tuple:
+    """The golden cell's report and its `PageTable.translate` calls per
+    owner."""
     calls, translate = Counter(), PageTable.translate
 
     def counting_translate(self, vaddr, owner):
@@ -280,20 +280,20 @@ def test_each_cpu_request_is_translated_once(name, monkeypatch):
 
     monkeypatch.setattr(PageTable, "translate", counting_translate)
     report, _ = run_report(ALL_GOLDEN[name])
+    return report, calls
+
+
+@pytest.mark.parametrize("name", sorted(CPU_HOLD_BACK_STEPS))
+def test_each_cpu_request_is_translated_once(name, monkeypatch):
+    # a held-back arrival keeps its request across the cycles it waits
+    report, calls = count_translations(name, monkeypatch)
     assert calls[CPU_OWNER] == report.cpu_requests > 0
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
 def test_each_gpu_slot_is_translated_once(name, monkeypatch):
-    # a back-pressured slot keeps its lines across the cycles it retries
-    calls, translate = Counter(), PageTable.translate
-
-    def counting_translate(self, vaddr, owner):
-        calls[owner] += 1
-        return translate(self, vaddr, owner)
-
-    monkeypatch.setattr(PageTable, "translate", counting_translate)
-    report, _ = run_report(ALL_GOLDEN[name])
+    # a back-pressured slot keeps its plan across the cycles it retries
+    report, calls = count_translations(name, monkeypatch)
     gpu_calls = sum(n for owner, n in calls.items() if owner != CPU_OWNER)
     assert gpu_calls == report.l1_hits + report.l1_misses > 0
 
