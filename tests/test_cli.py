@@ -343,24 +343,26 @@ def test_simulation_fault_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", path,
                  "--out", str(tmp_path / "r.json")]) == EXIT_FAULT
     assert "cycle 7: injected" in capsys.readouterr().err
-    # a scheduler's own check raises a bare AssertionError
+    # a check inside the run may raise a bare AssertionError; a TBAS hook
+    # the engine calls on every issue raises one here
     monkeypatch.undo()
-    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    monkeypatch.setattr(TbasScheduler, "on_issue", failed_check)
     assert main(["run", "--config", path,
                  "--out", str(tmp_path / "r.json")]) == EXIT_FAULT
     err = capsys.readouterr().err
     assert "injected check" in err and "Traceback" not in err
 
 
-def failed_check(self, cycle):
+def failed_check(self, warp):
+    """`TbasScheduler.on_issue` made to fail; ccws cells never call it."""
     raise AssertionError("injected check")
 
 
 def test_compare_records_a_cell_whose_engine_check_fails(
         tmp_path, monkeypatch, capsys):
-    # the tbas_e cell's scheduler check fails; the sweep goes on, and
+    # the tbas_e cell's injected check fails; the sweep goes on, and
     # summary.csv lists that cell as failed
-    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    monkeypatch.setattr(TbasScheduler, "on_issue", failed_check)
     write(tmp_path / "base.json", base_config())
     path = write(tmp_path / "exp.json", {
         "name": "sweep", "base_config": "base.json",
@@ -385,9 +387,9 @@ INVALID_CELL_AXES = {"horizon": [10_000, -1]}
                          ids=["invalid", "invalid-and-fault"])
 def test_compare_exits_3_for_invalid_cells_and_4_for_a_fault(
         schedulers, code, tmp_path, monkeypatch, capsys):
-    # the tbas_e cell at horizon 10,000 fails its scheduler check, and a
+    # the tbas_e cell at horizon 10,000 fails its injected check, and a
     # fault outranks an invalid cell
-    monkeypatch.setattr(TbasScheduler, "assert_invariants", failed_check)
+    monkeypatch.setattr(TbasScheduler, "on_issue", failed_check)
     write(tmp_path / "base.json", base_config())
     path = write(tmp_path / "exp.json", {
         "name": "sweep", "base_config": "base.json",

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -24,10 +25,11 @@ from conftest import bench_workloads, fixture_path, small_hardware
 from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
 from gmemsim.config import L1Config, config_from_dict
 from gmemsim.dram import CPU_AGENT, GPU_AGENT
-from gmemsim.engine import L1Cache, World
+from gmemsim.engine import L1Cache, SimulationFault, World
 from gmemsim.memmap import CPU_OWNER, PageTable, Pool
 from gmemsim.workload import load_workload
 from lane_model import assert_matches_lane_model
+from ready_index import assert_ready_index_matches_a_rescan
 
 SCHEDS = ("ccws", "tbas_c", "tbas_d", "tbas_e")
 ALLOCS = ("first_touch", "coloring", "bw_aware", "coloring_hetero")
@@ -179,6 +181,38 @@ def test_golden_report(name):
     # either issues or is back-pressured
     assert calls["select_warp"] \
         == report.warp_instructions + report.issue_backpressure
+
+
+# per corruption of a finished run's state, the message of the one
+# comparison in `World._crosscheck` that it breaks
+CROSSCHECK_FAULTS = {
+    "queued": "running queue count 1 != 0 requests in the controller queues",
+    "row_hits": r"bank counters: activates \+ hits != accesses",
+    "row_hits_for_activates": "request log disagrees with bank counters",
+    "blp_sum": r"cycle-counted BLP [\d.]+ != log-derived BLP [\d.]+",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CROSSCHECK_FAULTS))
+def test_the_report_crosscheck_catches_a_corrupted_count(corruption):
+    # a finished golden run reports again unchanged; then one running count
+    # is corrupted, and the report's crosscheck of that count raises
+    name = "clustered-tbas_d-first_touch-serial"
+    _, world = run_report(GOLDEN[name])
+    with open(golden_path(name)) as f:
+        assert world._report(truncated=False).to_json() == f.read()
+    bank = world.mc_queues[(Pool.GDDR, 0)].banks[0]
+    if corruption == "queued":
+        world.queued += 1
+    elif corruption == "row_hits":
+        bank.row_hits += 1
+    elif corruption == "row_hits_for_activates":  # keeps their sum
+        bank.row_hits += 1
+        bank.activates -= 1
+    else:
+        world.blp_sum += 1
+    with pytest.raises(SimulationFault, match=CROSSCHECK_FAULTS[corruption]):
+        world._report(truncated=False)
 
 
 def test_setup_is_bounded_by_work_not_by_the_horizon(tmp_path):
@@ -350,10 +384,27 @@ def assert_running_indexes_match_a_rescan(world: World):
     assert all(req.t_complete == cycle for cycle, _, req in completions)
     in_service = [req for _, _, req in completions]
     assert world.in_service == len(in_service)
+    # the request log's split, each request logged once: a request waits in
+    # a controller FIFO until it is picked, is in service until its
+    # completion's cycle, and the rest have completed
+    waiting = [req for q in world.mc_queues.values()
+               for fifo in q.fifos for _, req in fifo]
+    log = world.log
+    assert len(set(map(id, log))) == len(log)
+    unissued = [req for req in log if req.t_issue < 0]
+    serving = [req for req in log
+               if req.t_issue >= 0 and req.t_complete >= world.cycle]
+    assert len(unissued) == world.queued
+    assert len(serving) == world.in_service
+    assert sorted(map(id, unissued)) == sorted(map(id, waiting))
+    assert sorted(map(id, serving)) == sorted(map(id, in_service))
+    # every scheduler's ready index against its warps, at the cycle just
+    # stepped
+    for sm in world.sms:
+        assert_ready_index_matches_a_rescan(sm.scheduler, world.cycle - 1)
     # each request in flight, where it waits: a controller FIFO, a busy
     # bank, a reply queue or a reply overflow
-    in_flight = [*(req for q in world.mc_queues.values()
-                   for fifo in q.fifos for _, req in fifo),
+    in_flight = [*waiting,
                  *in_service,
                  *(req for sm in world.sms for _, req in sm.reply_queue),
                  *(req for sm in world.sms for req in sm.reply_overflow)]
@@ -409,10 +460,11 @@ def read_twice_config() -> dict:
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable set,
     # queued count, due controllers, replying set, overflow count, the
-    # calendar's completions and CPU arrival, each warp's count of
-    # outstanding reads, each SM's resident blocks and the CPU cursors
-    # against a rescan of the schedulers, controllers, banks, reply queues,
-    # warps and CPU stream they stand for
+    # calendar's completions and CPU arrival, the request log's split, each
+    # scheduler's ready index, each warp's count of outstanding reads, each
+    # SM's resident blocks and the CPU cursors against a rescan of the
+    # schedulers, controllers, banks, reply queues, warps and CPU stream
+    # they stand for
     world = World(config_from_dict(config))
     while world.cycle < world.cfg.horizon and not world.done():
         world.step()
@@ -731,6 +783,41 @@ def test_the_trace_csvs_of_a_cpu_golden_cell_are_pinned(tmp_path):
                  str(tmp_path / "report.json"), "--trace"]) == EXIT_OK
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in (tmp_path / "report_trace").iterdir()} == TRACE_SHA256
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "src"))
+
+
+# CPU cells, one under coloring_hetero and one that sends requests to both
+# pools, so that two controllers of different pools can be due at once
+@pytest.mark.parametrize("name", [
+    "interleaved-ccws-coloring_hetero-interleaved-cpu",
+    "interleaved-tbas_c-bw_aware-serial-cpu"])
+def test_report_and_traces_do_not_depend_on_the_hash_seed(name, tmp_path):
+    # the controller keys hash by their pool's name, so set order varies
+    # with the string hash seed; the cell, run with `--trace` in two
+    # interpreters, must write the same bytes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN[name]))
+    written = []
+    for seed in ("0", "987654"):
+        out = tmp_path / f"hashseed{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run([sys.executable, "-m", "gmemsim.cli", "run",
+                        "--config", str(path), "--out",
+                        str(out / "report.json"), "--trace"],
+                       env=env, check=True, timeout=120)
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    assert sorted(written[0]) == ["report.json", *(
+        f"report_trace/{csv}" for csv in sorted(TRACE_SHA256))]
+    assert written[0] == written[1]
+    with open(golden_path(name), "rb") as f:
+        assert written[0]["report.json"] == f.read()
 
 
 def grid_kernel(matrices: list[dict]) -> dict:

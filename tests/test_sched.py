@@ -7,6 +7,7 @@ from gmemsim.config import config_from_dict
 from gmemsim.engine import SimulationFault, World
 from gmemsim.sched import (CcwsScheduler, SchedPolicy, TbasScheduler,
                            WarpState, make_scheduler)
+from ready_index import assert_ready_index_matches_a_rescan
 
 
 def warp(wid, batch=0, slots=2):
@@ -92,7 +93,7 @@ def test_ccws_capacity_invariant():
     for i in range(6):
         s.add_warp(warp(i))
     s.select_warp()
-    s.assert_invariants(0)
+    assert_ready_index_matches_a_rescan(s, 0)
     assert len(s.running) == 2
 
 
@@ -103,7 +104,7 @@ def test_tbas_running_set_single_batch():
         s.add_warp(w)
     picked = s.select_warp()
     assert picked.batch_id == 0
-    s.assert_invariants(0)
+    assert_ready_index_matches_a_rescan(s, 0)
     # both warps of batch 0 issue before any other batch
     second = s.select_warp()
     assert second.batch_id == 0 and second is not picked
@@ -308,6 +309,19 @@ def test_a_flagged_sm_whose_scheduler_picks_no_warp_is_a_fault(policy):
     assert world.issuable == {0} and not sm.scheduler.has_issuable()
     with pytest.raises(SimulationFault, match="SM 0 is flagged issuable, "
                        "but its scheduler picked no warp"):
+        world._phase_issue()
+
+
+@pytest.mark.parametrize("policy", list(SchedPolicy))
+def test_a_picked_warp_that_is_not_ready_is_a_fault(policy):
+    # a warp made unready behind the scheduler's back stays in its ready
+    # index, so the scheduler picks it and the issue phase raises
+    world = drained_world(policy, compute_gap=0)
+    w = warp(0)
+    world._make_resident(world.sms[0], 0, [w])
+    w.pending = 1
+    with pytest.raises(SimulationFault, match="SM 0 picked warp 0, which is "
+                       "not ready"):
         world._phase_issue()
 
 
@@ -557,4 +571,4 @@ def test_ready_index_matches_rescanning_reference(policy, ops, knob):
         else:
             assert (s.running_batch, s.pending) \
                 == (ref.running_batch, ref.pending)
-        s.assert_invariants(cycle)
+        assert_ready_index_matches_a_rescan(s, cycle)
