@@ -33,8 +33,9 @@ engine reports each change of a warp's readiness:
 The schedulers keep no clock.  The engine's `World` holds the one heap of
 future wake-ups and, at the start of each step and of each skip check, calls
 `wake` for every warp whose `ready_at` has come, before it asks any
-scheduler anything.  `is_ready` stays the oracle that `assert_invariants`
-and the tests compare the index against.
+scheduler anything.  `is_ready` stays the oracle: the tests compare every
+warp's place in the index against it, after each action of the scheduler
+tests and after each engine step; a run does not check the index itself.
 
 `World` asks `has_issuable` again after every engine action that calls one
 of these hooks, and keeps the SMs whose answer is True in one set,
@@ -164,14 +165,6 @@ class CcwsScheduler:
         # no running warp is ready, so every ready warp is pending
         return len(self.running) < self.capacity and bool(self.ready)
 
-    def assert_invariants(self, cycle: int):
-        if len(self.running) > self.capacity:
-            raise AssertionError("running set exceeds capacity")
-        for w in self.running:
-            if (w in self.ready) != w.is_ready(cycle):
-                raise AssertionError(
-                    f"ready index disagrees with running warp {w.warp_id}")
-
 
 class TbasScheduler:
     """Batch-granularity running set with pluggable promotion order."""
@@ -284,23 +277,6 @@ class TbasScheduler:
         if b is not None:
             return self.ready_mask[b] != 0
         return any(self.ready_mask[b] for b in self.pending)
-
-    def assert_invariants(self, cycle: int):
-        b = self.running_batch
-        if b is None:
-            return
-        if self.unfinished[b] == 0:
-            raise AssertionError(f"running batch {b} has finished")
-        want = 0
-        for i, w in enumerate(self.batch_warps[b]):
-            if w.batch_id != b:
-                raise AssertionError("running set mixes thread batches")
-            if w.is_ready(cycle):
-                want |= 1 << i
-        if self.ready_mask[b] != want:
-            raise AssertionError(
-                f"ready mask of batch {b} is {self.ready_mask[b]:#b}, "
-                f"its warps say {want:#b}")
 
 
 def make_scheduler(policy: SchedPolicy, *, capacity: int = 2, threshold: int = 1):
