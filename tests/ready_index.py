@@ -3,8 +3,8 @@
 The schedulers keep an index of their ready warps (a ready set under ccws, a
 ready bitmask per batch under tbas_*) that the engine updates through their
 hooks; `WarpState.is_ready` is what the index stands for.  The scheduler
-tests call `assert_ready_index_matches_a_rescan` after each action, and the
-engine's rescan oracle in tests/test_engine.py after each step.
+tests call `assert_ready_index_matches_a_rescan`, and so does the engine's
+rescan oracle in tests/test_engine.py after each step.
 """
 
 from gmemsim.sched import CcwsScheduler
