@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+# the width of one physical address word, which bounds a layout's fields
+ADDRESS_WORD_BITS = 64
+
 
 class Pool(str, Enum):
     GDDR = "gddr"
@@ -82,6 +85,12 @@ class AddressLayout:
     def validate(self, where: str = "layout", coloring: bool = False):
         """The rules across the fields; `loader.check_bounds` checks that
         each width is >= 0."""
+        if self.address_bits > ADDRESS_WORD_BITS:
+            raise ValueError(
+                f"{where} spans {self.address_bits} address bits "
+                "(byte_offset_bits + column_bits + channel_bits + bank_bits "
+                f"+ row_bits), more than the {ADDRESS_WORD_BITS} of one "
+                "physical address word")
         if self.page_offset_bits > self.address_bits:
             raise ValueError(
                 f"{where}.page_offset_bits ({self.page_offset_bits}) must "

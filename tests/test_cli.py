@@ -119,9 +119,22 @@ MALFORMED = {
         "hardware.gddr.layout.row_bits", 0,
         "config.hardware.gddr.layout.row_bits must be >= 1 under "
         "coloring_hetero"),
+    # small_hardware's gddr layout has 9 bits below its rows, ddr 7
+    "65-bit gddr address": (
+        "hardware.gddr.layout.row_bits", 56,
+        "config.hardware.gddr.layout spans 65 address bits"),
+    "65-bit ddr address": (
+        "hardware.ddr.layout.row_bits", 58,
+        "config.hardware.ddr.layout spans 65 address bits"),
+    # wide enough that splitting the rows under coloring_hetero overflows a
+    # float, which ended in a traceback before the width was bounded
+    "2009-bit gddr address": (
+        "hardware.gddr.layout.row_bits", 2000,
+        "config.hardware.gddr.layout spans 2009 address bits"),
 }
 # the other fields a case sets first, to make its field malformed
-ALSO_SET = {"one-row bank split": {"allocator": "coloring_hetero"}}
+ALSO_SET = {"one-row bank split": {"allocator": "coloring_hetero"},
+            "2009-bit gddr address": {"allocator": "coloring_hetero"}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -136,6 +149,17 @@ def test_validate_names_the_malformed_field(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pool, row_bits", [("gddr", 55), ("ddr", 57)])
+def test_a_64_bit_address_layout_is_valid(pool, row_bits, tmp_path, capsys):
+    # one physical address word holds every field of the layout
+    config = copy.deepcopy(base_config())
+    _set(config, "allocator", "coloring_hetero")
+    _set(config, f"hardware.{pool}.layout.row_bits", row_bits)
+    path = write(tmp_path / "config.json", config)
+    assert main(["validate", "--config", path]) == EXIT_OK, \
+        capsys.readouterr().err
 
 
 def declared_bounds(cls, path: str):

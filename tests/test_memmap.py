@@ -73,6 +73,10 @@ def test_coloring_feasibility_rejected():
     ({"row_bits": -1}, "layout.row_bits must be >= 0, not -1"),
     ({"page_offset_bits": 20},
      "layout.page_offset_bits (20) must not exceed the address width (19)"),
+    ({"row_bits": 56},
+     "layout spans 65 address bits (byte_offset_bits + column_bits + "
+     "channel_bits + bank_bits + row_bits), more than the 64 of one "
+     "physical address word"),
 ])
 def test_malformed_layout_names_its_field(fields, message):
     widths = dict(byte_offset_bits=2, column_bits=4, channel_bits=1,
