@@ -96,7 +96,11 @@ class McQueue:
     requester; nothing is ever dropped.
 
     `fifos[b]` holds bank b's waiting requests in arrival order as
-    (arrival number, request) pairs; `len` is a running count."""
+    (arrival number, request) pairs; `count` (and `len`) is their running
+    number.  `ready_at_pick` is the number of ready banks the last `mc_pick`
+    saw: the picked request's bank turns busy once advanced and every other
+    one stays ready, so a ready bank is left after the pick exactly when
+    that number is above 1."""
 
     def __init__(self, capacity: int = 64,
                  arbitration: Arbitration = Arbitration.FR_FCFS,
@@ -107,31 +111,25 @@ class McQueue:
         self.banks = [BankState() for _ in range(num_banks)]
         self.fifos: list[list[tuple[int, MemoryRequest]]] = [
             [] for _ in range(num_banks)]
-        self._count = 0
+        self.count = 0
         self._arrivals = 0
+        self.ready_at_pick = 0
 
     def __len__(self):
-        return self._count
+        return self.count
 
     def enqueue(self, req: MemoryRequest, cycle: int) -> bool:
-        if self._count >= self.capacity:
+        if self.count >= self.capacity:
             return False
         req.t_enqueue = cycle
         self.fifos[req.bank].append((self._arrivals, req))
         self._arrivals += 1
-        self._count += 1
+        self.count += 1
         return True
-
-    def has_ready(self, cycle: int) -> bool:
-        """Whether some waiting request's bank is free, i.e. whether
-        `mc_pick` would return a request this cycle."""
-        return self._count > 0 and any(
-            fifo and bank.busy_until <= cycle
-            for fifo, bank in zip(self.fifos, self.banks))
 
     def take(self, bank: int, idx: int) -> MemoryRequest:
         """Remove and return bank `bank`'s `idx`-th waiting request."""
-        self._count -= 1
+        self.count -= 1
         return self.fifos[bank].pop(idx)[1]
 
 
@@ -166,11 +164,13 @@ def mc_pick(queue: McQueue, cycle: int) -> MemoryRequest | None:
     requests first, so any ready CPU request outranks every GPU request.
     With a starvation cap > 0, a request bypassed that many times is forced
     ahead of younger hits, and each older request in a ready bank counts one
-    more bypass.  Returns None when no waiting request's bank is free.
+    more bypass.  Returns None when no waiting request's bank is free.  The
+    number of ready banks it saw is left in `queue.ready_at_pick`.
     """
     banks = queue.banks
     ready = [b for b, fifo in enumerate(queue.fifos)
              if fifo and banks[b].busy_until <= cycle]
+    queue.ready_at_pick = len(ready)
     if not ready:
         return None
     pick = None

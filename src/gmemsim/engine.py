@@ -23,7 +23,8 @@ held in `completing` for phase 5, so the order of work within a cycle does
 not change.  No controller is polled: `World.due` holds those with a
 waiting request whose bank is free, updated by an enqueue into a free bank
 (`_enqueue`, which GPU and CPU requests share), by a completion whose bank
-has requests waiting, and by a `has_ready` recheck after each pick.
+has requests waiting, and by each pick, which leaves its controller due
+while `mc_pick` saw a ready bank other than the one it picked from.
 
 Cycles in which provably nothing can change are skipped in one jump to the
 next event.  `World._next_event_cycle` is the one list of event sources that
@@ -47,12 +48,15 @@ set keeps the schedule; a back-pressured pick leaves its warp ready and its
 SM in the set.  An SM is in `replying` while its reply queue or overflow
 holds a reply.
 
-A slot's issue plan, its translated lines and the number bound for each
-controller, is built at its first issue attempt and kept by every
-back-pressured retry until the slot issues.  Each attempt still probes L1
-once per line in lane order, so first touches and LRU order do not move; it
-counts the lines it sends again only when a read hit L1, and never writes
-that count back into the plan.
+A slot's issue plan, its translated lines and, per controller they name,
+that controller's `McQueue` with the number of lines bound for it, is built
+at its first issue attempt, in lane order, and kept by every back-pressured
+retry until the slot issues, so first touches and their cycle do not move.
+Each attempt probes L1 with one `L1Cache.lookup` call over all its lines in
+lane order, so the LRU order moves as one probe per line moves it, and
+compares each controller's count with its room.  It counts the lines it
+sends again only when a read hit L1, and never writes that count back into
+the plan.
 
 A run checks what it relies on where it acts, and raises `SimulationFault`
 when it does not hold: an SM flagged issuable whose scheduler picks no
@@ -91,13 +95,13 @@ from .workload import (CpuRequest, enumerate_blocks, gen_block_trace,
 BANK_COUNTERS = ("activates", "reads", "writes", "row_hits")
 
 
-def _per_queue(lines: list[tuple]) -> dict[tuple, int]:
-    """{queue key: number of `lines` bound for that controller}, in the
-    order the keys first appear."""
+def _per_queue(lines: list[tuple], queues: dict[tuple, McQueue]) -> list:
+    """(controller, number of `lines` bound for it, queue key) per
+    controller that `lines` name, in the order the keys first appear."""
     need: dict[tuple, int] = {}
     for _, _, qkey, _ in lines:
         need[qkey] = need.get(qkey, 0) + 1
-    return need
+    return [(queues[key], n, key) for key, n in need.items()]
 
 
 class SimulationFault(AssertionError):
@@ -120,12 +124,28 @@ class L1Cache:
                          if cfg.size_bytes else 1)
         self.sets = [dict() for _ in range(self.num_sets)]
 
-    def lookup(self, key) -> bool:
-        s = self.sets[key[1] % self.num_sets]
-        if key in s:
-            s[key] = s.pop(key)
-            return True
-        return False
+    def lookup(self, lines: list[tuple]) -> tuple[int, list | None]:
+        """Probe an issue attempt's `lines`, each a (key, is_read, ...)
+        tuple, in lane order; a hit becomes its set's most recently used
+        line, exactly as one probe per line in that order leaves it.
+        Returns the number of hits and the lines that are read hits, None
+        when there is none; a write hit counts as a hit, and write-through
+        still sends it."""
+        sets, num_sets = self.sets, self.num_sets
+        hits = 0
+        read_hits = None
+        for entry in lines:
+            key = entry[0]
+            s = sets[key[1] % num_sets]
+            if key in s:
+                s[key] = s.pop(key)
+                hits += 1
+                if entry[1]:
+                    if read_hits is None:
+                        read_hits = [entry]
+                    else:
+                        read_hits.append(entry)
+        return hits, read_hits
 
     def fill(self, key):
         s = self.sets[key[1] % self.num_sets]
@@ -366,19 +386,19 @@ class World:
         return pool, line, self.pools[pool].layout.decompose(line * self._line)
 
     def _slot_lines(self, warp: WarpState, sm_id: int) -> tuple:
-        """The current slot's issue plan: its lines as ((pool, line),
-        is_read, queue key, decoded line address), and the number of them
-        bound for each controller, as {queue key: n}.
+        """Build and keep the current slot's issue plan: its lines as
+        ((pool, line), is_read, queue key, decoded line address), and per
+        controller they name, (its `McQueue`, the number of lines bound for
+        it, its queue key).
 
-        Built at the slot's first issue attempt, which keeps first-touch
-        allocation in lane order and at the same cycle, and kept for every
-        back-pressured retry."""
-        if warp.lines is None:
-            lines = []
-            for vaddr, is_read in warp.slots[warp.next_slot]:
-                pool, line, d = self._line_of(vaddr, sm_id)
-                lines.append(((pool, line), is_read, (pool, d.channel), d))
-            warp.lines = (lines, _per_queue(lines))
+        Called at the slot's first issue attempt, which keeps first-touch
+        allocation in lane order and at the same cycle; every
+        back-pressured retry reuses the plan."""
+        lines = []
+        for vaddr, is_read in warp.slots[warp.next_slot]:
+            pool, line, d = self._line_of(vaddr, sm_id)
+            lines.append(((pool, line), is_read, (pool, d.channel), d))
+        warp.lines = (lines, _per_queue(lines, self.mc_queues))
         return warp.lines
 
     def _recheck(self, sm: SmModel):
@@ -406,24 +426,19 @@ class World:
                 raise SimulationFault(
                     self.cycle, f"SM {sm.sm_id} picked warp {warp.warp_id}, "
                     "which is not ready")
-            lines, need = self._slot_lines(warp, sm.sm_id)
+            plan = warp.lines
+            if plan is None:
+                plan = self._slot_lines(warp, sm_id)
+            lines, need = plan
             # write-through: a write goes to DRAM whether or not it hits
-            lookup = sm.l1.lookup
-            hits = 0
-            read_hits = []
-            for entry in lines:
-                if lookup(entry[0]):
-                    hits += 1
-                    if entry[1]:
-                        read_hits.append(entry)
+            hits, read_hits = sm.l1.lookup(lines)
             sends = lines
             if read_hits:  # fewer lines go out than the plan counted
                 sends = [e for e in lines if e not in read_hits]
-                need = _per_queue(sends)
+                need = _per_queue(sends, queues)
             blocked = False
-            for key, n in need.items():
-                q = queues[key]
-                if len(q) + n > q.capacity:
+            for q, n, key in need:
+                if q.count + n > q.capacity:
                     if n > q.capacity:  # no retry could ever fit
                         raise ValueError(
                             f"a warp slot sends {n} requests into "
@@ -553,7 +568,7 @@ class World:
                                 self.pools[key[0]].timing, self.cycle)
             self.in_service += 1
             self._at(done, self._complete, key, req)
-            if not q.has_ready(self.cycle):
+            if q.ready_at_pick < 2:  # the picked bank was its last ready one
                 self.due.discard(key)
 
     def _complete(self, key: tuple, req: MemoryRequest):

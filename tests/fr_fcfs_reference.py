@@ -6,9 +6,21 @@ A pick filters the whole list down to the requests whose bank is free, takes
 the oldest starved one under a starvation cap, else the oldest row hit, else
 the oldest, and counts one bypass on every older request in a free bank,
 whatever the cap.
+
+`has_ready` is the rescan that says whether an indexed controller can pick:
+the engine keeps its due controllers from each pick's `ready_at_pick`
+instead, and the tests compare the two.
 """
 
-from gmemsim.dram import (CPU_AGENT, Arbitration, BankState, MemoryRequest)
+from gmemsim.dram import (CPU_AGENT, Arbitration, BankState, McQueue,
+                          MemoryRequest)
+
+
+def has_ready(queue: McQueue, cycle: int) -> bool:
+    """Whether some waiting request's bank is free, i.e. whether `mc_pick`
+    would return a request at `cycle`."""
+    return any(fifo and bank.busy_until <= cycle
+               for fifo, bank in zip(queue.fifos, queue.banks))
 
 
 class ReferenceController:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fr_fcfs_reference import ReferenceController, reference_pick
+from fr_fcfs_reference import ReferenceController, has_ready, reference_pick
 from gmemsim.dram import (Arbitration, BankState, EnergyParams, McQueue,
                           MemoryRequest, TimingParams, bank_advance, mc_pick)
 from gmemsim.loader import check_bounds
@@ -204,7 +204,7 @@ def controllers(draw):
 @settings(max_examples=200, deadline=None)
 @given(q=controllers(), cycle=st.integers(0, 24))
 def test_has_ready_answers_whether_mc_pick_picks(q, cycle):
-    assert q.has_ready(cycle) == (mc_pick(copy.deepcopy(q), cycle) is not None)
+    assert has_ready(q, cycle) == (mc_pick(copy.deepcopy(q), cycle) is not None)
     # and the pick is the reference's
     ref = ReferenceController(q.capacity, q.arbitration, q.starvation_cap,
                               copy.deepcopy(q.banks))
@@ -270,7 +270,7 @@ def test_indexed_controller_matches_the_reference(run):
                 bank_advance(ref.banks[want.bank], want, TIMING, cycle)
         else:
             cycle += step[1]
-        assert q.has_ready(cycle) == ref.has_ready(cycle)
+        assert has_ready(q, cycle) == ref.has_ready(cycle)
         assert q.banks == ref.banks
         waiting = queued(q)
         assert len(q) == len(waiting)
@@ -280,6 +280,32 @@ def test_indexed_controller_matches_the_reference(run):
                     == [r.bypasses for r in ref.requests])
         else:  # bypasses are counted only under a cap
             assert all(r.bypasses == drawn[r.column] for r in waiting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=controller_runs())
+def test_a_pick_says_whether_its_controller_stays_due(run):
+    # the engine keeps a controller due after a pick and its bank_advance
+    # while `ready_at_pick` is above 1; a rescan must agree after every pick,
+    # several picks in one cycle included
+    banks, capacity, arbitration, cap, steps = run
+    q = McQueue(capacity=capacity, arbitration=arbitration,
+                starvation_cap=cap, num_banks=len(banks))
+    q.banks[:] = [BankState(open_row=o, busy_until=b) for o, b in banks]
+    cycle = 0
+    for step in steps:
+        if step[0] == "enqueue":
+            _, bank, row, agent, _ = step
+            q.enqueue(req(row, bank=bank, agent=agent), cycle)
+        elif step[0] == "pick":
+            picked = mc_pick(q, cycle)
+            if picked is None:
+                assert q.ready_at_pick == 0 and not has_ready(q, cycle)
+                continue
+            bank_advance(q.banks[picked.bank], picked, TIMING, cycle)
+            assert (q.ready_at_pick > 1) == has_ready(q, cycle)
+        else:
+            cycle += step[1]
 
 
 def test_queue_capacity_backpressure():

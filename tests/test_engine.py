@@ -22,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_workloads, fixture_path, small_hardware
+from fr_fcfs_reference import has_ready
 from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
 from gmemsim.config import L1Config, config_from_dict
-from gmemsim.dram import CPU_AGENT, GPU_AGENT
+from gmemsim.dram import CPU_AGENT, GPU_AGENT, McQueue
 from gmemsim.engine import L1Cache, SimulationFault, World
 from gmemsim.memmap import CPU_OWNER, PageTable, Pool
 from gmemsim.workload import load_workload
@@ -156,20 +157,26 @@ BENCH_STEPS = {"bench-stencil": 23_869, "bench-corun": 8_824,
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
-def test_golden_report(name):
+def test_golden_report(name, monkeypatch):
     world = World(config_from_dict(ALL_GOLDEN[name]))
-    calls = {"step": 0, "select_warp": 0}
+    calls = {"step": 0, "select_warp": 0, "lookup": 0}
 
     def counting(key, fn):
-        def counted():
+        def counted(*args):
             calls[key] += 1
-            return fn()
+            return fn(*args)
         return counted
 
+    def no_rescan(*args):
+        raise AssertionError("a run rescans a controller's banks")
+
+    # a pick says whether its controller stays due; nothing rescans
+    monkeypatch.setattr(McQueue, "has_ready", no_rescan, raising=False)
     world.step = counting("step", world.step)
     for sm in world.sms:
         sm.scheduler.select_warp = counting("select_warp",
                                             sm.scheduler.select_warp)
+        sm.l1.lookup = counting("lookup", sm.l1.lookup)
     report = world.run()
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
@@ -180,6 +187,9 @@ def test_golden_report(name):
     # the issue phase asks only the SMs flagged issuable, and each pick
     # either issues or is back-pressured
     assert calls["select_warp"] \
+        == report.warp_instructions + report.issue_backpressure
+    # and each attempt, issued or back-pressured, probes L1 in one call
+    assert calls["lookup"] \
         == report.warp_instructions + report.issue_backpressure
 
 
@@ -366,7 +376,7 @@ def assert_running_indexes_match_a_rescan(world: World):
     assert world.queued == sum(len(q) for q in world.mc_queues.values())
     # the controllers due as of the last mc phase, one cycle back
     assert world.due == {key for key, q in world.mc_queues.items()
-                         if q.has_ready(world.cycle - 1)}
+                         if has_ready(q, world.cycle - 1)}
     assert world.replying == {sm.sm_id for sm in world.sms
                               if sm.reply_queue or sm.reply_overflow}
     assert world.overflowed == sum(len(sm.reply_overflow)
@@ -726,16 +736,21 @@ def gddr_line(line: int) -> tuple:
     return (Pool.GDDR, line)
 
 
+def reads(*keys) -> list[tuple]:
+    """An issue attempt's lines, as `L1Cache.lookup` takes them, all reads."""
+    return [(key, True) for key in keys]
+
+
 def test_an_l1_hit_refreshes_the_lines_recency():
     # one set of two ways
     l1 = L1Cache(L1Config(size_bytes=32, assoc=2, line_bytes=16))
     a, b, c = map(gddr_line, (0, 1, 2))
     l1.fill(a)
     l1.fill(b)
-    assert l1.lookup(a)  # a is now the most recently used
+    assert l1.lookup(reads(a)) == (1, reads(a))  # a is now the most recent
     l1.fill(c)  # evicts b, not a
-    assert not l1.lookup(b)
-    assert l1.lookup(a) and l1.lookup(c)
+    assert l1.lookup(reads(b)) == (0, None)
+    assert l1.lookup(reads(a, c)) == (2, reads(a, c))
 
 
 def test_an_l1_fill_past_assoc_evicts_that_sets_lru_line_only():
@@ -746,7 +761,7 @@ def test_an_l1_fill_past_assoc_evicts_that_sets_lru_line_only():
     # line 4 evicted line 0, set 0's least recently used; set 1 kept line 1
     assert l1.sets == [dict.fromkeys(map(gddr_line, (2, 4))),
                        dict.fromkeys([gddr_line(1)])]
-    assert not l1.lookup(gddr_line(0))
+    assert l1.lookup(reads(gddr_line(0))) == (0, None)
 
 
 def test_a_size_0_l1_never_hits_and_holds_nothing():
@@ -754,8 +769,84 @@ def test_a_size_0_l1_never_hits_and_holds_nothing():
     l1 = L1Cache(L1Config(size_bytes=0, assoc=0, line_bytes=16))
     for line in range(4):
         l1.fill(gddr_line(line))
-        assert not l1.lookup(gddr_line(line))
+        assert l1.lookup(reads(gddr_line(line))) == (0, None)
     assert not any(l1.sets)
+
+
+class PerLineL1:
+    """The L1 probed one line at a time: per set, its lines from least to
+    most recently used."""
+
+    def __init__(self, num_sets: int, assoc: int):
+        self.assoc = assoc
+        self.sets = [[] for _ in range(num_sets)]
+
+    def probe(self, key) -> bool:
+        s = self.sets[key[1] % len(self.sets)]
+        if key not in s:
+            return False
+        s.remove(key)
+        s.append(key)
+        return True
+
+    def fill(self, key):
+        s = self.sets[key[1] % len(self.sets)]
+        if key in s:
+            s.remove(key)
+        s.append(key)
+        if len(s) > self.assoc:
+            del s[0]
+
+    def lookup(self, lines) -> tuple:
+        hit = [entry for entry in lines if self.probe(entry[0])]
+        return len(hit), [entry for entry in hit if entry[1]] or None
+
+
+def assert_probes_like_one_per_line(l1: L1Cache, ref: PerLineL1, lines):
+    """One `lookup` of `lines` gives the per-line model's hits and read
+    hits, and leaves every set in the model's LRU order."""
+    assert l1.lookup(lines) == ref.lookup(lines)
+    assert [list(s) for s in l1.sets] == ref.sets
+
+
+def test_a_batched_l1_probe_matches_one_probe_per_line():
+    # two sets of two ways; even lines map to set 0, odd lines to set 1
+    l1 = L1Cache(L1Config(size_bytes=64, assoc=2, line_bytes=16))
+    ref = PerLineL1(l1.num_sets, 2)
+    for line in (0, 1, 2, 3):
+        l1.fill(gddr_line(line))
+        ref.fill(gddr_line(line))
+    a, b, c, miss = map(gddr_line, (0, 1, 2, 5))
+    # a read hit, a write hit (counted as a hit, not a read hit: the write
+    # still goes to DRAM), a miss, and two lines of set 0, the older first
+    lines = [(b, True), (a, False), (miss, True), (c, True)]
+    assert l1.lookup(lines) == ref.lookup(lines) \
+        == (3, [(b, True), (c, True)])
+    assert [list(s) for s in l1.sets] == ref.sets \
+        == [[a, c], [gddr_line(3), b]]
+    # a write hit alone leaves no read hit
+    assert_probes_like_one_per_line(l1, ref, [(a, False), (miss, False)])
+    assert l1.lookup([(a, False)]) == (1, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.sampled_from([0, 32, 64, 128]), assoc=st.integers(1, 2),
+       ops=st.lists(st.one_of(
+           st.integers(0, 9),
+           st.lists(st.tuples(st.integers(0, 9), st.booleans()),
+                    max_size=6)), max_size=30))
+@example(size=0, assoc=1, ops=[0, [(0, True), (1, False)], 1, [(1, False)]])
+def test_random_batched_l1_probes_match_one_probe_per_line(size, assoc, ops):
+    # an int fills that line; a list is one attempt's (line, is_read)s
+    l1 = L1Cache(L1Config(size_bytes=size, assoc=assoc, line_bytes=16))
+    ref = PerLineL1(l1.num_sets, l1.assoc)
+    for op in ops:
+        if isinstance(op, int):
+            l1.fill(gddr_line(op))
+            ref.fill(gddr_line(op))
+        else:
+            assert_probes_like_one_per_line(
+                l1, ref, [(gddr_line(line), r) for line, r in op])
 
 
 # sha256 of each CSV that `gmemsim run --trace` writes for one golden cell
