@@ -96,11 +96,11 @@ class McQueue:
     requester; nothing is ever dropped.
 
     `fifos[b]` holds bank b's waiting requests in arrival order as
-    (arrival number, request) pairs; `count` (and `len`) is their running
-    number.  `ready_at_pick` is the number of ready banks the last `mc_pick`
-    saw: the picked request's bank turns busy once advanced and every other
-    one stays ready, so a ready bank is left after the pick exactly when
-    that number is above 1."""
+    (arrival number, request) pairs; `count` is their running number.
+    `ready_at_pick` is the number of ready banks the last `mc_pick` saw: the
+    picked request's bank turns busy once advanced and every other one
+    stays ready, so a ready bank is left after the pick exactly when that
+    number is above 1."""
 
     def __init__(self, capacity: int = 64,
                  arbitration: Arbitration = Arbitration.FR_FCFS,
@@ -114,9 +114,6 @@ class McQueue:
         self.count = 0
         self._arrivals = 0
         self.ready_at_pick = 0
-
-    def __len__(self):
-        return self.count
 
     def enqueue(self, req: MemoryRequest, cycle: int) -> bool:
         if self.count >= self.capacity:

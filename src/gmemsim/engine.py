@@ -64,12 +64,14 @@ warp, a picked or woken warp that is not ready, a due controller that picks
 no request, a queue that overflows after the space check and a request
 outside its row region; `dram.bank_advance` refuses a busy bank.  Once per
 report, `_crosscheck` compares the running queue count with the
-controllers, the bank counters with each other and with the request log,
-and the cycle-counted BLP with the log's.  No running index is rescanned
-during a run: the tests' rescan oracle (`tests/test_engine.py`) compares
-each of them, the schedulers' ready indexes and the request log's split
-into queued, in service and completed included, with a rescan after every
-step.
+controllers, the bank counters with each other, and the log's issued
+requests with the counters' accesses.  The report takes each DRAM
+statistic from one source: counts and RBHR from the bank counters, BLP
+from the cycle count `blp_sum / blp_cycles`, and from `compute_metrics`
+only what the log alone holds.  No index is rescanned and no statistic
+derived twice during a run: the tests compare each running index with a
+rescan after every step (`tests/test_engine.py`), and each report with the
+request log's second derivation (`tests/metrics_reference.py`).
 """
 
 from __future__ import annotations
@@ -713,8 +715,17 @@ class World:
 
     def _report(self, truncated: bool) -> MetricsReport:
         hw = self.cfg.hardware
-        stats = compute_metrics(self.log, self.page_table, hw.request_window,
-                                end=self.cycle)
+        # each pool's bank counters, summed once for the DRAM counts, energy
+        # and the crosscheck
+        totals = {pool: dict.fromkeys(BANK_COUNTERS, 0) for pool in self.pools}
+        for (pool, _), q in self.mc_queues.items():
+            t = totals[pool]
+            for bank in q.banks:
+                for k in BANK_COUNTERS:
+                    t[k] += getattr(bank, k)
+        activates, reads, writes, hits = (sum(t[k] for t in totals.values())
+                                          for k in BANK_COUNTERS)
+        accesses = reads + writes
         report = MetricsReport(
             workload=self.kernel.name,
             policies=policies_dict(self.cfg),
@@ -723,6 +734,13 @@ class World:
             truncated=truncated,
             warp_instructions=self.warp_instructions,
             ipc_proxy=self.warp_instructions / self.cycle if self.cycle else 0.0,
+            total_accesses=accesses,
+            reads=reads,
+            writes=writes,
+            row_hits=hits,
+            activates=activates,
+            rbhr=hits / accesses if accesses else 0.0,
+            blp=self.blp_sum / self.blp_cycles if self.blp_cycles else 0.0,
             reply_stalls=self.reply_stalls,
             issue_backpressure=self.issue_backpressure,
             request_window=hw.request_window,
@@ -733,15 +751,8 @@ class World:
             spilled_pages=self.page_table.spilled_pages,
             pool_pages={p.value: n for p, n in self.page_table.pool_pages.items()},
             degenerate=not self.log,
-            **stats,
+            **compute_metrics(self.log, self.page_table, hw.request_window),
         )
-        # each pool's bank counters, summed once for energy and the crosscheck
-        totals = {pool: dict.fromkeys(BANK_COUNTERS, 0) for pool in self.pools}
-        for (pool, _), q in self.mc_queues.items():
-            t = totals[pool]
-            for bank in q.banks:
-                for k in BANK_COUNTERS:
-                    t[k] += getattr(bank, k)
         energy = dict.fromkeys(("activate", "read_write", "background",
                                 "total"), 0.0)
         for pool, pc in self.pools.items():
@@ -751,27 +762,18 @@ class World:
                 energy[k] += v
             energy[f"{pool.value}_total"] = part["total"]
         report.energy = energy
-        self._crosscheck(report, totals.values())
+        self._crosscheck(report)
         return report
 
-    def _crosscheck(self, report: MetricsReport, totals):
-        queued = sum(len(q) for q in self.mc_queues.values())
+    def _crosscheck(self, report: MetricsReport):
+        queued = sum(q.count for q in self.mc_queues.values())
         if queued != self.queued:
             raise SimulationFault(
                 self.cycle, f"running queue count {self.queued} != "
                 f"{queued} requests in the controller queues")
-        activates, reads, writes, hits = (sum(t[k] for t in totals)
-                                          for k in BANK_COUNTERS)
-        accesses = reads + writes
-        if activates + hits != accesses:
+        if report.activates + report.row_hits != report.total_accesses:
             raise SimulationFault(
                 self.cycle, "bank counters: activates + hits != accesses")
-        if (hits != report.row_hits or reads != report.reads
-                or accesses != report.total_accesses):
+        if report.gpu_requests + report.cpu_requests != report.total_accesses:
             raise SimulationFault(
                 self.cycle, "request log disagrees with bank counters")
-        blp = self.blp_sum / self.blp_cycles if self.blp_cycles else 0.0
-        if abs(blp - report.blp) > 1e-9:
-            raise SimulationFault(
-                self.cycle,
-                f"cycle-counted BLP {blp} != log-derived BLP {report.blp}")

@@ -1,12 +1,20 @@
 """Run metrics: bank-level parallelism, row-buffer hit rate, locality,
 latency, stalls, and a decomposed DRAM energy estimate.
 
-BLP is the mean, over cycles during which at least one request is in service,
-of the number of banks with a request in service; a request occupies its bank
-from t_issue to t_complete.  RBHR is row hits over total accesses.  Energy is
-activate + read/write event energy plus background power integrated over the
-run, so for a fixed access mix every extra row hit strictly removes one
-activate's worth of energy.
+Each statistic has one source.  The DRAM counts (accesses, reads, writes,
+row hits, activates) and RBHR, row hits over accesses, come from the bank
+counters that `dram.bank_advance` keeps.  BLP is the mean, over the cycles
+during which at least one request is in service, of the number of banks
+with a request in service; the engine counts it cycle by cycle as
+`World.blp_sum / World.blp_cycles`.  A request occupies its bank from
+t_issue to t_complete, and a bank serves one request at a time, so that
+count equals the per-bank definition, each bank's merged service intervals
+summed over the union of all of them, exactly, up to the cycle a run ends
+at (the tests keep the interval merge as its oracle).  What only the
+request log holds, delays, the GPU/CPU split, locality and the peak window,
+is `compute_metrics`.  Energy is activate + read/write event energy plus
+background power integrated over the run, so for a fixed access mix every
+extra row hit strictly removes one activate's worth of energy.
 """
 
 from __future__ import annotations
@@ -72,53 +80,19 @@ class MetricsReport:
         return out
 
 
-def _merged_length(intervals: list[tuple[int, int]]) -> int:
-    total, cur_lo, cur_hi = 0, None, None
-    for lo, hi in sorted(intervals):
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
-def bank_parallelism(requests: list[MemoryRequest],
-                     end: int | None = None) -> float:
-    """Mean busy-bank count over cycles with any request in service.  A run
-    cut at cycle `end` counts service only up to it."""
-    per_bank: dict[tuple, list[tuple[int, int]]] = {}
-    for r in requests:
-        if r.t_issue < 0:
-            continue
-        hi = r.t_complete if end is None else min(r.t_complete, end)
-        per_bank.setdefault((r.pool, r.channel, r.bank), []).append(
-            (r.t_issue, hi))
-    if not per_bank:
-        return 0.0
-    busy_sum = sum(_merged_length(iv) for iv in per_bank.values())
-    any_busy = _merged_length([iv for ivs in per_bank.values() for iv in ivs])
-    return busy_sum / any_busy if any_busy else 0.0
-
-
 def compute_metrics(requests: list[MemoryRequest], page_table,
-                    window: int = 100, end: int | None = None) -> dict:
-    """DRAM-side statistics derived purely from the completed requests in the
-    log of a run that ended at cycle `end` (see bank_parallelism).  One walk
-    gathers every count and integer sum; `peak_window_requests` is the
-    largest number of them enqueued inside any aligned `window`."""
-    done = []
-    hits = reads = gpu = local = delay = gpu_delay = 0
+                    window: int = 100) -> dict:
+    """The statistics only the request log holds, from its completed
+    requests in one walk: the mean access delays, overall and per agent,
+    the GPU/CPU split, GPU locality, and `peak_window_requests`, the largest
+    number of them enqueued inside any aligned `window`.  Every sum is an
+    integer, so each mean is one division."""
+    n = gpu = local = delay = gpu_delay = 0
     per_window: dict[int, int] = {}
     for r in requests:
         if r.t_complete < 0:
             continue
-        done.append(r)
-        hits += r.was_hit
-        reads += r.is_read
+        n += 1
         d = r.t_complete - r.t_enqueue
         delay += d
         w = r.t_enqueue // window
@@ -128,15 +102,8 @@ def compute_metrics(requests: list[MemoryRequest], page_table,
             gpu_delay += d
             local += page_table.is_local(r.sm_id, Pool(r.pool), r.channel,
                                          r.bank)
-    n, cpu = len(done), len(done) - gpu
+    cpu = n - gpu
     return {
-        "total_accesses": n,
-        "reads": reads,
-        "writes": n - reads,
-        "row_hits": hits,
-        "activates": n - hits,
-        "rbhr": hits / n if n else 0.0,
-        "blp": bank_parallelism(done, end),
         "mean_access_delay": delay / n if n else 0.0,
         "local_accesses": local,
         "remote_accesses": gpu - local,

@@ -273,7 +273,7 @@ def test_indexed_controller_matches_the_reference(run):
         assert has_ready(q, cycle) == ref.has_ready(cycle)
         assert q.banks == ref.banks
         waiting = queued(q)
-        assert len(q) == len(waiting)
+        assert q.count == len(waiting)
         assert [r.column for r in waiting] == [r.column for r in ref.requests]
         if cap:
             assert ([r.bypasses for r in waiting]
@@ -313,7 +313,7 @@ def test_queue_capacity_backpressure():
     assert q.enqueue(req(1), 0)
     assert q.enqueue(req(2), 0)
     assert not q.enqueue(req(3), 0)
-    assert len(q) == 2
+    assert q.count == 2
 
 
 def test_starvation_without_cap():

@@ -30,6 +30,7 @@ from gmemsim.engine import L1Cache, SimulationFault, World
 from gmemsim.memmap import CPU_OWNER, PageTable, Pool
 from gmemsim.workload import load_workload
 from lane_model import assert_matches_lane_model
+from metrics_reference import log_fields, world_reference
 from ready_index import assert_ready_index_matches_a_rescan
 
 SCHEDS = ("ccws", "tbas_c", "tbas_d", "tbas_e")
@@ -180,6 +181,10 @@ def test_golden_report(name, monkeypatch):
     report = world.run()
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
+    # each DRAM statistic, read from the bank counters and the cycle count,
+    # equals its second derivation from the request log
+    reference = world_reference(world)
+    assert log_fields(report, reference) == reference
     if name in BENCH_STEPS:
         assert calls["step"] == BENCH_STEPS[name]
     # the CPU stream is drawn at most one arrival ahead of the run
@@ -198,31 +203,59 @@ def test_golden_report(name, monkeypatch):
 CROSSCHECK_FAULTS = {
     "queued": "running queue count 1 != 0 requests in the controller queues",
     "row_hits": r"bank counters: activates \+ hits != accesses",
-    "row_hits_for_activates": "request log disagrees with bank counters",
-    "blp_sum": r"cycle-counted BLP [\d.]+ != log-derived BLP [\d.]+",
+    # keeps activates + hits == accesses, so only the log can tell
+    "reads_and_row_hits": "request log disagrees with bank counters",
 }
+# corruptions that no run-time comparison sees: they change the report,
+# and the request log's second derivation of it tells
+ORACLE_FAULTS = ("blp_sum", "row_hits_for_activates")
 
 
-@pytest.mark.parametrize("corruption", sorted(CROSSCHECK_FAULTS))
-def test_the_report_crosscheck_catches_a_corrupted_count(corruption):
-    # a finished golden run reports again unchanged; then one running count
-    # is corrupted, and the report's crosscheck of that count raises
-    name = "clustered-tbas_d-first_touch-serial"
-    _, world = run_report(GOLDEN[name])
-    with open(golden_path(name)) as f:
-        assert world._report(truncated=False).to_json() == f.read()
+def corrupt(world: World, corruption: str):
+    """Corrupt one running count of a finished run."""
     bank = world.mc_queues[(Pool.GDDR, 0)].banks[0]
     if corruption == "queued":
         world.queued += 1
     elif corruption == "row_hits":
+        bank.row_hits += 1
+    elif corruption == "reads_and_row_hits":
+        bank.reads += 1
         bank.row_hits += 1
     elif corruption == "row_hits_for_activates":  # keeps their sum
         bank.row_hits += 1
         bank.activates -= 1
     else:
         world.blp_sum += 1
+
+
+def finished_golden_run() -> World:
+    """A finished golden run, which reports again unchanged and as its
+    request log says."""
+    name = "clustered-tbas_d-first_touch-serial"
+    _, world = run_report(GOLDEN[name])
+    report = world._report(truncated=False)
+    with open(golden_path(name)) as f:
+        assert report.to_json() == f.read()
+    reference = world_reference(world)
+    assert log_fields(report, reference) == reference
+    return world
+
+
+@pytest.mark.parametrize("corruption", sorted(CROSSCHECK_FAULTS))
+def test_the_report_crosscheck_catches_a_corrupted_count(corruption):
+    world = finished_golden_run()
+    corrupt(world, corruption)
     with pytest.raises(SimulationFault, match=CROSSCHECK_FAULTS[corruption]):
         world._report(truncated=False)
+
+
+@pytest.mark.parametrize("corruption", ORACLE_FAULTS)
+def test_the_log_reference_catches_a_corrupted_count(corruption):
+    world = finished_golden_run()
+    corrupt(world, corruption)
+    report = world._report(truncated=False)
+    reference = world_reference(world)
+    assert log_fields(report, reference) != reference
 
 
 def test_setup_is_bounded_by_work_not_by_the_horizon(tmp_path):
@@ -364,6 +397,8 @@ def test_skipping_matches_the_per_cycle_loop(config):
     skipped, world = run_report(config)
     stepped, ref = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+    reference = world_reference(world)
+    assert log_fields(skipped, reference) == reference
     assert world.dispatch_log == ref.dispatch_log
     assert world.issue_log == ref.issue_log
     assert [(r.t_enqueue, r.t_issue, r.t_complete) for r in world.log] \
@@ -373,7 +408,7 @@ def test_skipping_matches_the_per_cycle_loop(config):
 def assert_running_indexes_match_a_rescan(world: World):
     assert world.issuable == {sm.sm_id for sm in world.sms
                               if sm.scheduler.has_issuable()}
-    assert world.queued == sum(len(q) for q in world.mc_queues.values())
+    assert world.queued == sum(q.count for q in world.mc_queues.values())
     # the controllers due as of the last mc phase, one cycle back
     assert world.due == {key for key, q in world.mc_queues.items()
                          if has_ready(q, world.cycle - 1)}
@@ -501,10 +536,13 @@ def test_a_run_cut_inside_a_jump_matches_the_per_cycle_loop(name):
     assert jumps
     for start in jumps:
         config = dict(GOLDEN[name], horizon=start + 1)
-        skipped, _ = run_report(config)
+        skipped, cut = run_report(config)
         stepped, _ = run_report(config, skip=False)
         assert skipped.truncated and skipped.cycles == start + 1
         assert skipped.to_json() == stepped.to_json()
+        # BLP counts service only up to the cut, as the log's merge does
+        reference = world_reference(cut)
+        assert log_fields(skipped, reference) == reference
 
 
 def test_an_sm_whose_range_ran_out_is_no_dispatch_event():
