@@ -127,7 +127,9 @@ def cmd_profile(args) -> int:
 class Experiment:
     """A `compare` sweep: each combination of the axes' values laid over
     the base config is one cell, and each cell's metrics are divided by the
-    baseline cell's.  base_config is read relative to the experiment file."""
+    baseline cell's.  An axis names a config field by its dotted path, so
+    `hardware.mc_queue_capacity` sweeps a nested one.  base_config is read
+    relative to the experiment file."""
 
     name: str
     base_config: str
@@ -165,6 +167,26 @@ def _cell_name(cell: dict) -> str:
     return "__".join(f"{k}-{cell[k]}" for k in sorted(cell))
 
 
+def _overlay(base: dict, cell: dict) -> dict:
+    """`base` with each of the cell's values laid at its dotted field path
+    (`hardware.mc_queue_capacity`), copying every object on that path, so
+    that no cell changes `base` or another cell."""
+    out = dict(base)
+    for key, value in cell.items():
+        *parents, leaf = key.split(".")
+        obj = out
+        for i, part in enumerate(parents):
+            sub = obj.get(part, {})
+            if not isinstance(sub, dict):
+                raise ValueError(f"experiment.axes.{key}: config."
+                                 f"{'.'.join(parents[:i + 1])} must be an "
+                                 f"object, not {sub!r}")
+            obj[part] = dict(sub)
+            obj = obj[part]
+        obj[leaf] = value
+    return out
+
+
 def cmd_compare(args) -> int:
     exp = _load_experiment(args.experiment)
     with open(exp.base_config) as f:
@@ -182,11 +204,9 @@ def cmd_compare(args) -> int:
 
     rows, failed, faulted = {}, {}, False
     for cell in cells:
-        obj = dict(base_obj)
-        obj.update(cell)
         name = _cell_name(cell)
         try:
-            cfg = config_from_dict(obj, base_dir=base_dir)
+            cfg = config_from_dict(_overlay(base_obj, cell), base_dir=base_dir)
             world = World(cfg)
             report = world.run()
             _write_report(report, os.path.join(out_dir, f"{name}.json"))

@@ -14,7 +14,7 @@ import pytest
 from conftest import interleaved_grid_workload, small_hardware
 from gmemsim.batching import plan_to_dict
 from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
-                         main)
+                         _overlay, main)
 from gmemsim.config import RunConfig, config_from_dict
 from gmemsim.engine import SimulationFault, World
 from gmemsim.sched import TbasScheduler
@@ -515,6 +515,74 @@ def test_compare_output_is_reproducible(tmp_path):
     assert tables[0] == tables[1]
     header = tables[0].decode().splitlines()[0].split(",")
     assert header[-1] == "status" and "timestamp" not in header
+
+
+# a 2x2 sweep over a top-level and a nested field; 2-deep queues
+# back-pressure base_config's issue, 64-deep ones never do
+NESTED_AXES = {"scheduler": ["ccws", "tbas_e"],
+               "hardware.mc_queue_capacity": [64, 2]}
+
+
+def test_compare_sweeps_a_nested_field(tmp_path):
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json", "axes": NESTED_AXES,
+        "baseline": {"scheduler": "ccws", "hardware.mc_queue_capacity": 2}})
+    out = tmp_path / "out"
+    assert main(["compare", "--experiment", path,
+                 "--out", str(out)]) == EXIT_OK
+    # the baseline cell reports what a run of its config reports
+    config = dict(base_config(), scheduler="ccws")
+    config["hardware"]["mc_queue_capacity"] = 2
+    direct = tmp_path / "direct.json"
+    assert main(["run", "--config", write(tmp_path / "config.json", config),
+                 "--out", str(direct)]) == EXIT_OK
+    base_cell = "hardware.mc_queue_capacity-2__scheduler-ccws"
+    assert (out / f"{base_cell}.json").read_text() == direct.read_text()
+    # cells that differ only in the nested field report differently
+    for sched in NESTED_AXES["scheduler"]:
+        deep, shallow = (json.loads((out / f"hardware.mc_queue_capacity-"
+                                     f"{cap}__scheduler-{sched}.json")
+                                    .read_text()) for cap in (64, 2))
+        assert deep["issue_backpressure"] == 0 \
+            < shallow["issue_backpressure"]
+
+
+def test_a_compare_cell_leaves_the_base_config_as_it_was():
+    base = base_config()
+    before = copy.deepcopy(base)
+    cell = _overlay(base, {"hardware.mc_queue_capacity": 2,
+                           "hardware.reply.latency": 3, "scheduler": "tbas_e"})
+    assert base == before
+    assert cell["hardware"]["mc_queue_capacity"] == 2
+    assert cell["hardware"]["reply"] == dict(before["hardware"]["reply"],
+                                             latency=3)
+    assert cell["hardware"]["l1"] == before["hardware"]["l1"]
+    assert cell["scheduler"] == "tbas_e"
+    # a path through an object the base config leaves out makes one
+    assert _overlay({}, {"hardware.reply.latency": 3}) \
+        == {"hardware": {"reply": {"latency": 3}}}
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("hardware.mc_queue_capcity",
+     "cell hardware.mc_queue_capcity-2__scheduler-ccws failed: unknown "
+     "field(s) in config.hardware: ['mc_queue_capcity']"),
+    ("horizon.cycles",
+     "cell horizon.cycles-2__scheduler-ccws failed: experiment.axes."
+     "horizon.cycles: config.horizon must be an object, not 10000"),
+], ids=["unknown leaf", "through a non-object"])
+def test_compare_names_a_bad_nested_axis(axis, message, tmp_path, capsys):
+    write(tmp_path / "base.json", base_config())
+    path = write(tmp_path / "exp.json", {
+        "name": "sweep", "base_config": "base.json",
+        "axes": {"scheduler": ["ccws"], axis: [2]},
+        "baseline": {"scheduler": "ccws", axis: 2}})
+    assert main(["compare", "--experiment", path,
+                 "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 MALFORMED_EXPERIMENTS = {
