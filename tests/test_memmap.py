@@ -8,6 +8,8 @@ from gmemsim.loader import check_bounds
 from gmemsim.memmap import (CPU_OWNER, AddressLayout, FrameRegion, PagePolicy,
                             PageTable, Pool, build_color_map)
 
+from page_table_reference import ReferencePageTable
+
 DEFAULT = AddressLayout(byte_offset_bits=6, column_bits=7, channel_bits=1,
                         bank_bits=4, row_bits=14, page_offset_bits=12)
 SMALL = AddressLayout(byte_offset_bits=2, column_bits=3, channel_bits=1,
@@ -248,3 +250,90 @@ def test_round_trip_property(byte, col, ch, bank, row, data):
     addr = data.draw(st.integers(0, (1 << layout.address_bits) - 1))
     d = layout.decompose(addr)
     assert layout.compose(d.channel, d.bank, d.row, d.column, d.byte) == addr
+
+
+def allocate_both(table: PageTable, ref: ReferencePageTable,
+                  owners: list[int]) -> list[str]:
+    """Allocate page i for owners[i] in both tables, asserting after each
+    that they map it alike, or fail it with the same message, and agree on
+    the spill and per-pool counts; the messages of the failed ones."""
+    failures = []
+    for vpn, owner in enumerate(owners):
+        outcome = []
+        for t in (table, ref):
+            try:
+                outcome.append(t.allocate_page(vpn, owner))
+            except ValueError as e:
+                outcome.append(str(e))
+        assert outcome[0] == outcome[1], (vpn, owner)
+        if isinstance(outcome[0], str):
+            failures.append(outcome[0])
+        assert table.spilled_pages == ref.spilled_pages
+        assert table.pool_pages == ref.pool_pages
+    assert table.entries == ref.entries
+    return failures
+
+
+def both_tables(policy, gddr, ddr, num_sms, **kwargs):
+    layouts = {Pool.GDDR: gddr, Pool.DDR: ddr}
+    color_map = build_color_map(num_sms, gddr)
+    return (PageTable(policy, layouts, color_map, **kwargs),
+            ReferencePageTable(policy, layouts, color_map, **kwargs))
+
+
+@st.composite
+def allocator_cases(draw):
+    """A small colorable GDDR layout and a DDR one of the same page size,
+    a policy, its options and an owner sequence longer than both pools.
+    Pages are at least as wide as the byte offset field (see the FOUND
+    line on `AddressLayout.frame_number` in CHANGES.md)."""
+    pob = draw(st.integers(0, 2))
+    slot = draw(st.integers(0, 1))
+    byte = draw(st.integers(0, pob))
+    gddr = AddressLayout(byte, pob + slot - byte, draw(st.integers(0, 1)),
+                         draw(st.integers(0, 2)), draw(st.integers(1, 2)), pob)
+    ddr = AddressLayout(pob, draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+                        draw(st.integers(0, 1)), draw(st.integers(0, 2)), pob)
+    policy = draw(st.sampled_from(list(PagePolicy)))
+    num_sms = draw(st.integers(1, min(3, gddr.num_channels * gddr.num_banks)))
+    kwargs = {"cpu_pool": draw(st.sampled_from(list(Pool))),
+              "bw_ratio": (draw(st.integers(1, 3)), draw(st.integers(1, 3)))}
+    if policy is PagePolicy.COLORING_HETERO:
+        kwargs["region"] = FrameRegion.split(
+            gddr.num_rows, draw(st.sampled_from([0.25, 0.5, 0.75])))
+    n = gddr.num_frames + ddr.num_frames
+    owners = draw(st.lists(st.sampled_from([CPU_OWNER, *range(num_sms)]),
+                           min_size=n + 1, max_size=n + 8))
+    return policy, gddr, ddr, num_sms, kwargs, owners
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=allocator_cases())
+def test_page_table_matches_the_reference_until_exhaustion(case):
+    # every PageEntry, spill and pool count, and each exhaustion message,
+    # against walks listed from the layouts' bit widths; the owners ask for
+    # more pages than both pools hold, so some allocation always fails
+    policy, gddr, ddr, num_sms, kwargs, owners = case
+    table, ref = both_tables(policy, gddr, ddr, num_sms, **kwargs)
+    assert allocate_both(table, ref, owners)
+
+
+@pytest.mark.parametrize("cpu_pool", list(Pool))
+def test_hetero_spills_inside_the_gpu_rows_until_the_region_runs_out(
+        cpu_pool):
+    # SM 0 owns channel 0's 4 banks, half of SMALL's 8 (channel, bank)
+    # pairs: 192 colored frames in the 24 GPU rows at 2 pages per row.  Its
+    # next 192 pages spill onto channel 1's frames in the GPU rows, and the
+    # 385th finds the region full.  The CPU's 8 rows hold 128 GDDR pages.
+    region = FrameRegion.split(SMALL.num_rows, 0.25)
+    table, ref = both_tables(PagePolicy.COLORING_HETERO, SMALL,
+                             AddressLayout(2, 3, 0, 2, 5, 4), 2,
+                             region=region, cpu_pool=cpu_pool)
+    failures = allocate_both(table, ref, [0] * 390 + [CPU_OWNER] * 130)
+    assert table.spilled_pages == 192
+    assert all(0 <= e.row < 24 for e in table.entries.values()
+               if e.owner == 0)
+    gpu_full = "gddr pool exhausted: every frame of rows [0, 24) is in use"
+    cpu_full = ("gddr pool exhausted: every frame of rows [24, 32) is in use"
+                if cpu_pool is Pool.GDDR else None)
+    assert failures == [gpu_full] * 6 + ([cpu_full] * 2 if cpu_full else [])
