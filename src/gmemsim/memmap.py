@@ -196,10 +196,16 @@ CPU_OWNER = -1
 class PageTable:
     """First-touch virtual-to-physical page mapping under a pluggable policy.
 
-    Frames are handed out lazily from per-policy orderings; a used-frame set
-    guarantees injectivity.  Colored GPU allocation walks (row, color, slot)
-    order so that consecutive pages of a batch fill a row before a new row is
-    opened and successive rows rotate over the SM's banks.
+    Frames are handed out from fixed walks, each a generator made once and
+    resumed with `next`, which skips the frames in use as it reaches them;
+    no frame is freed, so no walk looks back, and the used-frame sets keep
+    the mapping injective.  A pool's scan walks its frame numbers in order.
+    A colored GPU walk goes in (row, color, slot) order over its SM's
+    colors, so that consecutive pages of a batch fill a row before a new row
+    is opened and successive rows rotate over the SM's banks.  `coloring`
+    walks every row and spills to the GDDR scan; `coloring_hetero` walks the
+    GPU rows and spills to them in any bank, and walks the CPU rows in any
+    bank for CPU pages in GDDR.
     """
 
     def __init__(self, policy: PagePolicy, layouts: dict[Pool, AddressLayout],
@@ -217,62 +223,54 @@ class PageTable:
         self.spilled_pages = 0
         self.pool_pages = {Pool.GDDR: 0, Pool.DDR: 0}
         self._used: dict[Pool, set[int]] = {Pool.GDDR: set(), Pool.DDR: set()}
-        # walk positions, keyed by pool (first-touch scans), SM id (colored
-        # walks), "cpu" and "spill" (region walks)
-        self._cursors: dict = {Pool.GDDR: 0, Pool.DDR: 0}
         gddr = layouts[Pool.GDDR]
-        self._all_pairs = [(ch, b) for ch in range(gddr.num_channels)
-                           for b in range(gddr.num_banks)]
         # `HardwareConfig.validate` makes the pools share one page size
         self.page_size = gddr.page_size
-        if policy is PagePolicy.COLORING_HETERO and region is None:
+        hetero = policy is PagePolicy.COLORING_HETERO
+        if hetero and region is None:
             raise ValueError("coloring_hetero requires a frame region split")
+        # (free frames, pool, rows) per walk that can run out
+        self._scans = {pool: (self._free(pool, range(layout.num_frames)), pool,
+                              (0, layout.num_rows))
+                       for pool, layout in layouts.items()}
+        gpu_rows = region.gpu_rows if hetero else (0, gddr.num_rows)
+        self._colored = {sm: self._row_frames(colors, gpu_rows)
+                         for sm, colors in color_map.items()}
+        all_pairs = [(ch, b) for ch in range(gddr.num_channels)
+                     for b in range(gddr.num_banks)]
+        self._spill = ((self._row_frames(all_pairs, gpu_rows), Pool.GDDR,
+                        gpu_rows) if hetero else self._scans[Pool.GDDR])
+        self._cpu = ((self._row_frames(all_pairs, region.cpu_rows), Pool.GDDR,
+                      region.cpu_rows) if hetero and cpu_pool is Pool.GDDR
+                     else self._scans[cpu_pool])
 
-    # frame orderings ------------------------------------------------------
+    # frame walks ------------------------------------------------------------
 
-    def _pool_scan(self, pool: Pool) -> int:
-        layout = self.layouts[pool]
+    def _free(self, pool: Pool, frames):
+        """The frames of `frames` that are not in use as the walk reaches
+        them."""
         used = self._used[pool]
-        f = self._cursors[pool]
-        while f < layout.num_frames and f in used:
-            f += 1
-        if f >= layout.num_frames:
-            raise ValueError(f"{pool.value} pool exhausted: every frame of "
-                             f"rows [0, {layout.num_rows}) is in use")
-        self._cursors[pool] = f + 1
-        return f
+        return (f for f in frames if f not in used)
 
-    def _row_walk(self, pairs, rows: tuple[int, int], cursor) -> int | None:
-        """Next free GDDR frame in (row, (channel, bank), slot) order over
-        the given pairs and row range, resuming at self._cursors[cursor]; a
-        batch's pages fill a row before the next row opens, and successive
-        rows rotate over the pairs.  None once the range is used up."""
+    def _row_frames(self, pairs, rows: tuple[int, int]):
+        """Free GDDR frames in (row, (channel, bank), slot) order over the
+        given pairs and rows [lo, hi)."""
         layout = self.layouts[Pool.GDDR]
-        slots = layout.pages_per_row
-        per_row = len(pairs) * slots
-        row_lo, row_hi = rows
-        total = (row_hi - row_lo) * per_row
-        used = self._used[Pool.GDDR]
-        idx = self._cursors.get(cursor, 0)
-        while idx < total:
-            row = row_lo + idx // per_row
-            rem = idx % per_row
-            ch, bank = pairs[rem // slots]
-            frame = layout.frame_number(ch, bank, row, rem % slots)
-            idx += 1
-            if frame not in used:
-                self._cursors[cursor] = idx
-                return frame
-        self._cursors[cursor] = idx
-        return None
+        slots = range(layout.pages_per_row)
+        return self._free(Pool.GDDR, (
+            layout.frame_number(ch, bank, row, slot)
+            for row in range(*rows) for ch, bank in pairs for slot in slots))
 
-    def _region_frame(self, rows: tuple[int, int], cursor) -> int:
-        """Any-bank frame limited to a row range of the GDDR pool."""
-        frame = self._row_walk(self._all_pairs, rows, cursor)
+    @staticmethod
+    def _take(walk) -> tuple[Pool, int]:
+        """The next free frame of a (frames, pool, rows) walk, with its
+        pool."""
+        frames, pool, (lo, hi) = walk
+        frame = next(frames, None)
         if frame is None:
-            raise ValueError(f"gddr pool exhausted: every frame of rows "
-                             f"[{rows[0]}, {rows[1]}) is in use")
-        return frame
+            raise ValueError(f"{pool.value} pool exhausted: every frame of "
+                             f"rows [{lo}, {hi}) is in use")
+        return pool, frame
 
     def _bw_pool(self) -> Pool:
         g, d = self.bw_ratio
@@ -285,35 +283,20 @@ class PageTable:
 
     def allocate_page(self, vpn: int, owner_sm: int) -> PageEntry:
         """Map a virtual page on first touch; owner_sm is CPU_OWNER for CPU
-        pages.  Colored allocation that runs out of its color set spills to
-        any free frame and counts the spill."""
+        pages.  Colored allocation that runs out of its color set spills and
+        counts the spill."""
         if vpn in self.entries:
             raise ValueError(f"vpn {vpn} already mapped")
         if owner_sm == CPU_OWNER:
-            pool = self.cpu_pool
-            if self.policy is PagePolicy.COLORING_HETERO and pool is Pool.GDDR:
-                frame = self._region_frame(self.region.cpu_rows, "cpu")
-            else:
-                frame = self._pool_scan(pool)
-        elif self.policy in (PagePolicy.FIRST_TOUCH, PagePolicy.BW_AWARE):
-            pool = (self._bw_pool() if self.policy is PagePolicy.BW_AWARE
-                    else Pool.GDDR)
-            frame = self._pool_scan(pool)
-        elif self.policy is PagePolicy.COLORING:
-            pool = Pool.GDDR
-            frame = self._row_walk(self.color_map[owner_sm],
-                                   (0, self.layouts[pool].num_rows), owner_sm)
+            pool, frame = self._take(self._cpu)
+        elif self.policy is PagePolicy.FIRST_TOUCH:
+            pool, frame = self._take(self._scans[Pool.GDDR])
+        elif self.policy is PagePolicy.BW_AWARE:
+            pool, frame = self._take(self._scans[self._bw_pool()])
+        else:  # COLORING, COLORING_HETERO
+            pool, frame = Pool.GDDR, next(self._colored[owner_sm], None)
             if frame is None:
-                frame = self._pool_scan(pool)
-                self.spilled_pages += 1
-        else:  # COLORING_HETERO
-            pool = Pool.GDDR
-            frame = self._row_walk(self.color_map[owner_sm],
-                                   self.region.gpu_rows, owner_sm)
-            if frame is None:
-                # spill stays inside the GPU row region so the CPU/GPU row
-                # split is never violated
-                frame = self._region_frame(self.region.gpu_rows, "spill")
+                _, frame = self._take(self._spill)
                 self.spilled_pages += 1
         self._used[pool].add(frame)
         fields = self.layouts[pool].frame_fields(frame)
