@@ -65,7 +65,6 @@ def _write_traces(world: World, out_dir: str):
            for v in (getattr(r, k) for k in fields)] for r in world.log)),
         ("dispatch.csv", ["cycle", "sm_id", "block_linear", "batch_id"],
          world.dispatch_log),
-        # None when the run collected no issue log
         ("issues.csv", ["cycle", "sm_id", "warp_id", "batch_id", "slot"],
          world.issue_log),
         ("pagetable.csv",
@@ -77,8 +76,6 @@ def _write_traces(world: World, out_dir: str):
           for b, st in enumerate(q.banks))),
     ]
     for name, header, rows in tables:
-        if rows is None:
-            continue
         with open(os.path.join(out_dir, name), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)

@@ -63,15 +63,17 @@ when it does not hold: an SM flagged issuable whose scheduler picks no
 warp, a picked or woken warp that is not ready, a due controller that picks
 no request, a queue that overflows after the space check and a request
 outside its row region; `dram.bank_advance` refuses a busy bank.  Once per
-report, `_crosscheck` compares the running queue count with the
-controllers, the bank counters with each other, and the log's issued
-requests with the counters' accesses.  The report takes each DRAM
-statistic from one source: counts and RBHR from the bank counters, BLP
-from the cycle count `blp_sum / blp_cycles`, and from `compute_metrics`
-only what the log alone holds.  No index is rescanned and no statistic
-derived twice during a run: the tests compare each running index with a
-rescan after every step (`tests/test_engine.py`), and each report with the
-request log's second derivation (`tests/metrics_reference.py`).
+report, `_crosscheck` checks that a run that was not cut at the horizon
+left no request in a controller queue, which `done()` derived from `due`
+and `in_service` rather than read from a count of its own, and compares
+the bank counters with each other and the log's issued requests with the
+counters' accesses.  The report takes each DRAM statistic from one
+source: counts and RBHR from the bank counters, BLP from the cycle count
+`blp_sum / blp_cycles`, and from `compute_metrics` only what the log alone
+holds.  No index is rescanned and no statistic derived twice during a
+run: the tests compare each running index with a rescan after every step
+(`tests/test_engine.py`), and each report with the request log's second
+derivation (`tests/metrics_reference.py`).
 """
 
 from __future__ import annotations
@@ -216,6 +218,9 @@ class World:
                     f"bytes {m.base_addr} to {last}, but coloring_hetero "
                     f"keeps CPU and GPU pages in separate rows")
 
+        # each lane makes every access, so any access gives each warp a slot
+        if not any(m.accesses_per_thread for m in kernel.matrices):
+            raise ValueError("workload.kernel issues no memory accesses")
         self.plan = (form_batches(kernel, cfg.stride) if cfg.stride is not None
                      else form_batches(kernel, *profile_stride(kernel, page)))
         self.blocks = enumerate_blocks(kernel)
@@ -299,9 +304,8 @@ class World:
         # overflowed replies
         self.replying: set[int] = set()
         self.overflowed = 0
-        # requests waiting in the controller queues, and the keys of the
-        # controllers with a waiting request whose bank is free
-        self.queued = 0
+        # the keys of the controllers with a waiting request whose bank is
+        # free
         self.due: set[tuple] = set()
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._line = hw.l1.line_bytes
@@ -313,22 +317,15 @@ class World:
         its warps belong to batch `blin // plan.stride`."""
         block_id = self.blocks[blin]
         batch = blin // self.plan.stride
-        warps = []
-        for wid, slots in gen_block_trace(self.kernel, block_id,
-                                          self._line).items():
-            if not slots:
-                self.finished_warps += 1
-                continue
-            warps.append(WarpState(warp_id=wid, batch_id=batch,
-                                   block_linear=blin, slots=slots,
-                                   ready_at=self.cycle))
+        warps = [WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
+                           slots=slots, ready_at=self.cycle)
+                 for wid, slots in gen_block_trace(self.kernel, block_id,
+                                                   self._line).items()]
         self._make_resident(sm, blin, warps)
         self.dispatch_log.append((self.cycle, sm.sm_id, blin, batch))
 
     def _make_resident(self, sm: SmModel, blin: int, warps: list[WarpState]):
-        """Hand block `blin`'s unfinished `warps`, all ready, to `sm`."""
-        if not warps:
-            return
+        """Hand block `blin`'s `warps`, all ready, to `sm`."""
         for w in warps:
             self.warp_index[w.warp_id] = w
             sm.scheduler.add_warp(w)
@@ -548,7 +545,6 @@ class World:
         if not q.enqueue(req, self.cycle):
             return False
         self.log.append(req)
-        self.queued += 1
         if q.banks[req.bank].busy_until <= self.cycle:
             self.due.add(key)
         return True
@@ -565,7 +561,6 @@ class World:
                 raise SimulationFault(
                     self.cycle, f"{key[0].value} channel {key[1]} is due, "
                     "but its controller picked no request")
-            self.queued -= 1
             done = bank_advance(q.banks[req.bank], req,
                                 self.pools[key[0]].timing, self.cycle)
             self.in_service += 1
@@ -632,15 +627,17 @@ class World:
         more than the controllers serve keeps a finished GPU's run going up
         to its horizon (the FOUND line on `World.done` in CHANGES.md).
 
-        Every term is a running count, so the answer costs O(1): `queued`
-        rises with each enqueue and falls with each `mc_pick`, `in_service`
-        counts the busy banks, and `replying` holds the SMs with a reply
-        queued or overflowed.  Every block has been dispatched once
-        `finished_warps` reaches `total_warps`, since each block brings all
-        `warps_per_block` of its warps."""
+        Every term is a running count or index, so the answer costs O(1):
+        `in_service` counts the busy banks, and `replying` holds the SMs
+        with a reply queued or overflowed.  No count of the waiting requests
+        is kept, since `due` stands for them: a waiting request's bank is
+        either free, which puts its controller in `due`, or busy serving a
+        request that `in_service` counts.  Every block has been dispatched
+        once `finished_warps` reaches `total_warps`, since each block brings
+        all `warps_per_block` of its warps."""
         return (self.finished_warps >= self.total_warps
                 and not (self.in_service or self.cpu_sent < self.cpu_next
-                         or self.queued or self.replying))
+                         or self.due or self.replying))
 
     def _tick(self, cycles: int):
         """Advance the clock, counting the banks in service meanwhile."""
@@ -766,11 +763,12 @@ class World:
         return report
 
     def _crosscheck(self, report: MetricsReport):
-        queued = sum(q.count for q in self.mc_queues.values())
-        if queued != self.queued:
-            raise SimulationFault(
-                self.cycle, f"running queue count {self.queued} != "
-                f"{queued} requests in the controller queues")
+        if not report.truncated:  # `done()` took the queues to be empty
+            for (pool, ch), q in self.mc_queues.items():
+                if q.count:
+                    raise SimulationFault(
+                        self.cycle, f"{q.count} request(s) still wait in "
+                        f"{pool.value} channel {ch} at the end of the run")
         if report.activates + report.row_hits != report.total_accesses:
             raise SimulationFault(
                 self.cycle, "bank counters: activates + hits != accesses")

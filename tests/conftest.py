@@ -48,6 +48,24 @@ def clustered_rows_workload(accesses_per_thread=2, compute_gap=2,
     }
 
 
+def one_page_workload():
+    """100 one-thread clustered blocks whose 4-byte elements all lie on one
+    4096-byte page.  With a 1-element row the profiler tries strides up to
+    64, so two batches always share the page: a FALLBACK plan."""
+    return {
+        "kernel": {
+            "name": "one_page",
+            "grid_dim": [100, 1],
+            "block_dim": [1, 1],
+            "warp_size": 1,
+            "matrices": [
+                {"base_addr": 0, "element_size": 4, "row_len": 1,
+                 "mapping": "clustered"},
+            ],
+        },
+    }
+
+
 def interleaved_grid_workload(accesses_per_thread=1, compute_gap=2):
     """2x2 grid of 2x2 blocks over a 4x4 matrix: each matrix row is split
     between two x-adjacent blocks, the second thread-data mapping shape."""

@@ -6,7 +6,8 @@ from gmemsim.batching import (Formation, block_page_set, form_batches,
                               plan_to_dict, profile_stride)
 from gmemsim.workload import enumerate_blocks, load_workload
 
-from conftest import clustered_rows_workload, interleaved_grid_workload
+from conftest import (clustered_rows_workload, interleaved_grid_workload,
+                      one_page_workload)
 
 
 def brute_force_stride(kernel, page_size, max_stride=16):
@@ -57,6 +58,11 @@ def test_interleaved_stride_two(interleaved_spec):
     plan = form_batches(interleaved_spec, 2)
     assert batches(interleaved_spec, plan, 16) == [
         ([(0, 0, 0), (1, 0, 0)], [0, 1]), ([(0, 1, 0), (1, 1, 0)], [2, 3])]
+
+
+def test_a_page_no_stride_keeps_in_one_batch_profiles_as_fallback():
+    kernel, _ = load_workload(one_page_workload())
+    assert profile_stride(kernel, 4096) == (1, Formation.FALLBACK)
 
 
 def test_profile_rejects_empty_trace():

@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import interleaved_grid_workload, small_hardware
+from conftest import (interleaved_grid_workload, one_page_workload,
+                      small_hardware)
 from gmemsim.batching import plan_to_dict
 from gmemsim.cli import (EXIT_FAULT, EXIT_INVALID, EXIT_OK, EXIT_TRUNCATED,
                          _overlay, main)
@@ -286,7 +287,12 @@ REJECTED_BY_WORLD = {
         "the 32-byte page size"),
     "no memory access to profile": (
         {"workload.kernel.matrices[0].accesses_per_thread": 0},
-        "kernel issues no memory accesses"),
+        "workload.kernel issues no memory accesses"),
+    # before World rejected it, this ran a 1-cycle degenerate report
+    "no memory access at a fixed stride": (
+        {"workload.kernel.matrices[0].accesses_per_thread": 0,
+         "config.stride": 2},
+        "workload.kernel issues no memory accesses"),
     "more SMs than GDDR banks": (
         {"config.hardware": {"num_sms": 40}},
         "config.hardware.num_sms (40) must not exceed the 32 GDDR banks, as "
@@ -482,6 +488,32 @@ def test_pool_exhaustion_exits_3(allocator, tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_profile_warns_of_a_fallback_plan(tmp_path, capsys):
+    # the default hardware's 4096-byte pages: all 100 blocks share one
+    config = {"workload": one_page_workload()}
+    path = write(tmp_path / "config.json", config)
+    out = tmp_path / "plan.json"
+    assert main(["profile", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: no fixed stride suppresses page sharing well; plan marked "
+        "fallback\n")
+    plan = json.loads(out.read_text())
+    assert (plan["stride"], plan["formation"]) == (1, "fallback")
+    assert plan["sharing_histogram"]["exclusive_fraction"] == 0.0
+
+
+def test_run_seed_changes_only_the_reports_seed(tmp_path):
+    # the CPU stream draws from cpu_traffic.seed, not from the config's seed
+    path = write(tmp_path / "config.json", cpu_config())
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    assert main(["run", "--config", path, "--out", str(plain)]) == EXIT_OK
+    assert main(["run", "--config", path, "--out", str(seeded),
+                 "--seed", "7"]) == EXIT_OK
+    plain, seeded = json.loads(plain.read_text()), json.loads(seeded.read_text())
+    assert (plain["seed"], seeded["seed"]) == (0, 7)
+    assert plain["cpu_requests"] and dict(plain, seed=7) == seeded
+
+
 def test_profile_writes_the_plan(tmp_path):
     # 32-byte pages and a fixed stride, both read from the config
     config = dict(base_config(), stride=2)
@@ -592,6 +624,9 @@ MALFORMED_EXPERIMENTS = {
                          "experiment.max_cells must be int, not '9'"),
     "empty axis": ({"axes": {"scheduler": []}},
                    "experiment.axes.scheduler must not be empty"),
+    "no axis": ({"axes": {}}, "experiment.axes must name at least one field"),
+    "more cells than max_cells": ({"max_cells": 1},
+                                  "experiment has 2 cells, cap is 1"),
 }
 
 

@@ -201,7 +201,8 @@ def test_golden_report(name, monkeypatch):
 # per corruption of a finished run's state, the message of the one
 # comparison in `World._crosscheck` that it breaks
 CROSSCHECK_FAULTS = {
-    "queued": "running queue count 1 != 0 requests in the controller queues",
+    "queued": r"1 request\(s\) still wait in gddr channel 0 at the end of "
+              "the run",
     "row_hits": r"bank counters: activates \+ hits != accesses",
     # keeps activates + hits == accesses, so only the log can tell
     "reads_and_row_hits": "request log disagrees with bank counters",
@@ -213,9 +214,10 @@ ORACLE_FAULTS = ("blp_sum", "row_hits_for_activates")
 
 def corrupt(world: World, corruption: str):
     """Corrupt one running count of a finished run."""
-    bank = world.mc_queues[(Pool.GDDR, 0)].banks[0]
-    if corruption == "queued":
-        world.queued += 1
+    queue = world.mc_queues[(Pool.GDDR, 0)]
+    bank = queue.banks[0]
+    if corruption == "queued":  # a request its run never sees
+        assert queue.enqueue(copy.copy(world.log[0]), world.cycle)
     elif corruption == "row_hits":
         bank.row_hits += 1
     elif corruption == "reads_and_row_hits":
@@ -408,7 +410,6 @@ def test_skipping_matches_the_per_cycle_loop(config):
 def assert_running_indexes_match_a_rescan(world: World):
     assert world.issuable == {sm.sm_id for sm in world.sms
                               if sm.scheduler.has_issuable()}
-    assert world.queued == sum(q.count for q in world.mc_queues.values())
     # the controllers due as of the last mc phase, one cycle back
     assert world.due == {key for key, q in world.mc_queues.items()
                          if has_ready(q, world.cycle - 1)}
@@ -439,10 +440,13 @@ def assert_running_indexes_match_a_rescan(world: World):
     unissued = [req for req in log if req.t_issue < 0]
     serving = [req for req in log
                if req.t_issue >= 0 and req.t_complete >= world.cycle]
-    assert len(unissued) == world.queued
+    assert len(unissued) == sum(q.count for q in world.mc_queues.values())
     assert len(serving) == world.in_service
     assert sorted(map(id, unissued)) == sorted(map(id, waiting))
     assert sorted(map(id, serving)) == sorted(map(id, in_service))
+    # `done()` reads `due` for the waiting requests: one waits only while
+    # its controller is due or its bank serves another
+    assert not waiting or world.due or world.in_service
     # every scheduler's ready index against its warps, at the cycle just
     # stepped
     for sm in world.sms:
@@ -504,7 +508,7 @@ def read_twice_config() -> dict:
 @example(config=read_twice_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable set,
-    # queued count, due controllers, replying set, overflow count, the
+    # due controllers, replying set, overflow count, the
     # calendar's completions and CPU arrival, the request log's split, each
     # scheduler's ready index, each warp's count of outstanding reads, each
     # SM's resident blocks and the CPU cursors against a rescan of the

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import clustered_rows_workload, small_hardware
 from gmemsim.config import config_from_dict
 from gmemsim.engine import SimulationFault, World
+from gmemsim.memmap import CPU_OWNER, Pool
 from gmemsim.sched import (CcwsScheduler, SchedPolicy, TbasScheduler,
                            WarpState, make_scheduler)
 from ready_index import assert_ready_index_matches_a_rescan
@@ -212,13 +215,14 @@ def test_make_scheduler_dispatches_classes():
         TbasScheduler(SchedPolicy.CCWS)
 
 
-def drained_world(policy: SchedPolicy, compute_gap: int) -> World:
+def drained_world(policy: SchedPolicy, compute_gap: int, **config) -> World:
     """A World whose run is over, so that no event of its own is pending.
     Tests hand it warps through `World._make_resident`, which keeps
-    `World.issuable` current, and it logs every issue."""
+    `World.issuable` current, and it logs every issue.  `config` overrides
+    top-level config fields."""
     world = World(config_from_dict({
         "workload": clustered_rows_workload(compute_gap=compute_gap),
-        "scheduler": policy.value, "hardware": small_hardware()}),
+        "scheduler": policy.value, "hardware": small_hardware(), **config}),
         collect_issue_log=True)
     world.run()
     assert world.done() and world._next_event_cycle() is None
@@ -323,6 +327,64 @@ def test_a_picked_warp_that_is_not_ready_is_a_fault(policy):
     with pytest.raises(SimulationFault, match="SM 0 picked warp 0, which is "
                        "not ready"):
         world._phase_issue()
+
+
+def test_a_gpu_request_in_the_cpu_rows_is_a_fault():
+    # World rejects a CPU region that shares a page with a matrix under
+    # coloring_hetero; a warp handed a page the CPU placed in its rows, past
+    # that check, sends a request there, and the issue phase raises
+    world = drained_world(SchedPolicy.CCWS, compute_gap=0,
+                          allocator="coloring_hetero",
+                          hardware=small_hardware(cpu_pool="gddr"))
+    vpn = 1000  # a page no matrix touches
+    row = world.page_table.allocate_page(vpn, CPU_OWNER).row
+    lo, hi = world.page_table.region.gpu_rows
+    assert row >= hi
+    w = WarpState(warp_id=0, batch_id=0, block_linear=0,
+                  slots=[[(vpn * world.cfg.page_size, False)]])
+    world._make_resident(world.sms[0], 0, [w])
+    with pytest.raises(SimulationFault, match=rf"gpu request outside its row "
+                       rf"region \(row {row} not in \[{lo}, {hi}\)\)"):
+        world._phase_issue()
+
+
+def test_a_plan_that_undercounts_a_queue_is_a_fault():
+    # a slot's plan counts the lines bound for each controller once, and
+    # each attempt trusts that count; one that counts 1 of its 2 lines to a
+    # one-entry queue passes the space check, and the second enqueue raises
+    world = drained_world(SchedPolicy.CCWS, compute_gap=0)
+    w = WarpState(warp_id=0, batch_id=0, block_linear=0,
+                  slots=[[(0, False), (8, False)]])  # two lines of one page
+    world._make_resident(world.sms[0], 0, [w])
+    lines, [(queue, n, key)] = world._slot_lines(w, 0)
+    assert n == 2 and queue.count == 0
+    queue.capacity = 1
+    w.lines = (lines, [(queue, 1, key)])
+    with pytest.raises(SimulationFault,
+                       match="queue overflow after space check"):
+        world._phase_issue()
+
+
+def test_a_due_controller_that_picks_nothing_is_a_fault():
+    # a controller put in `World.due` behind the engine's back has no
+    # waiting request, and the controller phase that trusts the set raises
+    world = drained_world(SchedPolicy.CCWS, compute_gap=0)
+    world.due.add((Pool.GDDR, 1))
+    with pytest.raises(SimulationFault, match="gddr channel 1 is due, but its "
+                       "controller picked no request"):
+        world._phase_mc()
+
+
+def test_a_request_waiting_for_its_pick_holds_the_run_open():
+    # between the issue and controller phases a request can wait in a free
+    # bank while no bank is busy: then only `World.due` stands for it
+    world = drained_world(SchedPolicy.CCWS, compute_gap=0)
+    req = copy.copy(world.log[0])
+    key = (Pool(req.pool), req.channel)
+    assert world._enqueue(key, req)
+    assert world.due == {key} and not world.in_service and not world.done()
+    world._phase_mc()
+    assert not world.due and world.in_service == 1 and not world.done()
 
 
 def test_a_reply_that_clears_the_running_batch_flags_the_sm():
