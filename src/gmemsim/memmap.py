@@ -203,9 +203,10 @@ class PageTable:
     A colored GPU walk goes in (row, color, slot) order over its SM's
     colors, so that consecutive pages of a batch fill a row before a new row
     is opened and successive rows rotate over the SM's banks.  `coloring`
-    walks every row and spills to the GDDR scan; `coloring_hetero` walks the
-    GPU rows and spills to them in any bank, and walks the CPU rows in any
-    bank for CPU pages in GDDR.
+    walks every row and spills to the GDDR scan.  `coloring_hetero` walks
+    the GPU rows and spills to them in any bank, so that no GPU page enters
+    the CPU's rows, and walks the CPU rows in any bank for CPU pages in
+    GDDR.
     """
 
     def __init__(self, policy: PagePolicy, layouts: dict[Pool, AddressLayout],

@@ -288,7 +288,8 @@ REJECTED_BY_WORLD = {
     "no memory access to profile": (
         {"workload.kernel.matrices[0].accesses_per_thread": 0},
         "workload.kernel issues no memory accesses"),
-    # before World rejected it, this ran a 1-cycle degenerate report
+    # a fixed stride skips the profiler, which rejects a kernel with no
+    # access too
     "no memory access at a fixed stride": (
         {"workload.kernel.matrices[0].accesses_per_thread": 0,
          "config.stride": 2},
