@@ -14,26 +14,24 @@ page offset), the channel, the bank and the row.
 from gmemsim.memmap import CPU_OWNER, PageEntry, PagePolicy, Pool
 
 
-def _widths(layout) -> tuple[int, int, int, int, int]:
-    """(slot, channel, bank, row, all) bit widths of a layout's frame
-    numbers; `slot` is negative when a page spans more than a row."""
+def _widths(layout) -> tuple[int, int, int, int]:
+    """(slot, channel, bank, whole frame number) bit widths of a layout's
+    frame numbers; `slot` is negative when a page spans more than a row."""
     slot = layout.byte_offset_bits + layout.column_bits - layout.page_offset_bits
-    frame = (layout.byte_offset_bits + layout.column_bits + layout.channel_bits
-             + layout.bank_bits + layout.row_bits - layout.page_offset_bits)
-    return (slot, layout.channel_bits, layout.bank_bits, layout.row_bits,
-            frame)
+    return (slot, layout.channel_bits, layout.bank_bits,
+            slot + layout.channel_bits + layout.bank_bits + layout.row_bits)
 
 
 def frame_scan(layout) -> list[int]:
     """Every frame of a pool, in frame-number order."""
-    return list(range(1 << _widths(layout)[4]))
+    return list(range(1 << _widths(layout)[3]))
 
 
 def row_walk(layout, pairs, rows: tuple[int, int]) -> list[int]:
     """The frames of the given (channel, bank) pairs in the rows [lo, hi), in
     (row, pair, slot) order: a row's slots fill before the next pair, and
     the pairs' row before the next row."""
-    slot, channel, bank, _, _ = _widths(layout)
+    slot, channel, bank, _ = _widths(layout)
     return [(((row << bank | b) << channel | ch) << slot) | s
             for row in range(*rows) for ch, b in pairs
             for s in range(1 << slot)]
@@ -41,7 +39,7 @@ def row_walk(layout, pairs, rows: tuple[int, int]) -> list[int]:
 
 def frame_fields(layout, frame: int) -> tuple[int, int, int]:
     """(channel, bank, row) of a frame."""
-    _, channel, bank, _, _ = _widths(layout)
+    _, channel, bank, _ = _widths(layout)
     shift = layout.page_offset_bits - layout.byte_offset_bits - layout.column_bits
     rest = frame << shift if shift > 0 else frame >> -shift
     return (rest & ((1 << channel) - 1), (rest >> channel) & ((1 << bank) - 1),

@@ -333,7 +333,9 @@ def test_hetero_spills_inside_the_gpu_rows_until_the_region_runs_out(
     assert table.spilled_pages == 192
     assert all(0 <= e.row < 24 for e in table.entries.values()
                if e.owner == 0)
-    gpu_full = "gddr pool exhausted: every frame of rows [0, 24) is in use"
-    cpu_full = ("gddr pool exhausted: every frame of rows [24, 32) is in use"
-                if cpu_pool is Pool.GDDR else None)
-    assert failures == [gpu_full] * 6 + ([cpu_full] * 2 if cpu_full else [])
+    expected = ["gddr pool exhausted: every frame of rows [0, 24) is "
+                "in use"] * 6
+    if cpu_pool is Pool.GDDR:
+        expected += ["gddr pool exhausted: every frame of rows [24, 32) is "
+                     "in use"] * 2
+    assert failures == expected
