@@ -18,6 +18,21 @@ def brute_force_split(sizes, num_sms):
     return best if best is not None else sum(sizes)
 
 
+def greedy_fill(sizes, num_sms, cap):
+    """Per-SM [head, tail) ranges in which each SM in turn takes whole
+    batches while its load stays within `cap`."""
+    ranges, head, i = [], 0, 0
+    for _ in range(num_sms):
+        tail, load = head, 0
+        while i < len(sizes) and load + sizes[i] <= cap:
+            load += sizes[i]
+            tail += sizes[i]
+            i += 1
+        ranges.append([head, tail])
+        head = tail
+    return ranges
+
+
 def batch_sizes(blocks, stride):
     """Sizes of consecutive `stride`-block chunks of `blocks` blocks."""
     return [len(range(blocks)[i:i + stride]) for i in range(0, blocks, stride)]
@@ -62,8 +77,10 @@ def test_partition_matches_brute_force(blocks, stride, num_sms):
         bounds.add(acc)
     for _, tail in ranges[:-1]:
         assert tail in bounds or tail == blocks
-    # minimal max load at batch granularity
-    assert max(t - h for h, t in ranges) == brute_force_split(sizes, num_sms)
+    # minimal max load at batch granularity, lower SM ids filled first
+    cap = brute_force_split(sizes, num_sms)
+    assert max(t - h for h, t in ranges) == cap
+    assert ranges == greedy_fill(sizes, num_sms, cap)
 
 
 def test_split_falls_back_when_batch_exceeds_even_share():
