@@ -113,8 +113,6 @@ def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:
     """
     block_pages = [block_page_set(spec, b, page_size, zero_base=True)
                    for b in enumerate_blocks(spec)]
-    if not any(block_pages):
-        raise ValueError("kernel issues no memory accesses")
     best_stride, best_shared, total_pages = None, None, 0
     for s in candidate_strides(spec):
         bins = _span_bins(block_pages, s)

@@ -28,17 +28,22 @@ class DispatchKind(str, Enum):
     SERIAL = "serial"
 
 
-def _fits(sizes: list[int], num_sms: int, cap: int) -> bool:
-    runs, load = 1, 0
+def _pack(sizes: list[int], num_sms: int, cap: int) -> list[int] | None:
+    """Each SM's range tail when the SMs in turn, lowest id first, take
+    whole batches of `sizes` blocks while their load stays within `cap`
+    (at least the largest batch), or None when `num_sms` SMs cannot hold
+    every batch so.  Filling each SM as far as it goes is optimal: if this
+    fails at `cap`, no contiguous split does."""
+    tails, tail, load = [], 0, 0
     for s in sizes:
-        if load + s <= cap:
-            load += s
-        else:
-            runs += 1
-            load = s
-            if runs > num_sms:
-                return False
-    return True
+        if load + s > cap:
+            tails.append(tail)
+            load = 0
+        load += s
+        tail += s
+    if len(tails) >= num_sms:
+        return None
+    return tails + [tail] * (num_sms - len(tails))
 
 
 def partition_blocks(total_blocks: int, num_sms: int,
@@ -50,40 +55,22 @@ def partition_blocks(total_blocks: int, num_sms: int,
     larger than an even share, batch boundaries cannot balance the load and
     the split falls back to an even block-granular partition.
     """
-    if total_blocks == 0:
-        return [[0, 0] for _ in range(num_sms)]
     full, rest = divmod(total_blocks, stride)
     sizes = [stride] * full + ([rest] if rest else [])
     even_share = -(-total_blocks // num_sms)
-    if max(sizes) > even_share:
-        ranges = []
-        start = 0
-        for sm in range(num_sms):
-            take = total_blocks // num_sms + (1 if sm < total_blocks % num_sms else 0)
-            ranges.append([start, start + take])
-            start += take
-        return ranges
-    lo, hi = max(max(sizes), even_share), total_blocks
+    if max(sizes, default=0) > even_share:
+        q, r = divmod(total_blocks, num_sms)
+        return [[i * q + min(i, r), (i + 1) * q + min(i + 1, r)]
+                for i in range(num_sms)]
+    lo, hi = even_share, total_blocks
     while lo < hi:
         mid = (lo + hi) // 2
-        if _fits(sizes, num_sms, mid):
-            hi = mid
-        else:
+        if _pack(sizes, num_sms, mid) is None:
             lo = mid + 1
-    cap = lo
-    ranges = []
-    boundary, i = 0, 0
-    for sm in range(num_sms):
-        load = 0
-        begin = boundary
-        while i < len(sizes) and load + sizes[i] <= cap:
-            load += sizes[i]
-            boundary += sizes[i]
-            i += 1
-        ranges.append([begin, boundary])
-    if i != len(sizes):
-        raise AssertionError("batch partition failed to place every batch")
-    return ranges
+        else:
+            hi = mid
+    tails = _pack(sizes, num_sms, lo)
+    return [[head, tail] for head, tail in zip([0, *tails], tails)]
 
 
 class Dispatcher:

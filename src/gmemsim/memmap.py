@@ -117,13 +117,7 @@ class AddressLayout:
 
     def compose(self, channel: int, bank: int, row: int,
                 column: int = 0, byte: int = 0) -> int:
-        for val, width, name in ((byte, self.byte_offset_bits, "byte"),
-                                 (column, self.column_bits, "column"),
-                                 (channel, self.channel_bits, "channel"),
-                                 (bank, self.bank_bits, "bank"),
-                                 (row, self.row_bits, "row")):
-            if not 0 <= val < (1 << width):
-                raise ValueError(f"{name} value {val} does not fit in {width} bits")
+        """The address of the given fields, each within its width."""
         addr = row
         addr = (addr << self.bank_bits) | bank
         addr = (addr << self.channel_bits) | channel
@@ -133,9 +127,7 @@ class AddressLayout:
 
     def frame_number(self, channel: int, bank: int, row: int, slot: int) -> int:
         """Frame holding the slot-th page of one (channel, bank) row."""
-        page_cols = self.page_size >> self.byte_offset_bits
-        return self.compose(channel, bank, row,
-                            column=slot * page_cols) >> self.page_offset_bits
+        return (self.compose(channel, bank, row) >> self.page_offset_bits) + slot
 
     def frame_fields(self, frame: int) -> DecodedAddress:
         return self.decompose(frame << self.page_offset_bits)
@@ -283,11 +275,9 @@ class PageTable:
     # allocation -----------------------------------------------------------
 
     def allocate_page(self, vpn: int, owner_sm: int) -> PageEntry:
-        """Map a virtual page on first touch; owner_sm is CPU_OWNER for CPU
-        pages.  Colored allocation that runs out of its color set spills and
-        counts the spill."""
-        if vpn in self.entries:
-            raise ValueError(f"vpn {vpn} already mapped")
+        """Map an unmapped virtual page on first touch; owner_sm is
+        CPU_OWNER for CPU pages.  Colored allocation that runs out of its
+        color set spills and counts the spill."""
         if owner_sm == CPU_OWNER:
             pool, frame = self._take(self._cpu)
         elif self.policy is PagePolicy.FIRST_TOUCH:

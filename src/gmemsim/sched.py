@@ -26,6 +26,9 @@ engine reports each change of a warp's readiness:
     add_warp(w)     w arrives at dispatch, ready; the scheduler indexes it
     on_issue(w)     w issued an instruction, so it is not ready; the engine
                     calls this before on_long_stall
+    on_long_stall(w)
+                    w, the warp that select_warp just returned, issued a
+                    read and waits for it
     wake(w)         w is ready again: its count of outstanding reads is 0
                     and the cycle has reached its ready_at
     on_finish(w)    w finished; the scheduler forgets it
@@ -133,9 +136,8 @@ class CcwsScheduler:
             self.running.append(self.pending.pop(i))
 
     def on_long_stall(self, warp: WarpState):
-        if warp in self.running:
-            self.running.remove(warp)
-            self.pending.append(warp)
+        self.running.remove(warp)
+        self.pending.append(warp)
         self._refill()
 
     def on_finish(self, warp: WarpState):
@@ -234,8 +236,6 @@ class TbasScheduler:
 
     def on_long_stall(self, warp: WarpState):
         b = self.running_batch
-        if b is None or warp.batch_id != b:
-            return
         if self.ready_mask[b].bit_count() < self.threshold:
             # a running batch has unfinished warps: on_finish clears it
             self.running_batch = None

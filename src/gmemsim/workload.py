@@ -119,7 +119,8 @@ class CpuTrafficSpec:
     requests per 1000 cycles, at most one arrival per cycle.  With
     `burstiness` b > 1 the stream delivers less, rate/(1 + p*(b - 1)) with
     p = rate/(1000*b), because a burst's cycles start no burst (an open
-    defect, see `gen_cpu_traffic`)."""
+    defect, see `gen_cpu_traffic`).  `load_workload` calls `validate`, and
+    the stream trusts the spec it is given."""
 
     request_rate: float = field(metadata={"min": 0, "max": 1000})
     address_region: tuple[int, int]
@@ -203,11 +204,8 @@ def gen_block_trace(spec: KernelSpec, block_id,
     the first such lane's address; a lane touches the line of its element's
     first byte only.  Pure."""
     bx, by, _ = block_id
-    gx, gy = spec.grid_dim
-    if not (0 <= bx < gx and 0 <= by < gy):
-        raise ValueError(f"block id {block_id} outside grid {spec.grid_dim}")
     tpb, ws = spec.threads_per_block, spec.warp_size
-    warp_base = (by * gx + bx) * spec.warps_per_block
+    warp_base = (by * spec.grid_dim[0] + bx) * spec.warps_per_block
     out: dict[int, list] = {
         warp_base + w: [] for w in range(spec.warps_per_block)}
     for m in spec.matrices:
@@ -229,8 +227,9 @@ def gen_block_trace(spec: KernelSpec, block_id,
 def gen_cpu_traffic(spec: CpuTrafficSpec,
                     horizon: int) -> Iterator[CpuRequest]:
     """Reproducible pseudo-random CPU request stream over [0, horizon), as a
-    lazy iterator in cycle order; `horizon` and `spec` are checked here, at
-    the call, and each request is drawn when it is pulled.
+    generator in cycle order that draws each request when it is pulled.
+    `load_workload` has validated the spec, and `World` asks for a stream
+    only when its horizon is > 0.
 
     A burst of `burstiness` back-to-back requests starts at any free cycle
     with probability p = rate/(1000*burstiness).  The cycles of a burst draw
@@ -240,13 +239,6 @@ def gen_cpu_traffic(spec: CpuTrafficSpec,
     Addresses are uniform over the region at 64-byte granularity.  The
     stream is a pure function of (spec, horizon).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    spec.validate()
-    return _cpu_arrivals(spec, horizon)
-
-
-def _cpu_arrivals(spec: CpuTrafficSpec, horizon: int) -> Iterator[CpuRequest]:
     if spec.request_rate == 0:
         return
     rng = random.Random(spec.seed)

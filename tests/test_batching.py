@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,12 +62,6 @@ def test_interleaved_stride_two(interleaved_spec):
 def test_a_page_no_stride_keeps_in_one_batch_profiles_as_fallback():
     kernel, _ = load_workload(one_page_workload())
     assert profile_stride(kernel, 4096) == (1, Formation.FALLBACK)
-
-
-def test_profile_rejects_empty_trace():
-    kernel, _ = load_workload(clustered_rows_workload(accesses_per_thread=0))
-    with pytest.raises(ValueError, match="no memory accesses"):
-        profile_stride(kernel, 32)
 
 
 def test_profile_matches_brute_force_on_block_ranges_per_page():

@@ -44,13 +44,16 @@ def write(path, obj) -> str:
     return str(path)
 
 
-def test_run_exits_0_when_complete_and_2_when_truncated(tmp_path):
-    # a relative workload path is read from the config's directory
+def test_run_exits_0_when_complete_and_2_when_truncated(tmp_path,
+                                                         monkeypatch):
+    # a relative workload path is read from the config's directory, and
+    # with no --out the report goes to $GMEMSIM_OUT/report.json
     write(tmp_path / "workload.json", interleaved_grid_workload())
     config = dict(base_config(), workload="workload.json")
     path = write(tmp_path / "config.json", config)
     out = str(tmp_path / "report.json")
-    assert main(["run", "--config", path, "--out", out]) == EXIT_OK
+    monkeypatch.setenv("GMEMSIM_OUT", str(tmp_path))
+    assert main(["run", "--config", path]) == EXIT_OK
     with open(out) as f:
         assert not json.load(f)["truncated"]
     path = write(tmp_path / "config.json", dict(config, horizon=5))
@@ -92,7 +95,17 @@ MALFORMED = {
     "string num_sms": ("hardware.num_sms", "8",
                        "config.hardware.num_sms must be int, not '8'"),
     "integer bw_ratio": ("hardware.bw_ratio", 5,
-                         "config.hardware.bw_ratio must be a list [int, int]"),
+                         "config.hardware.bw_ratio must be a list [int, int], "
+                         "not 5"),
+    "integer matrices": ("workload.kernel.matrices", 5,
+                         "workload.kernel.matrices must be a list of "
+                         "MatrixMapping, not 5"),
+    "3D grid_dim": ("workload.kernel.grid_dim", [2, 2, 2],
+                    "workload.kernel.grid_dim: 3D shapes are not supported"),
+    "integer grid_dim": ("workload.kernel.grid_dim", 4,
+                         "workload.kernel.grid_dim must be a 1D or 2D "
+                         "extent list"),
+    "empty workload": ("workload", {}, "workload.kernel is required"),
     "string address_region": (
         "workload.cpu_traffic.address_region", "ab",
         "workload.cpu_traffic.address_region must be a list [int, int], "
@@ -149,6 +162,14 @@ def test_validate_names_the_malformed_field(case, tmp_path, capsys):
     assert main(["validate", "--config", path]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_a_config_that_is_not_an_object_exits_3(tmp_path, capsys):
+    path = write(tmp_path / "config.json", [])
+    assert main(["validate", "--config", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "config must be an object, not []" in err
     assert "Traceback" not in err
 
 

@@ -24,6 +24,20 @@ class Outer:
     items: tuple[Inner, ...] = ()
 
 
+@dataclass(frozen=True)
+class Holder:
+    inner: Inner
+
+
+def test_a_required_nested_field_loads_with_no_base():
+    # with no base and no default, the nested object is laid over nothing
+    assert from_dict(Holder, {"inner": {"fraction": 0.25}}, "holder") \
+        == Holder(Inner(0.25))
+    assert from_dict(Holder, {"inner": {}}, "holder") == Holder(Inner())
+    with pytest.raises(ValueError, match=r"^holder\.inner is required$"):
+        from_dict(Holder, {}, "holder")
+
+
 def test_an_int_is_not_a_bool():
     assert from_dict(Outer, {"flag": False}, "outer").flag is False
     with pytest.raises(ValueError, match=r"^outer\.flag must be bool, not 1$"):

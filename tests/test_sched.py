@@ -74,11 +74,12 @@ def test_ccws_demote_promotes_arrival_order():
     warps = [warp(i) for i in range(4)]
     for w in warps:
         s.add_warp(w)
-    s.select_warp()
-    stall(s, warps[0])
-    s.on_long_stall(warps[0])
-    assert set(s.running) == {warps[1], warps[2]}
-    assert warps[0] in s.pending
+    picked = s.select_warp()
+    stall(s, picked)
+    s.on_long_stall(picked)
+    # the earliest-arrived pending warp takes the demoted one's place
+    assert set(s.running) == set(warps[:3]) - {picked}
+    assert picked in s.pending
 
 
 def test_ccws_all_finished_returns_none():
