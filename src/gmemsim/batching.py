@@ -9,17 +9,20 @@ One rule defines the batches: block `i`, in `enumerate_blocks` order, belongs
 to batch `i // stride`, so a `BatchPlan` is its stride and how it was formed.
 Batches, their page sets and the sharing histogram are worked out only where
 they are written out, by `plan_to_dict`, at the page size it is given.
+Both the stride search and the histogram rest on one span rule: a page
+whose first and last accessor blocks are `first` and `last` spans batches
+`first // stride` to `last // stride`, and is shared when they differ.
 Neither input is checked here: a stride is at least 1 by the bound on
 `config.stride`, and a page size is `1 << page_offset_bits`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .workload import (KernelSpec, MappingKind, element_runs, enumerate_blocks,
-                       first_byte_units)
+from .workload import KernelSpec, MappingKind, element_runs, enumerate_blocks
 
 PLAN_SCHEMA_VERSION = 1
 # the largest multiple of a matrix row's block count that profiling tries
@@ -46,36 +49,35 @@ class BatchPlan:
 def block_page_set(spec: KernelSpec, block_id, page_size: int,
                    zero_base: bool = False) -> frozenset[int]:
     """Virtual pages touched by one block: the pages of its elements' first
-    bytes, taken from its element runs.  zero_base applies the profiling
-    convention that every matrix starts at address zero."""
+    bytes, taken from its element runs.  A run of elements narrower than a
+    page touches every page from its first byte to its last element's first
+    byte; wider elements touch one page each.  zero_base applies the
+    profiling convention that every matrix starts at address zero."""
     threads = range(spec.threads_per_block)
     pages: set[int] = set()
-    for m in spec.matrices:
-        if m.accesses_per_thread == 0:
-            continue
-        base = 0 if zero_base else m.base_addr
+    # matrices alike in base, element size, mapping and row length touch the
+    # same pages, so each such group is walked once
+    walks = {(0 if zero_base else m.base_addr, m.element_size, m.mapping,
+              m.row_len): m for m in spec.matrices if m.accesses_per_thread}
+    for (base, size, _, _), m in walks.items():
         for start, count in element_runs(spec, m, block_id, threads, base):
-            pages.update(p for p, _ in first_byte_units(
-                start, count, m.element_size, page_size))
+            last = start + (count - 1) * size
+            pages.update(range(start // page_size, last // page_size + 1)
+                         if size < page_size else
+                         (a // page_size for a in range(start, last + 1, size)))
     return frozenset(pages)
 
 
-def _span_bins(block_pages, stride: int) -> dict[int, int]:
-    """bins[d] counts the pages whose accessor batches span a distance of d,
-    block `i` of `block_pages` belonging to batch `i // stride`."""
+def _page_spans(block_pages) -> list[tuple[int, int]]:
+    """(first, last) index in `block_pages` of the blocks touching each
+    page, the two ends of the module docstring's span rule."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
-    for blin, pages in enumerate(block_pages):
-        batch = blin // stride
+    for i, pages in enumerate(block_pages):
         for p in pages:
-            if p not in first:
-                first[p] = batch
-            last[p] = batch
-    bins: dict[int, int] = {}
-    for p, f in first.items():
-        d = last[p] - f
-        bins[d] = bins.get(d, 0) + 1
-    return bins
+            first.setdefault(p, i)
+            last[p] = i
+    return [(f, last[p]) for p, f in first.items()]
 
 
 def candidate_strides(spec: KernelSpec) -> list[int]:
@@ -106,24 +108,22 @@ def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:
     """Find the block stride that suppresses the most cross-batch page sharing.
 
     Matrices are profiled with their start addresses set to zero, which is the
-    alignment the allocator later guarantees.  Ties break toward the smallest
-    stride.  If even the best stride leaves more than FALLBACK_THRESHOLD of
-    all pages shared between batches, the kernel is marked FALLBACK: its
-    mapping cannot be captured by a fixed stride.
+    alignment the allocator later guarantees.  By the span rule, each
+    candidate stride is scored in one pass over the pages' first and last
+    accessor blocks.  Ties break toward the smallest stride.  If even the
+    best stride leaves more than FALLBACK_THRESHOLD of all pages shared
+    between batches, the kernel is marked FALLBACK: its mapping cannot be
+    captured by a fixed stride.  `World` rejects a kernel that touches no
+    page before this runs.
     """
-    block_pages = [block_page_set(spec, b, page_size, zero_base=True)
-                   for b in enumerate_blocks(spec)]
-    best_stride, best_shared, total_pages = None, None, 0
-    for s in candidate_strides(spec):
-        bins = _span_bins(block_pages, s)
-        total_pages = sum(bins.values())
-        shared = total_pages - bins.get(0, 0)
-        if best_shared is None or shared < best_shared:
-            best_stride, best_shared = s, shared
+    spans = _page_spans([block_page_set(spec, b, page_size, zero_base=True)
+                         for b in enumerate_blocks(spec)])
+    shared, stride = min((sum(lo // s != hi // s for lo, hi in spans), s)
+                         for s in candidate_strides(spec))
     formation = Formation.FIXED_STRIDE
-    if total_pages and best_shared / total_pages > FALLBACK_THRESHOLD:
+    if shared / len(spans) > FALLBACK_THRESHOLD:
         formation = Formation.FALLBACK
-    return best_stride, formation
+    return stride, formation
 
 
 def form_batches(spec: KernelSpec, stride: int,
@@ -141,8 +141,8 @@ def plan_to_dict(spec: KernelSpec, plan: BatchPlan, page_size: int) -> dict:
     d; bin 0 is the pages exclusive to one batch."""
     blocks, stride = enumerate_blocks(spec), plan.stride
     block_pages = [block_page_set(spec, b, page_size) for b in blocks]
-    bins = _span_bins(block_pages, stride)
-    total = sum(bins.values())
+    spans = _page_spans(block_pages)
+    bins = Counter(hi // stride - lo // stride for lo, hi in spans)
     return {
         "schema_version": PLAN_SCHEMA_VERSION,
         "stride": plan.stride,
@@ -159,7 +159,7 @@ def plan_to_dict(spec: KernelSpec, plan: BatchPlan, page_size: int) -> dict:
         ],
         "sharing_histogram": {
             "bins": {str(d): n for d, n in sorted(bins.items())},
-            "total_pages": total,
-            "exclusive_fraction": bins.get(0, 0) / total if total else 1.0,
+            "total_pages": len(spans),
+            "exclusive_fraction": bins[0] / len(spans),
         },
     }

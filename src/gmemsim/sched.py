@@ -144,7 +144,7 @@ class CcwsScheduler:
         self.ready.discard(warp)
         if warp in self.running:
             self.running.remove(warp)
-        elif warp in self.pending:
+        else:  # every unfinished warp is running or pending
             self.pending.remove(warp)
 
     def select_warp(self) -> WarpState | None:
@@ -250,7 +250,7 @@ class TbasScheduler:
         if self.unfinished[b] == 0:
             if b == self.running_batch:
                 self.running_batch = None
-            elif b in self.pending:
+            else:  # every batch with unfinished warps is running or pending
                 self.pending.remove(b)
 
     def select_warp(self) -> WarpState | None:

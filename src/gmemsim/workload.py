@@ -168,14 +168,16 @@ def element_runs(spec: KernelSpec, m: MatrixMapping, block_id,
                  threads: range, base: int) -> list[tuple[int, int]]:
     """The elements that the block's threads `threads` own, as (start
     address, count) runs in thread order, with the matrix placed at `base`.
-    CLUSTERED threads own one run; INTERLEAVED ones one per block row."""
-    bdx = spec.block_dim[0]
+    CLUSTERED threads own one run; INTERLEAVED ones one per block row, each
+    row starting `row_len` elements past the last one's first column."""
+    bdx, size, stop = spec.block_dim[0], m.element_size, threads.stop
+    clustered = m.mapping is MappingKind.CLUSTERED
     runs, t = [], threads.start
-    while t < threads.stop:
-        end = (threads.stop if m.mapping is MappingKind.CLUSTERED
-               else min(threads.stop, (t // bdx + 1) * bdx))
-        elem = owned_element(spec, m, block_id, t % bdx, t // bdx)
-        runs.append((base + elem * m.element_size, end - t))
+    start = base + owned_element(spec, m, block_id, t % bdx, t // bdx) * size
+    while t < stop:
+        end = stop if clustered else min(stop, (t // bdx + 1) * bdx)
+        runs.append((start, end - t))
+        start += (m.row_len - t % bdx) * size
         t = end
     return runs
 

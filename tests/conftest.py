@@ -3,6 +3,10 @@ import json
 import os
 
 import pytest
+from hypothesis import strategies as st
+
+from gmemsim.workload import (KernelSpec, MappingKind, MatrixMapping,
+                              load_workload)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -107,17 +111,40 @@ def small_hardware(num_sms=2, banks_bits=2, channel_bits=1, page_offset=5,
     return hw
 
 
+READ_FRACTIONS = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def random_kernels(draw):
+    """Kernels of one mapping over 1D or 2D grids and blocks, with warps that
+    need not divide the block's rows or fill the last warp, and elements from
+    one byte to more than a line, sizes that do not divide a line included."""
+    mapping = draw(st.sampled_from(MappingKind))
+    gx, gy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bdx, bdy = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    matrices = tuple(
+        MatrixMapping(
+            base_addr=draw(st.integers(0, 3)) * 4096,
+            element_size=draw(st.integers(1, 150)),
+            row_len=gx * bdx if mapping is MappingKind.INTERLEAVED
+            else draw(st.integers(1, 64)),
+            mapping=mapping,
+            accesses_per_thread=draw(st.integers(0, 3)),
+            read_fraction=draw(st.sampled_from(READ_FRACTIONS)))
+        for _ in range(draw(st.integers(1, 3))))
+    spec = KernelSpec(grid_dim=(gx, gy), block_dim=(bdx, bdy),
+                      warp_size=draw(st.integers(1, 12)), matrices=matrices)
+    spec.validate()
+    return spec
+
+
 @pytest.fixture
 def clustered_spec():
-    from gmemsim.workload import load_workload
-
     kernel, _ = load_workload(clustered_rows_workload())
     return kernel
 
 
 @pytest.fixture
 def interleaved_spec():
-    from gmemsim.workload import load_workload
-
     kernel, _ = load_workload(interleaved_grid_workload())
     return kernel

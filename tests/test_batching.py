@@ -1,12 +1,14 @@
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gmemsim.batching import (Formation, block_page_set, form_batches,
-                              plan_to_dict, profile_stride)
+from gmemsim.batching import (FALLBACK_THRESHOLD, Formation, block_page_set,
+                              candidate_strides, form_batches, plan_to_dict,
+                              profile_stride)
 from gmemsim.workload import enumerate_blocks, load_workload
 
 from conftest import (clustered_rows_workload, interleaved_grid_workload,
-                      one_page_workload)
+                      one_page_workload, random_kernels)
+from lane_model import lane_page_set
 
 
 def brute_force_stride(kernel, page_size, max_stride=16):
@@ -182,3 +184,53 @@ def test_exclusive_fraction_nonincreasing_when_page_doubles(clustered_spec):
                          form_batches(clustered_spec, stride), page)
         fracs.append(hist["exclusive_fraction"])
     assert fracs[0] >= fracs[1] >= fracs[2] or fracs == sorted(fracs)
+
+
+def lane_accessors(spec, page_size, stride, zero_base) -> dict[int, set]:
+    """Page -> the batches whose blocks touch it, block `i` in batch
+    `i // stride`, from the lane model's page sets."""
+    accessors = {}
+    for i, blk in enumerate(enumerate_blocks(spec)):
+        for p in lane_page_set(spec, blk, page_size, zero_base):
+            accessors.setdefault(p, set()).add(i // stride)
+    return accessors
+
+
+# pages down to 8 bytes, so that elements wider than a page are drawn
+PAGE_SIZES = st.sampled_from([8, 16, 32, 64, 256, 4096])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=random_kernels(), page_size=PAGE_SIZES)
+def test_profile_matches_a_page_by_page_search_over_every_candidate(
+        spec, page_size):
+    assume(any(m.accesses_per_thread for m in spec.matrices))
+    best = None
+    for stride in candidate_strides(spec):
+        accessors = lane_accessors(spec, page_size, stride, zero_base=True)
+        shared = sum(1 for batches in accessors.values() if len(batches) > 1)
+        if best is None or shared < best[1]:
+            best = (stride, shared, len(accessors))
+    stride, shared, total = best
+    formation = (Formation.FALLBACK if shared / total > FALLBACK_THRESHOLD
+                 else Formation.FIXED_STRIDE)
+    assert profile_stride(spec, page_size) == (stride, formation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=random_kernels(), page_size=PAGE_SIZES,
+       stride=st.integers(1, 10))
+def test_plan_histogram_matches_a_page_by_page_scan_at_declared_bases(
+        spec, page_size, stride):
+    assume(any(m.accesses_per_thread for m in spec.matrices))
+    plan = form_batches(spec, stride)
+    accessors = lane_accessors(spec, page_size, plan.stride, zero_base=False)
+    expected = {}
+    for owners in accessors.values():
+        d = str(max(owners) - min(owners))
+        expected[d] = expected.get(d, 0) + 1
+    hist = histogram(spec, plan, page_size)
+    assert hist["bins"] == expected
+    assert list(hist["bins"]) == sorted(expected, key=int)
+    assert hist["total_pages"] == len(accessors)
+    assert hist["exclusive_fraction"] == expected.get("0", 0) / len(accessors)

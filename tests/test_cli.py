@@ -62,6 +62,20 @@ def test_run_exits_0_when_complete_and_2_when_truncated(tmp_path,
         assert json.load(f)["truncated"]
 
 
+def test_a_zero_horizon_run_exits_2_with_a_zero_cycle_report(tmp_path):
+    # horizon 0 is in bounds: no cycle runs and no CPU stream is drawn
+    path = write(tmp_path / "config.json", dict(cpu_config(), horizon=0))
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == \
+        EXIT_TRUNCATED
+    report = json.loads(out.read_text())
+    assert report["truncated"] and report["degenerate"]
+    assert report["cycles"] == report["warp_instructions"] == 0
+    assert report["cpu_requests"] == report["total_accesses"] == 0
+    for ratio in ("ipc_proxy", "rbhr", "blp", "mpki_proxy"):
+        assert report[ratio] == 0.0, ratio
+
+
 def test_run_trace_logs_the_cpu_requests(tmp_path):
     path = write(tmp_path / "config.json", cpu_config())
     out = tmp_path / "report.json"

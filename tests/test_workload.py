@@ -8,7 +8,8 @@ from gmemsim.workload import (CpuTrafficSpec, KernelSpec, MappingKind,
                               MatrixMapping, enumerate_blocks, gen_block_trace,
                               gen_cpu_traffic, load_workload)
 
-from conftest import clustered_rows_workload, interleaved_grid_workload
+from conftest import (clustered_rows_workload, interleaved_grid_workload,
+                      random_kernels)
 from cpu_stream_reference import reference_cpu_traffic
 from lane_model import assert_matches_lane_model
 
@@ -279,33 +280,6 @@ def test_clustered_coverage_property(gx, gy, bx, apt):
     else:
         assert len(counts) == kernel.total_blocks * kernel.threads_per_block
         assert all(c == apt for c in counts.values())
-
-
-READ_FRACTIONS = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0)
-
-
-@st.composite
-def random_kernels(draw):
-    """Kernels of one mapping over 1D or 2D grids and blocks, with warps that
-    need not divide the block's rows or fill the last warp, and elements from
-    one byte to more than a line, sizes that do not divide a line included."""
-    mapping = draw(st.sampled_from(MappingKind))
-    gx, gy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    bdx, bdy = draw(st.integers(1, 9)), draw(st.integers(1, 3))
-    matrices = tuple(
-        MatrixMapping(
-            base_addr=draw(st.integers(0, 3)) * 4096,
-            element_size=draw(st.integers(1, 150)),
-            row_len=gx * bdx if mapping is MappingKind.INTERLEAVED
-            else draw(st.integers(1, 64)),
-            mapping=mapping,
-            accesses_per_thread=draw(st.integers(0, 3)),
-            read_fraction=draw(st.sampled_from(READ_FRACTIONS)))
-        for _ in range(draw(st.integers(1, 3))))
-    spec = KernelSpec(grid_dim=(gx, gy), block_dim=(bdx, bdy),
-                      warp_size=draw(st.integers(1, 12)), matrices=matrices)
-    spec.validate()
-    return spec
 
 
 # a warp of 4 over 6-wide rows of 3-byte elements: warps start mid-row,
