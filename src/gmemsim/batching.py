@@ -101,7 +101,7 @@ def candidate_strides(spec: KernelSpec) -> list[int]:
         while base * k <= min(STRIDE_SEARCH_CAP, total):
             cands.add(base * k)
             k += 1
-    return sorted(c for c in cands if 1 <= c <= total)
+    return sorted(c for c in cands if c <= total)
 
 
 def profile_stride(spec: KernelSpec, page_size: int) -> tuple[int, Formation]:

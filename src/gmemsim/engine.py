@@ -602,7 +602,7 @@ class World:
             while overflow and len(queue) < hw.queue_capacity:
                 queue.append((self.cycle + hw.latency, overflow.popleft()))
                 self.overflowed -= 1
-            if not (queue or overflow):
+            if not queue:  # an overflow waits only behind a full queue
                 self.replying.discard(sm_id)
         for req in self.completing:
             self.in_service -= 1
@@ -632,12 +632,12 @@ class World:
         with a reply queued or overflowed.  No count of the waiting requests
         is kept, since `due` stands for them: a waiting request's bank is
         either free, which puts its controller in `due`, or busy serving a
-        request that `in_service` counts.  Every block has been dispatched
-        once `finished_warps` reaches `total_warps`, since each block brings
-        all `warps_per_block` of its warps."""
+        request that `in_service` counts.  The two stand for a held-back
+        arrival too, since its queue is full.  Every block has been
+        dispatched once `finished_warps` reaches `total_warps`, since each
+        block brings all `warps_per_block` of its warps."""
         return (self.finished_warps >= self.total_warps
-                and not (self.in_service or self.cpu_sent < self.cpu_next
-                         or self.due or self.replying))
+                and not (self.in_service or self.due or self.replying))
 
     def _tick(self, cycles: int):
         """Advance the clock, counting the banks in service meanwhile."""
@@ -696,16 +696,19 @@ class World:
 
     def run(self) -> MetricsReport:
         horizon = self.cfg.horizon
-        while self.cycle < horizon and not self.done():
+        # neither a fresh World nor a jump, which only adds work, is done
+        while self.cycle < horizon:
             self.step()  # the first cycle and each jump's target are stepped
             # done() before a jump: a drained GPU ends the run even when the
             # CPU stream has later arrivals
             if self.cycle >= horizon or self.done():
                 break
             nxt = self._next_event_cycle()
-            if nxt != self.cycle:  # None: nothing changes before the horizon
-                self._tick((horizon if nxt is None else min(nxt, horizon))
-                           - self.cycle)
+            if nxt is None:
+                raise SimulationFault(
+                    self.cycle, "no event is pending, yet the run is not done")
+            if nxt != self.cycle:
+                self._tick(min(nxt, horizon) - self.cycle)
         return self._report(truncated=not self.done())
 
     # reporting ---------------------------------------------------------------

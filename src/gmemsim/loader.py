@@ -67,13 +67,13 @@ def strip_version(obj, where: str, version: int) -> dict:
 @functools.cache
 def _typed_fields(cls) -> tuple:
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _default(f: dataclasses.Field):
-    if f.default_factory is not dataclasses.MISSING:
-        return f.default_factory()
-    return None if f.default is dataclasses.MISSING else f.default
+    # a dataclass-typed field has a default factory or no default
+    return (None if f.default_factory is dataclasses.MISSING
+            else f.default_factory())
 
 
 def from_dict(cls, obj, where: str, base=None):
@@ -178,7 +178,7 @@ def _convert(tp, value, where: str):
             item = typing.get_args(tp)[1]
             return {k: _convert(item, v, f"{where}.{k}")
                     for k, v in value.items()}
-    elif isinstance(tp, type) and issubclass(tp, Enum):
+    elif issubclass(tp, Enum):  # generic aliases are handled above
         if value in [m.value for m in tp]:
             return tp(value)
     elif tp is float:

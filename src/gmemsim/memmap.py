@@ -106,8 +106,6 @@ class AddressLayout:
         channel_at = self.byte_offset_bits + self.column_bits
         bank_at = channel_at + self.channel_bits
         row_at = bank_at + self.bank_bits
-        if not 0 <= addr < (1 << (row_at + self.row_bits)):
-            raise ValueError(f"address {addr:#x} outside {self.address_bits}-bit space")
         return DecodedAddress(
             (addr >> channel_at) & ((1 << self.channel_bits) - 1),
             (addr >> bank_at) & ((1 << self.bank_bits) - 1),
@@ -220,8 +218,6 @@ class PageTable:
         # `HardwareConfig.validate` makes the pools share one page size
         self.page_size = gddr.page_size
         hetero = policy is PagePolicy.COLORING_HETERO
-        if hetero and region is None:
-            raise ValueError("coloring_hetero requires a frame region split")
         # (free frames, pool, rows) per walk that can run out
         self._scans = {pool: (self._free(pool, range(layout.num_frames)), pool,
                               (0, layout.num_rows))

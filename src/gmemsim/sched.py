@@ -172,8 +172,6 @@ class TbasScheduler:
     """Batch-granularity running set with pluggable promotion order."""
 
     def __init__(self, policy: SchedPolicy, threshold: int = 1):
-        if policy is SchedPolicy.CCWS:
-            raise ValueError("use CcwsScheduler for ccws")
         self.policy = policy
         self.threshold = threshold
         self.batch_warps: dict[int, list[WarpState]] = {}
@@ -200,10 +198,9 @@ class TbasScheduler:
             self.ready_mask[b] = 0
             self.ages[b] = len(self.ages)
             self.unfinished[b] = 0
-        # a new batch, or one whose earlier warps have all finished (it left
-        # the pending list then), waits for promotion; it keeps its first age
-        if self.unfinished[b] == 0 and b != self.running_batch \
-                and b not in self.pending:
+        # a new batch, or one whose earlier warps have all finished (then
+        # `on_finish` took it off), waits for promotion; it keeps its first age
+        if self.unfinished[b] == 0:
             self.pending.append(b)
         self._bit[warp] = 1 << len(self.batch_warps[b])
         self.batch_warps[b].append(warp)

@@ -111,6 +111,9 @@ MALFORMED = {
     "integer bw_ratio": ("hardware.bw_ratio", 5,
                          "config.hardware.bw_ratio must be a list [int, int], "
                          "not 5"),
+    "one-item bw_ratio": ("hardware.bw_ratio", [2],
+                          "config.hardware.bw_ratio must be a list [int, "
+                          "int], not [2]"),
     "integer matrices": ("workload.kernel.matrices", 5,
                          "workload.kernel.matrices must be a list of "
                          "MatrixMapping, not 5"),
@@ -119,6 +122,9 @@ MALFORMED = {
     "integer grid_dim": ("workload.kernel.grid_dim", 4,
                          "workload.kernel.grid_dim must be a 1D or 2D "
                          "extent list"),
+    "4-extent grid_dim": ("workload.kernel.grid_dim", [2, 2, 1, 1],
+                          "workload.kernel.grid_dim must be a 1D or 2D "
+                          "extent list"),
     "empty workload": ("workload", {}, "workload.kernel is required"),
     "string address_region": (
         "workload.cpu_traffic.address_region", "ab",
@@ -185,6 +191,66 @@ def test_a_config_that_is_not_an_object_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config must be an object, not []" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, bad", [("validate", "config.json"),
+                                          ("validate", "workload.json"),
+                                          ("compare", "exp.json"),
+                                          ("compare", "base.json")])
+def test_a_file_that_is_not_json_exits_3(command, bad, tmp_path, capsys):
+    # each file the command reads: the config, the workload it names, the
+    # experiment and its base config
+    write(tmp_path / "workload.json", interleaved_grid_workload())
+    write(tmp_path / "config.json",
+          dict(base_config(), workload="workload.json"))
+    write(tmp_path / "base.json", base_config())
+    write(tmp_path / "exp.json", {"name": "sweep", "base_config": "base.json",
+                                  "axes": {"scheduler": ["ccws"]}})
+    (tmp_path / bad).write_text("{")
+    args = (["validate", "--config", str(tmp_path / "config.json")]
+            if command == "validate" else
+            ["compare", "--experiment", str(tmp_path / "exp.json"),
+             "--out", str(tmp_path / "out")])
+    assert main(args) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: Expecting property name enclosed in "
+                          "double quotes: line 1 column 2 (char 1)")
+    assert "Traceback" not in err
+
+
+# where each command writes, from the working directory: --out as a bare
+# file name, else the experiment's out_dir, else under $GMEMSIM_OUT, else
+# under out/
+OUT_PATHS = {
+    "run --out file name": (["run", "--out", "r.json"], {}, None, "r.json"),
+    "profile --out file name": (["profile", "--out", "p.json"], {}, None,
+                                "p.json"),
+    "profile to $GMEMSIM_OUT": (["profile"], {}, "env",
+                                "env/interleaved_grid_plan.json"),
+    "compare to out_dir": (["compare"], {"out_dir": "cells"}, "env",
+                           "cells/summary.csv"),
+    "compare to out/": (["compare"], {}, None, "out/sweep/summary.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_PATHS))
+def test_each_command_writes_where_its_out_paths_say(case, tmp_path,
+                                                      monkeypatch):
+    args, experiment, env, written = OUT_PATHS[case]
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("GMEMSIM_OUT", raising=False)
+    else:
+        monkeypatch.setenv("GMEMSIM_OUT", env)
+    write(tmp_path / "config.json", base_config())
+    write(tmp_path / "exp.json", {"name": "sweep", "base_config": "config.json",
+                                  "axes": {"scheduler": ["ccws"]},
+                                  **experiment})
+    command, *rest = args
+    source = (["--experiment", "exp.json"] if command == "compare"
+              else ["--config", "config.json"])
+    assert main([command, *source, *rest]) == EXIT_OK
+    assert (tmp_path / written).is_file()
 
 
 @pytest.mark.parametrize("pool, row_bits", [("gddr", 55), ("ddr", 57)])
@@ -316,6 +382,17 @@ def kernel_of_256_thread_blocks() -> dict:
 # configs that load but that World rejects before the first cycle, each
 # beside the message `run` prints for it
 REJECTED_BY_WORLD = {
+    # a matrix that no thread accesses, or one wholly above the CPU region,
+    # shares no page with it; the rejection names the matrix that does
+    "a CPU region over the second matrix under coloring_hetero": (
+        {"config.allocator": "coloring_hetero",
+         "workload.kernel.matrices": [
+             dict(interleaved_grid_workload()["kernel"]["matrices"][0],
+                  base_addr=base, accesses_per_thread=accesses)
+             for base, accesses in ((0, 0), (4096, 1), (0, 1))],
+         "workload.cpu_traffic.address_region": [0, 2048]},
+        "workload.cpu_traffic.address_region [0, 2048] shares pages with "
+        "workload.kernel.matrices[2]"),
     "unaligned matrix base": (
         {"workload.kernel.matrices[0].base_addr": 100},
         "workload.kernel.matrices[0].base_addr (0x64) must be a multiple of "
@@ -656,6 +733,9 @@ def test_compare_names_a_bad_nested_axis(axis, message, tmp_path, capsys):
 MALFORMED_EXPERIMENTS = {
     "axis value not a list": ({"axes": {"horizon": 100}},
                               "experiment.axes.horizon must be list, not 100"),
+    "axes not an object": ({"axes": 5}, "experiment.axes must be dict, not 5"),
+    "unsupported schema_version": (
+        {"schema_version": 2}, "unsupported experiment schema_version 2"),
     "string max_cells": ({"max_cells": "9"},
                          "experiment.max_cells must be int, not '9'"),
     "empty axis": ({"axes": {"scheduler": []}},

@@ -62,6 +62,12 @@ def test_partial_pool_objects_overlay_the_pool_defaults():
      "config.hardware.gddr.layout.page_offset_bits (12)"),
     ({"cpu_row_fraction": 1.0},
      "config.hardware.cpu_row_fraction must lie strictly in (0, 1), not 1.0"),
+    ({"cpu_row_fraction": 0},
+     "config.hardware.cpu_row_fraction must lie strictly in (0, 1), not 0"),
+    ({"cpu_row_fraction": "0.5"},
+     "config.hardware.cpu_row_fraction must be float, not '0.5'"),
+    ({"cpu_row_fraction": True},
+     "config.hardware.cpu_row_fraction must be float, not True"),
 ])
 def test_malformed_hardware_names_its_field(hardware, message):
     with pytest.raises(ValueError) as err:
@@ -75,3 +81,16 @@ def test_schema_version_must_match():
         with pytest.raises(ValueError, match="unsupported config schema_version"):
             config_from_dict({"schema_version": version,
                               "workload": interleaved_grid_workload()})
+    assert config_from_dict({"schema_version": 1,
+                             "workload": interleaved_grid_workload()}) \
+        == config_from_dict({"workload": interleaved_grid_workload()})
+
+
+def test_a_relative_workload_path_is_taken_from_base_dir(tmp_path):
+    # an absolute path, or any path given with no base_dir, is kept
+    absolute = str(tmp_path / "workload.json")
+    for workload, base_dir, kept in [("w.json", "/configs", "/configs/w.json"),
+                                     (absolute, "/configs", absolute),
+                                     ("w.json", None, "w.json")]:
+        assert config_from_dict({"workload": workload},
+                                base_dir=base_dir).workload == kept

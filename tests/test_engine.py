@@ -476,6 +476,8 @@ def assert_running_indexes_match_a_rescan(world: World):
     # and the one drawn ahead has the calendar's only CPU-arrival entry
     assert [cycle for cycle, _, fire, _ in world.calendar
             if fire == world._arrive] == [ev.cycle for ev in stream[nxt:]]
+    # a held-back arrival's queue is full, so `done()` needs no term for it
+    assert sent == nxt or world.due or world.in_service
     # a held-back head keeps the request it was translated to at its first
     # attempt, which no controller holds yet
     head = world.cpu_head
@@ -503,9 +505,23 @@ def read_twice_config() -> dict:
     return config
 
 
+def reply_backlog_config() -> dict:
+    """Replies that spend 4 cycles in flight, into reply queues of 2
+    drained 2 a cycle, behind 8-deep controller queues: a reply queue fills
+    while its head is still in flight, with replies overflowed behind it,
+    and two overflowed replies enter it in one cycle.  The goldens' reply
+    queues, drained 1 a cycle after 1 cycle in flight, do neither."""
+    config = make_config("interleaved", "ccws", "first_touch", "serial",
+                         mc_queue=8)
+    config["hardware"]["reply"] = {"queue_capacity": 2, "drain_per_cycle": 2,
+                                   "latency": 4}
+    return config
+
+
 @settings(max_examples=25, deadline=None)
 @given(config=RUN_CONFIGS)
 @example(config=read_twice_config())
+@example(config=reply_backlog_config())
 def test_running_indexes_match_a_rescan_after_every_step(config):
     # the per-cycle loop, checked after each step: World's issuable set,
     # due controllers, replying set, overflow count, the
@@ -772,6 +788,47 @@ def test_slot_whose_read_hits_fit_its_queue_issues():
     assert not report.truncated
     assert (report.warp_instructions, report.l1_hits, report.l1_misses) \
         == (2, 2, 4)
+
+
+def test_overflowed_replies_wait_behind_a_full_reply_queue():
+    world = World(config_from_dict(reply_backlog_config()))
+    cap = world.cfg.hardware.reply.queue_capacity
+    seen = {"blocked": 0, "moved two": 0}
+    reply = world._phase_reply
+
+    def recording_reply():
+        overflowed = {}
+        for sm_id in world.replying:
+            sm = world.sms[sm_id]
+            queue = sm.reply_queue
+            if sm.reply_overflow and len(queue) == cap \
+                    and queue[0][0] > world.cycle:
+                seen["blocked"] += 1
+            overflowed[sm_id] = len(sm.reply_overflow)
+        reply()
+        seen["moved two"] += sum(
+            n - len(world.sms[sm_id].reply_overflow) >= 2
+            for sm_id, n in overflowed.items())
+
+    world._phase_reply = recording_reply
+    report = world.run()
+    assert seen["blocked"] and seen["moved two"] and not report.truncated
+    stepped, _ = run_report(reply_backlog_config(), skip=False)
+    assert report.to_json() == stepped.to_json()
+
+
+def test_a_cpu_request_to_ddr_under_coloring_hetero_keeps_the_reference():
+    # coloring_hetero splits only the GDDR rows, so a CPU page in DDR is
+    # allocated from the DDR scan and its requests skip the row check
+    config = make_config("interleaved", "tbas_e", "coloring_hetero",
+                         "serial", cpu=True)
+    config["hardware"]["cpu_pool"] = "ddr"
+    world = World(config_from_dict(config))
+    report = world.run()
+    assert report.pool_pages["ddr"] > 0 and report.cpu_requests > 0
+    assert not report.truncated
+    reference = world_reference(world)
+    assert log_fields(report, reference) == reference
 
 
 def gddr_line(line: int) -> tuple:

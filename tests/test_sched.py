@@ -10,6 +10,7 @@ from gmemsim.engine import SimulationFault, World
 from gmemsim.memmap import CPU_OWNER, Pool
 from gmemsim.sched import (CcwsScheduler, SchedPolicy, TbasScheduler,
                            WarpState, make_scheduler)
+from gmemsim.workload import CpuRequest
 from ready_index import assert_ready_index_matches_a_rescan
 
 
@@ -212,8 +213,6 @@ def test_make_scheduler_dispatches_classes():
         sched = make_scheduler(p)
         assert isinstance(sched, TbasScheduler)
         assert sched.policy is p
-    with pytest.raises(ValueError):
-        TbasScheduler(SchedPolicy.CCWS)
 
 
 def drained_world(policy: SchedPolicy, compute_gap: int, **config) -> World:
@@ -330,23 +329,50 @@ def test_a_picked_warp_that_is_not_ready_is_a_fault(policy):
         world._phase_issue()
 
 
-def test_a_gpu_request_in_the_cpu_rows_is_a_fault():
+@pytest.mark.parametrize("agent", ["gpu", "cpu"])
+def test_a_request_outside_its_agents_rows_is_a_fault(agent):
     # World rejects a CPU region that shares a page with a matrix under
-    # coloring_hetero; a warp handed a page the CPU placed in its rows, past
-    # that check, sends a request there, and the issue phase raises
+    # coloring_hetero.  Past that check, a warp handed a page the CPU placed
+    # in its rows (above the GPU's), or a CPU arrival at a page an SM placed
+    # in the GPU's rows (below the CPU's), sends a request there, and the
+    # phase that makes it raises
     world = drained_world(SchedPolicy.CCWS, compute_gap=0,
                           allocator="coloring_hetero",
                           hardware=small_hardware(cpu_pool="gddr"))
     vpn = 1000  # a page no matrix touches
-    row = world.page_table.allocate_page(vpn, CPU_OWNER).row
-    lo, hi = world.page_table.region.gpu_rows
-    assert row >= hi
-    w = WarpState(warp_id=0, batch_id=0, block_linear=0,
-                  slots=[[(vpn * world.cfg.page_size, False)]])
-    world._make_resident(world.sms[0], 0, [w])
-    with pytest.raises(SimulationFault, match=rf"gpu request outside its row "
-                       rf"region \(row {row} not in \[{lo}, {hi}\)\)"):
-        world._phase_issue()
+    vaddr, region = vpn * world.cfg.page_size, world.page_table.region
+    if agent == "gpu":
+        row = world.page_table.allocate_page(vpn, CPU_OWNER).row
+        lo, hi = region.gpu_rows
+        assert row >= hi
+        w = WarpState(warp_id=0, batch_id=0, block_linear=0,
+                      slots=[[(vaddr, False)]])
+        world._make_resident(world.sms[0], 0, [w])
+        phase = world._phase_issue
+    else:
+        row = world.page_table.allocate_page(vpn, 0).row
+        lo, hi = region.cpu_rows
+        assert row < lo
+        world.cpu_stream.append(CpuRequest(world.cycle, vaddr, True))
+        world.cpu_next += 1
+        phase = world._phase_cpu
+    with pytest.raises(SimulationFault, match=rf"{agent} request outside its "
+                       rf"row region \(row {row} not in \[{lo}, {hi}\)\)"):
+        phase()
+
+
+def test_a_run_with_no_event_pending_that_is_not_done_is_a_fault():
+    # a wake-up lost behind the engine's back leaves a warp that nothing
+    # will make ready, and the run raises rather than skip to its horizon
+    world = World(config_from_dict({
+        "workload": clustered_rows_workload(compute_gap=0),
+        "hardware": small_hardware()}))
+    at = world._at
+    world._at = lambda cycle, fire, *args: (fire == world._wake
+                                            or at(cycle, fire, *args))
+    with pytest.raises(SimulationFault, match="no event is pending, yet the "
+                       "run is not done"):
+        world.run()
 
 
 def test_a_plan_that_undercounts_a_queue_is_a_fault():

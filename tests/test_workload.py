@@ -137,6 +137,12 @@ def test_loader_rejects_3d():
         load_workload(wl)
 
 
+def test_loader_takes_a_third_extent_of_1_as_2d():
+    wl = clustered_rows_workload()
+    wl["kernel"]["grid_dim"] = [2, 2, 1]
+    assert load_workload(wl) == load_workload(clustered_rows_workload())
+
+
 def test_loader_rejects_unknown_fields():
     wl = clustered_rows_workload()
     wl["kernel"]["surprise"] = 1
