@@ -9,13 +9,17 @@ byte.  Re-record them only with a behaviour change that CHANGES.md names:
     PYTHONPATH=src python tests/test_engine.py --record
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -157,10 +161,13 @@ BENCH_STEPS = {"bench-stencil": 23_869, "bench-corun": 8_824,
                "bench-compute": 11_066}
 
 
-@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
-def test_golden_report(name, monkeypatch):
-    world = World(config_from_dict(ALL_GOLDEN[name]))
-    calls = {"step": 0, "select_warp": 0, "lookup": 0}
+def counting_run(config: dict) -> tuple:
+    """Run `config` as its golden test does, counting its `World.step`,
+    `select_warp` and `L1Cache.lookup` calls, and as `held_back` the stepped
+    cycles after which CPU arrivals wait for queue room.  Returns the report,
+    the world and the counts."""
+    world = World(config_from_dict(config))
+    calls = Counter()
 
     def counting(key, fn):
         def counted(*args):
@@ -168,17 +175,35 @@ def test_golden_report(name, monkeypatch):
             return fn(*args)
         return counted
 
+    step = world.step
+
+    def counting_step():
+        step()
+        calls["step"] += 1
+        calls["held_back"] += world.cpu_sent < world.cpu_next
+
+    world.step = counting_step
+    for sm in world.sms:
+        sm.scheduler.select_warp = counting("select_warp",
+                                            sm.scheduler.select_warp)
+        sm.l1.lookup = counting("lookup", sm.l1.lookup)
+    return world.run(), world, calls
+
+
+def report_json(config: dict) -> str:
+    """The report JSON of a golden run of `config`."""
+    report, _, _ = counting_run(config)
+    return report.to_json()
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+def test_golden_report(name, monkeypatch):
     def no_rescan(*args):
         raise AssertionError("a run rescans a controller's banks")
 
     # a pick says whether its controller stays due; nothing rescans
     monkeypatch.setattr(McQueue, "has_ready", no_rescan, raising=False)
-    world.step = counting("step", world.step)
-    for sm in world.sms:
-        sm.scheduler.select_warp = counting("select_warp",
-                                            sm.scheduler.select_warp)
-        sm.l1.lookup = counting("lookup", sm.l1.lookup)
-    report = world.run()
+    report, world, calls = counting_run(ALL_GOLDEN[name])
     with open(golden_path(name)) as f:
         assert report.to_json() == f.read()
     # each DRAM statistic, read from the bank counters and the cycle count,
@@ -328,17 +353,8 @@ CPU_HOLD_BACK_STEPS = {
 def held_back_steps(config: dict) -> int:
     """The stepped cycles of a run after which CPU arrivals wait for queue
     room."""
-    world = World(config_from_dict(config))
-    held, step = 0, world.step
-
-    def counting_step():
-        nonlocal held
-        step()
-        held += world.cpu_sent < world.cpu_next
-
-    world.step = counting_step
-    world.run()
-    return held
+    _, _, calls = counting_run(config)
+    return calls["held_back"]
 
 
 def test_goldens_exercise_the_cpu_hold_back():
@@ -701,6 +717,15 @@ def test_the_dispatch_log_pins_cover_every_interleaved_golden_cell():
     assert ALL_GOLDEN["bench-compute"]["random_dispatch_seed"] is not None
 
 
+def dispatch_log_json(config: dict) -> str:
+    """`World.dispatch_log` of `config` once every block is dispatched, as
+    a JSON list with one `[cycle, sm, block, batch]` entry per line."""
+    world = World(config_from_dict(config))
+    while len(world.dispatch_log) < len(world.blocks):
+        world.step()
+    return "[\n" + ",\n".join(map(json.dumps, world.dispatch_log)) + "\n]\n"
+
+
 @pytest.mark.parametrize("name", sorted(DISPATCH_LOG_PINS))
 def test_the_dispatch_log_is_pinned(name):
     config, sha = DISPATCH_LOG_PINS[name]
@@ -737,6 +762,39 @@ PLAN_PINS = {
         DISPATCH_LOG_CASES["interleaved-stride3"],
         "7886577e6b80e363c03bbc2812502a9dfd36d65bf71aac1a239b8a6901db5030"),
 }
+
+
+def config_file(config: dict, directory: str) -> str:
+    """`config` written to `directory`/config.json, and that path."""
+    path = os.path.join(directory, "config.json")
+    with open(path, "w") as f:
+        json.dump(config, f)
+    return path
+
+
+def run_cli(command: str, config: dict, directory: str, *args: str):
+    """`gmemsim <command>` on `config`, written to `directory`, with its
+    summary line kept off stdout."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", config_file(config, directory),
+                     *args]) == EXIT_OK
+
+
+def plan_json(config: dict) -> bytes:
+    """The plan JSON that `gmemsim profile` writes for `config`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "plan.json")
+        run_cli("profile", config, tmp, "--out", out)
+        with open(out, "rb") as f:
+            return f.read()
+
+
+def plan_fixture(config: dict) -> str:
+    """The plan fixture of `config`: one per kernel, and one per kernel and
+    fixed stride."""
+    stride = config.get("stride")
+    name = config["workload"]["kernel"]["name"]
+    return f"plan/{name}{f'-stride{stride}' if stride else ''}.json"
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_PINS))
@@ -966,6 +1024,24 @@ TRACE_SHA256 = {
 }
 
 
+def trace_csvs(config: dict) -> dict[str, bytes]:
+    """The CSVs that `gmemsim run --trace` writes for `config`, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli("run", config, tmp, "--out", os.path.join(tmp, "report.json"),
+                "--trace")
+        trace = os.path.join(tmp, "report_trace")
+        files = {}
+        for name in sorted(os.listdir(trace)):
+            with open(os.path.join(trace, name), "rb") as f:
+                files[name] = f.read()
+        return files
+
+
+def trace_csv(name: str) -> bytes:
+    """One CSV of the trace of the pinned CPU golden cell."""
+    return trace_csvs(GOLDEN[TRACE_CELL])[name]
+
+
 def test_the_trace_csvs_of_a_cpu_golden_cell_are_pinned(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN[TRACE_CELL]))
@@ -1052,15 +1128,90 @@ def test_run_cut_at_the_horizon_reports_truncated(horizon, tmp_path):
                  "--out", str(tmp_path / "report.json")]) == EXIT_TRUNCATED
 
 
+def steps_json() -> str:
+    """The recorded step counts: the `World.step` calls of the benchmark's
+    runs, and the CPU hold-back steps of each cell with CPU traffic."""
+    counts = {name: counting_run(ALL_GOLDEN[name])[2]
+              for name in sorted({*BENCH_STEPS, *CPU_HOLD_BACK_STEPS})}
+    tables = {
+        "bench_steps": {n: counts[n]["step"] for n in BENCH_STEPS},
+        "cpu_hold_back_steps": {n: counts[n]["held_back"]
+                                for n in CPU_HOLD_BACK_STEPS}}
+    return json.dumps(tables, indent=2, sort_keys=True) + "\n"
+
+
+# the directories that hold recorded fixtures, beside steps.json
+RECORDED_DIRS = ("golden", "dispatch", "plan", "trace")
+
+
+def fixtures() -> dict:
+    """Every fixture that `record()` writes, by its path under
+    tests/fixtures, with the function that renders it."""
+    out = {f"golden/{name}.json": partial(report_json, config)
+           for name, config in ALL_GOLDEN.items()}
+    out.update({f"dispatch/{name}.json": partial(dispatch_log_json, config)
+                for name, (config, _) in DISPATCH_LOG_PINS.items()})
+    # the pins of one plan share its file
+    out.update({plan_fixture(config): partial(plan_json, config)
+                for config, _ in PLAN_PINS.values()})
+    out.update({f"trace/{TRACE_CELL}/{csv}": partial(trace_csv, csv)
+                for csv in TRACE_SHA256})
+    out["steps.json"] = steps_json
+    return out
+
+
+def recorded_files() -> set[str]:
+    """The fixture files that are on disk where `record()` writes, by path
+    under tests/fixtures."""
+    out = {"steps.json"} if os.path.exists(fixture_path("steps.json")) else set()
+    for top in RECORDED_DIRS:
+        for root, _, files in os.walk(fixture_path(top)):
+            rel = os.path.relpath(root, fixture_path())
+            out.update(os.path.join(rel, name).replace(os.sep, "/")
+                       for name in files)
+    return out
+
+
+def sha256_of(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fixture_bytes(path: str) -> bytes:
+    with open(fixture_path(path), "rb") as f:
+        return f.read()
+
+
+def test_the_fixtures_reproduce_the_pinned_literals():
+    # each dispatch log read back dumps to the JSON its sha256 pins
+    for name, (_, sha) in DISPATCH_LOG_PINS.items():
+        log = json.loads(fixture_bytes(f"dispatch/{name}.json"))
+        assert sha256_of(json.dumps(log).encode()) == sha, name
+    for name, (config, sha) in PLAN_PINS.items():
+        assert sha256_of(fixture_bytes(plan_fixture(config))) == sha, name
+    for csv, sha in TRACE_SHA256.items():
+        assert sha256_of(fixture_bytes(f"trace/{TRACE_CELL}/{csv}")) == sha
+    assert json.loads(fixture_bytes("steps.json")) == {
+        "bench_steps": BENCH_STEPS,
+        "cpu_hold_back_steps": CPU_HOLD_BACK_STEPS}
+
+
 def record():
-    os.makedirs(fixture_path("golden"), exist_ok=True)
-    for name, config in sorted(ALL_GOLDEN.items()):
-        report, _ = run_report(config)
-        with open(golden_path(name), "w") as f:
-            f.write(report.to_json())
-        print(f"{name}: {report.cycles} cycles, "
-              f"{report.issue_backpressure} back-pressured, "
-              f"{report.l1_hits} L1 hits, {report.reply_stalls} reply stalls")
+    """Write every fixture, and delete those that no pin names."""
+    written = fixtures()
+    on_disk = recorded_files()
+    for path, render in written.items():  # the goldens first
+        data = render()
+        data = data if isinstance(data, bytes) else data.encode()
+        if path in on_disk and fixture_bytes(path) == data:
+            continue
+        print(f"{path}: {'changed' if path in on_disk else 'new'}")
+        os.makedirs(os.path.dirname(fixture_path(path)), exist_ok=True)
+        with open(fixture_path(path), "wb") as f:
+            f.write(data)
+    for path in sorted(on_disk - set(written)):
+        os.remove(fixture_path(path))
+        print(f"{path}: deleted")
+    print(f"{len(written)} fixtures recorded under {fixture_path()}")
 
 
 if __name__ == "__main__":
