@@ -3,15 +3,21 @@ matrix and the benchmark's three workloads, the event-skip loop against the
 per-cycle loop, World's running indexes against a rescan, the L1 cache and
 write-through L1, the `--trace` CSVs and runs cut at the horizon.
 
-The golden reports in tests/fixtures/golden/ must be reproduced byte for
-byte.  Re-record them only with a behaviour change that CHANGES.md names:
+Every recorded value these tests compare is a file under tests/fixtures/,
+with one entry per line: the golden reports (golden/), the dispatch logs
+(dispatch/, one `[cycle, sm, block, batch]` per line), the plan JSONs that
+`gmemsim profile` writes (plan/), the `--trace` CSVs of one CPU cell
+(trace/) and the step counts (steps.json).  Each must be reproduced byte for
+byte.  One command rewrites them all, and deletes any that no pin names:
 
     PYTHONPATH=src python tests/test_engine.py --record
+
+Run it only with a behaviour change that CHANGES.md names; `git diff
+tests/fixtures` then shows what moved.
 """
 
 import contextlib
 import copy
-import hashlib
 import io
 import json
 import os
@@ -25,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_workloads, fixture_path, small_hardware
+from conftest import bench_workloads, fixture_path, load_fixture, small_hardware
 from fr_fcfs_reference import has_ready
 from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
 from gmemsim.config import L1Config, config_from_dict
@@ -147,18 +153,17 @@ def golden_path(name: str) -> str:
     return fixture_path("golden", f"{name}.json")
 
 
+def fixture_bytes(path: str) -> bytes:
+    with open(fixture_path(path), "rb") as f:
+        return f.read()
+
+
 def test_golden_matrix_shape():
     cells = [name.split("-") for name in GOLDEN]
     assert {(c[1], c[2]) for c in cells} == {(s, a) for s in SCHEDS
                                              for a in ALLOCS}
     for sched in SCHEDS:
         assert len({(c[0], c[3]) for c in cells if c[1] == sched}) == 4
-
-
-# World.step calls of the benchmark's runs at seed 1: the cycles the skip
-# check could not jump over, which a change to the event sources must keep
-BENCH_STEPS = {"bench-stencil": 23_869, "bench-corun": 8_824,
-               "bench-compute": 11_066}
 
 
 def counting_run(config: dict) -> tuple:
@@ -210,8 +215,11 @@ def test_golden_report(name, monkeypatch):
     # equals its second derivation from the request log
     reference = world_reference(world)
     assert log_fields(report, reference) == reference
-    if name in BENCH_STEPS:
-        assert calls["step"] == BENCH_STEPS[name]
+    # the World.step calls of the benchmark's runs: the cycles the skip
+    # check could not jump over, which a change to the event sources must
+    # keep
+    if name in BENCH_GOLDEN:
+        assert calls["step"] == load_fixture("steps.json")["bench_steps"][name]
     # the CPU stream is drawn at most one arrival ahead of the run
     assert len(world.cpu_stream) - world.cpu_next <= 1
     # the issue phase asks only the SMs flagged issuable, and each pick
@@ -335,19 +343,10 @@ def test_goldens_exercise_the_issue_path():
                for r in reports)
 
 
-# per golden cell with CPU traffic, the stepped cycles after which CPU
-# arrivals wait for room in a full controller queue; bench-corun's
-# 4096-deep queues never make them wait
-CPU_HOLD_BACK_STEPS = {
-    "clustered-ccws-first_touch-serial-cpu": 0,
-    "clustered-tbas_e-coloring_hetero-serial-cpu": 11,
-    "interleaved-ccws-coloring_hetero-interleaved-cpu": 74,
-    "interleaved-tbas_c-bw_aware-serial-cpu": 200,
-    "interleaved-tbas_d-coloring-serial-cpu": 0,
-    "interleaved-tbas_e-first_touch-interleaved-cpu": 0,
-    "starve-interleaved-tbas_e-first_touch-interleaved-cpu": 0,
-    "bench-corun": 0,
-}
+# the golden cells with CPU traffic; bench-corun's 4096-deep queues never
+# make its CPU arrivals wait for room in a full controller queue
+CPU_CELLS = sorted([*(name for name in ALL_GOLDEN if name.endswith("-cpu")),
+                    "bench-corun"])
 
 
 def held_back_steps(config: dict) -> int:
@@ -358,10 +357,9 @@ def held_back_steps(config: dict) -> int:
 
 
 def test_goldens_exercise_the_cpu_hold_back():
-    assert {n for n in ALL_GOLDEN if n.endswith("-cpu")} | {"bench-corun"} \
-        == set(CPU_HOLD_BACK_STEPS)
-    assert {name: held_back_steps(ALL_GOLDEN[name])
-            for name in CPU_HOLD_BACK_STEPS} == CPU_HOLD_BACK_STEPS
+    # per cell, the stepped cycles after which CPU arrivals wait for room
+    assert {name: held_back_steps(ALL_GOLDEN[name]) for name in CPU_CELLS} \
+        == load_fixture("steps.json")["cpu_hold_back_steps"]
 
 
 def count_translations(name: str, monkeypatch) -> tuple:
@@ -378,7 +376,7 @@ def count_translations(name: str, monkeypatch) -> tuple:
     return report, calls
 
 
-@pytest.mark.parametrize("name", sorted(CPU_HOLD_BACK_STEPS))
+@pytest.mark.parametrize("name", CPU_CELLS)
 def test_each_cpu_request_is_translated_once(name, monkeypatch):
     # a held-back arrival keeps its request across the cycles it waits
     report, calls = count_translations(name, monkeypatch)
@@ -664,54 +662,31 @@ def test_dispatch_log_batches_match_the_plan(name):
         assert batch == blin // world.plan.stride
 
 
-# sha256 of the JSON of `World.dispatch_log` for each golden cell under
-# interleaved dispatch, unseeded and at `random_dispatch_seed` 5, and for
-# bench-compute at its own seed: a report can hide a permuted dispatch order
-DISPATCH_LOG_SHA256 = {
-    "clustered-ccws-bw_aware-interleaved": (
-        "519b009b43586a0c6282607e495c1b4e6db96ad4ff1f3737d6f4f87ba1a73148",
-        "2c0cec06f34706634e4c4a651c5aa4e8e239ad08def3f8cb1e0aa064487f2754"),
-    "clustered-tbas_c-coloring-interleaved": (
-        "7bb0f92e84b0ecaa1a39c1d15c163873e5cc598e58196048e6b6dd6df21f72a9",
-        "bd7eb9897ed156616488bdd0b7d26474376b22417c5f03e5662999610a2dd688"),
-    "clustered-tbas_d-bw_aware-interleaved": (
-        "b63f5020923b4a6f6301bc59a6137e62b1e6de4feb5a3bd075544ab6a5006ab1",
-        "e402f302ec98338f2ef0ea7b359a45b7d8c90fe267ed0b3b0d63a83be1dd946f"),
-    "clustered-tbas_e-coloring-interleaved": (
-        "25230cbee2bef49aca1e8fc0645b424cba46ecc7eebcbe710d58999a08f35fa0",
-        "f4f3f8269e70db089023cd77302d5c1ec3011d3c1fbe217eaa563200af3146f1"),
-    "interleaved-ccws-coloring_hetero-interleaved-cpu": (
-        "cff7396357320c0ae9b83c7bdd907854c3532c0c83c74559e480a9dcb0b0eec5",
-        "df787b4ba4a698d35f0c182c2196b6f37f421176e3905b1ed3e2ef0c06371755"),
-    "interleaved-tbas_c-first_touch-interleaved": (
-        "9845b349d6fd77b8499451b0b0027456c4581c42415551ff32464320b11d3872",
-        "65b3ee80cb24f879b0506bdefe603c265d20998f985f54db1132375aa363bdef"),
-    "interleaved-tbas_d-coloring_hetero-interleaved": (
-        "d90f75f23da9937f56101f7d090ec271930d9a87b4925b530f35c1ee56f57b7b",
-        "96a2425c3c7c7281b2896d7c898b94971234f01aedfad3f5144141833b2c5550"),
-    "interleaved-tbas_e-first_touch-interleaved-cpu": (
-        "ec1a6b601a29a7fedb82a12cb8f5bedbf5161a5ffc88046bb67f2dbf33e10f25",
-        "1966bbf0bea680bac98440b7322baad148bd5fb03d51c92a3db6871c538a1778"),
-    "starve-clustered-tbas_e-first_touch-interleaved": (
-        "d9ba59485029d0fe86b56191f38b703f395745aaf2723d07e40e60be741f5cce",
-        "b0a56aa1ec612775d100742024a962701dbbc54a5a3bc7681a871590e7607421"),
-    "starve-interleaved-tbas_e-first_touch-interleaved-cpu": (
-        "007d3c054ecfd1d85a2fde86dfea88640152df440100e4b1bead209089df6312",
-        "1e3fe6cf24242c64b2b40112050359732f46a2f1e11d08d8dbbf63b3ef6f6a2c"),
-}
+# `World.dispatch_log` of each golden cell under interleaved dispatch,
+# unseeded and at `random_dispatch_seed` 5, and of bench-compute at its own
+# seed: a report can hide a permuted dispatch order
+DISPATCH_LOG_CELLS = (
+    "clustered-ccws-bw_aware-interleaved",
+    "clustered-tbas_c-coloring-interleaved",
+    "clustered-tbas_d-bw_aware-interleaved",
+    "clustered-tbas_e-coloring-interleaved",
+    "interleaved-ccws-coloring_hetero-interleaved-cpu",
+    "interleaved-tbas_c-first_touch-interleaved",
+    "interleaved-tbas_d-coloring_hetero-interleaved",
+    "interleaved-tbas_e-first_touch-interleaved-cpu",
+    "starve-clustered-tbas_e-first_touch-interleaved",
+    "starve-interleaved-tbas_e-first_touch-interleaved-cpu",
+)
 DISPATCH_LOG_PINS = {
-    **{f"{name}-{'seed5' if seed else 'unseeded'}": (
-        dict(ALL_GOLDEN[name], random_dispatch_seed=seed), sha)
-       for name, shas in DISPATCH_LOG_SHA256.items()
-       for seed, sha in zip((None, 5), shas)},
-    "bench-compute": (
-        ALL_GOLDEN["bench-compute"],
-        "94bac71021ef779a1b2002b73f9b3cba41248cc2bece536df4a16de4181f439b"),
+    **{f"{name}-{'seed5' if seed else 'unseeded'}":
+       dict(ALL_GOLDEN[name], random_dispatch_seed=seed)
+       for name in DISPATCH_LOG_CELLS for seed in (None, 5)},
+    "bench-compute": ALL_GOLDEN["bench-compute"],
 }
 
 
 def test_the_dispatch_log_pins_cover_every_interleaved_golden_cell():
-    assert set(DISPATCH_LOG_SHA256) | {"bench-compute"} == {
+    assert {*DISPATCH_LOG_CELLS, "bench-compute"} == {
         name for name, config in ALL_GOLDEN.items()
         if config.get("dispatch") == "interleaved"}
     assert ALL_GOLDEN["bench-compute"]["random_dispatch_seed"] is not None
@@ -728,39 +703,18 @@ def dispatch_log_json(config: dict) -> str:
 
 @pytest.mark.parametrize("name", sorted(DISPATCH_LOG_PINS))
 def test_the_dispatch_log_is_pinned(name):
-    config, sha = DISPATCH_LOG_PINS[name]
-    world = World(config_from_dict(config))
-    while len(world.dispatch_log) < len(world.blocks):
-        world.step()
-    assert hashlib.sha256(json.dumps(world.dispatch_log).encode()) \
-        .hexdigest() == sha
+    assert dispatch_log_json(DISPATCH_LOG_PINS[name]).encode() \
+        == fixture_bytes(f"dispatch/{name}.json")
 
 
-# sha256 of the plan JSON that `gmemsim profile` writes (stride, batches,
-# page sets and sharing histogram), per kernel and stride: the golden cells
-# of one kernel share one plan whatever their policies, and at stride 3 the
-# 16 blocks of a golden kernel end in a short batch
-PLAN_SHA256 = {
-    "golden_clustered":
-        "f116b3c63a551c9d88450eddb31b9e33db9462cecfda7dce584459c8445e52dd",
-    "golden_interleaved":
-        "c6982055a5b34478b0517c4cfef4e168f045fad87cd7fbd114883ebdb43ecac2",
-    "stencil16x16":
-        "524d35a27a9e2807e5a67a36a458a82b5c25777c9bbeadd4802aea165c3ee0f2",
-    "records96":
-        "d564259d4a9b1c34d36bd4cafff79929e13a17859ed6bd6dad176ab1b21283c5",
-    "compute8x8":
-        "6affbaabcbf944fcfbe86d3caa22d63c5fbd9de0a00913aa4700c6b6f8f6f928",
-}
+# the plan JSON that `gmemsim profile` writes (stride, batches, page sets
+# and sharing histogram), per kernel and stride: the golden cells of one
+# kernel share one plan whatever their policies, and at stride 3 the 16
+# blocks of a golden kernel end in a short batch
 PLAN_PINS = {
-    **{name: (config, PLAN_SHA256[config["workload"]["kernel"]["name"]])
-       for name, config in ALL_GOLDEN.items()},
-    "clustered-stride3": (
-        DISPATCH_LOG_CASES["clustered-stride3"],
-        "3e22e1a1e9824bc850ed963ae5ddc62dddda3fb9c755b2da76d1727206d694a3"),
-    "interleaved-stride3": (
-        DISPATCH_LOG_CASES["interleaved-stride3"],
-        "7886577e6b80e363c03bbc2812502a9dfd36d65bf71aac1a239b8a6901db5030"),
+    **ALL_GOLDEN,
+    "clustered-stride3": DISPATCH_LOG_CASES["clustered-stride3"],
+    "interleaved-stride3": DISPATCH_LOG_CASES["interleaved-stride3"],
 }
 
 
@@ -798,14 +752,9 @@ def plan_fixture(config: dict) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_PINS))
-def test_the_plan_is_pinned(name, tmp_path):
-    config, sha = PLAN_PINS[name]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "plan.json"
-    assert main(["profile", "--config", str(path), "--out", str(out)]) \
-        == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+def test_the_plan_is_pinned(name):
+    config = PLAN_PINS[name]
+    assert plan_json(config) == fixture_bytes(plan_fixture(config))
 
 
 @pytest.mark.parametrize("sched", SCHEDS)
@@ -1006,22 +955,12 @@ def test_random_batched_l1_probes_match_one_probe_per_line(size, assoc, ops):
                 l1, ref, [(gddr_line(line), r) for line, r in op])
 
 
-# sha256 of each CSV that `gmemsim run --trace` writes for one golden cell
-# with CPU traffic: its request log, dispatch and issue logs, page table
-# (with each page's owner) and bank counters
+# each CSV that `gmemsim run --trace` writes for one golden cell with CPU
+# traffic: its bank counters, dispatch and issue logs, page table (with each
+# page's owner) and request log
 TRACE_CELL = "interleaved-tbas_d-coloring-serial-cpu"
-TRACE_SHA256 = {
-    "banks.csv":
-        "cd91b45e7371577a37caf70d8c31857a7b9c371cd178e37c80d178814e6382a7",
-    "dispatch.csv":
-        "cc855998d10c5693c791895b60e8b6f7a971cc66898396dacbc7c25d2edf9cc3",
-    "issues.csv":
-        "fdd9e961fc3022ef5b858a01cf9e770d1f32d2ee8bb56f360452dc3789885f42",
-    "pagetable.csv":
-        "7a8ede81b90a498617415bcefd18abfb8235bdb0b1265780ae92f7e6ce3dbf78",
-    "requests.csv":
-        "4df8536934ada5cdfcb3e6f025d8d045224bedbd0179a010deb7b30b2643fbef",
-}
+TRACE_CSVS = ("banks.csv", "dispatch.csv", "issues.csv", "pagetable.csv",
+              "requests.csv")
 
 
 def trace_csvs(config: dict) -> dict[str, bytes]:
@@ -1042,13 +981,9 @@ def trace_csv(name: str) -> bytes:
     return trace_csvs(GOLDEN[TRACE_CELL])[name]
 
 
-def test_the_trace_csvs_of_a_cpu_golden_cell_are_pinned(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(GOLDEN[TRACE_CELL]))
-    assert main(["run", "--config", str(path), "--out",
-                 str(tmp_path / "report.json"), "--trace"]) == EXIT_OK
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in (tmp_path / "report_trace").iterdir()} == TRACE_SHA256
+def test_the_trace_csvs_of_a_cpu_golden_cell_are_pinned():
+    assert trace_csvs(GOLDEN[TRACE_CELL]) == {
+        csv: fixture_bytes(f"trace/{TRACE_CELL}/{csv}") for csv in TRACE_CSVS}
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -1080,7 +1015,7 @@ def test_report_and_traces_do_not_depend_on_the_hash_seed(name, tmp_path):
         written.append({p.relative_to(out).as_posix(): p.read_bytes()
                         for p in out.rglob("*") if p.is_file()})
     assert sorted(written[0]) == ["report.json", *(
-        f"report_trace/{csv}" for csv in sorted(TRACE_SHA256))]
+        f"report_trace/{csv}" for csv in TRACE_CSVS)]
     assert written[0] == written[1]
     with open(golden_path(name), "rb") as f:
         assert written[0]["report.json"] == f.read()
@@ -1132,11 +1067,11 @@ def steps_json() -> str:
     """The recorded step counts: the `World.step` calls of the benchmark's
     runs, and the CPU hold-back steps of each cell with CPU traffic."""
     counts = {name: counting_run(ALL_GOLDEN[name])[2]
-              for name in sorted({*BENCH_STEPS, *CPU_HOLD_BACK_STEPS})}
+              for name in sorted({*BENCH_GOLDEN, *CPU_CELLS})}
     tables = {
-        "bench_steps": {n: counts[n]["step"] for n in BENCH_STEPS},
+        "bench_steps": {n: counts[n]["step"] for n in BENCH_GOLDEN},
         "cpu_hold_back_steps": {n: counts[n]["held_back"]
-                                for n in CPU_HOLD_BACK_STEPS}}
+                                for n in CPU_CELLS}}
     return json.dumps(tables, indent=2, sort_keys=True) + "\n"
 
 
@@ -1150,12 +1085,12 @@ def fixtures() -> dict:
     out = {f"golden/{name}.json": partial(report_json, config)
            for name, config in ALL_GOLDEN.items()}
     out.update({f"dispatch/{name}.json": partial(dispatch_log_json, config)
-                for name, (config, _) in DISPATCH_LOG_PINS.items()})
+                for name, config in DISPATCH_LOG_PINS.items()})
     # the pins of one plan share its file
     out.update({plan_fixture(config): partial(plan_json, config)
-                for config, _ in PLAN_PINS.values()})
+                for config in PLAN_PINS.values()})
     out.update({f"trace/{TRACE_CELL}/{csv}": partial(trace_csv, csv)
-                for csv in TRACE_SHA256})
+                for csv in TRACE_CSVS})
     out["steps.json"] = steps_json
     return out
 
@@ -1170,29 +1105,6 @@ def recorded_files() -> set[str]:
             out.update(os.path.join(rel, name).replace(os.sep, "/")
                        for name in files)
     return out
-
-
-def sha256_of(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def fixture_bytes(path: str) -> bytes:
-    with open(fixture_path(path), "rb") as f:
-        return f.read()
-
-
-def test_the_fixtures_reproduce_the_pinned_literals():
-    # each dispatch log read back dumps to the JSON its sha256 pins
-    for name, (_, sha) in DISPATCH_LOG_PINS.items():
-        log = json.loads(fixture_bytes(f"dispatch/{name}.json"))
-        assert sha256_of(json.dumps(log).encode()) == sha, name
-    for name, (config, sha) in PLAN_PINS.items():
-        assert sha256_of(fixture_bytes(plan_fixture(config))) == sha, name
-    for csv, sha in TRACE_SHA256.items():
-        assert sha256_of(fixture_bytes(f"trace/{TRACE_CELL}/{csv}")) == sha
-    assert json.loads(fixture_bytes("steps.json")) == {
-        "bench_steps": BENCH_STEPS,
-        "cpu_hold_back_steps": CPU_HOLD_BACK_STEPS}
 
 
 def record():
