@@ -81,11 +81,12 @@ def golden_kernel(mapping: str, compute_gap: int = 2) -> dict:
 
 
 def make_config(mapping, sched, alloc, dispatch, *, cpu=False,
-                cpu_prio=False, num_sms=2, mc_queue=2, reply_queue=2,
-                l1_size=64, starvation_cap=0, compute_gap=2,
+                cpu_prio=False, cpu_pool="gddr", num_sms=2, mc_queue=2,
+                reply_queue=2, l1_size=64, starvation_cap=0, compute_gap=2,
                 dispatch_seed=None, horizon=50_000) -> dict:
     """A config dict with L1 on, tight controller and reply queues (so issue
-    back-pressure and reply stalls happen) and optional CPU traffic."""
+    back-pressure and reply stalls happen) and optional CPU traffic, whose
+    pages go to `cpu_pool` under coloring_hetero."""
     workload = {"kernel": golden_kernel(mapping, compute_gap)}
     hw = small_hardware(num_sms=num_sms, l1_size=l1_size, line_bytes=16,
                         mc_queue_capacity=mc_queue,
@@ -98,7 +99,7 @@ def make_config(mapping, sched, alloc, dispatch, *, cpu=False,
                                    "rw_ratio": 0.7, "burstiness": 2,
                                    "seed": 3}
         if alloc == "coloring_hetero":
-            hw["cpu_pool"] = "gddr"
+            hw["cpu_pool"] = cpu_pool
     return {"workload": workload, "horizon": horizon, "dispatch": dispatch,
             "allocator": alloc, "scheduler": sched,
             "arbitration": "fr_fcfs_cpu_prio" if cpu_prio else "fr_fcfs",
@@ -136,10 +137,18 @@ STARVATION_GOLDEN = {
         "interleaved", "tbas_e", "first_touch", "interleaved", cpu=True,
         cpu_prio=True, mc_queue=8, starvation_cap=1),
 }
+# coloring_hetero splits only the GDDR rows, so a CPU page in DDR is
+# allocated from the DDR scan and its requests skip the row check; every
+# coloring_hetero cell of GOLDEN puts its CPU pages in GDDR
+DDR_GOLDEN = {
+    "ddr-interleaved-tbas_e-coloring_hetero-serial-cpu": make_config(
+        "interleaved", "tbas_e", "coloring_hetero", "serial", cpu=True,
+        cpu_pool="ddr"),
+}
 # the benchmark's workloads at seed 1, at the size the benchmark runs them
 BENCH_GOLDEN = {f"bench-{name}": build(1)
                 for name, build in bench_workloads().items()}
-ALL_GOLDEN = {**GOLDEN, **STARVATION_GOLDEN, **BENCH_GOLDEN}
+ALL_GOLDEN = {**GOLDEN, **STARVATION_GOLDEN, **DDR_GOLDEN, **BENCH_GOLDEN}
 
 
 def run_report(config: dict, *, skip: bool = True):
@@ -825,11 +834,7 @@ def test_overflowed_replies_wait_behind_a_full_reply_queue():
 
 
 def test_a_cpu_request_to_ddr_under_coloring_hetero_keeps_the_reference():
-    # coloring_hetero splits only the GDDR rows, so a CPU page in DDR is
-    # allocated from the DDR scan and its requests skip the row check
-    config = make_config("interleaved", "tbas_e", "coloring_hetero",
-                         "serial", cpu=True)
-    config["hardware"]["cpu_pool"] = "ddr"
+    [config] = DDR_GOLDEN.values()
     world = World(config_from_dict(config))
     report = world.run()
     assert report.pool_pages["ddr"] > 0 and report.cpu_requests > 0
@@ -1105,6 +1110,11 @@ def recorded_files() -> set[str]:
             out.update(os.path.join(rel, name).replace(os.sep, "/")
                        for name in files)
     return out
+
+
+def test_the_fixtures_on_disk_are_those_record_writes():
+    # runs no simulation: a stale fixture, or a pin with no file, fails here
+    assert recorded_files() == set(fixtures())
 
 
 def record():
