@@ -40,7 +40,8 @@ EXPERIMENT_SCHEMA_VERSION = 1
 # baseline cell for each of these
 SUMMARY_METRICS = ["ipc_proxy", "rbhr", "blp", "local_ratio",
                    "mean_access_delay", "reply_stalls", "energy_total",
-                   "cpu_mean_delay"]
+                   "energy_activate", "energy_read_write",
+                   "energy_background", "cpu_mean_delay"]
 
 
 def _default_out() -> str:

@@ -660,6 +660,13 @@ def test_compare_output_is_reproducible(tmp_path):
     assert tables[0] == tables[1]
     header = tables[0].decode().splitlines()[0].split(",")
     assert header[-1] == "status" and "timestamp" not in header
+    # each energy component is normalised beside the total
+    rows = {row["cell"]: row for row in
+            csv.DictReader(tables[0].decode().splitlines())}
+    baseline = rows["allocator-first_touch__scheduler-ccws"]
+    for part in ("activate", "read_write", "background"):
+        assert f"norm_energy_{part}" in header
+        assert baseline[f"norm_energy_{part}"] == "1.0"
 
 
 # a 2x2 sweep over a top-level and a nested field; 2-deep queues
