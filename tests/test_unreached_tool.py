@@ -72,3 +72,6 @@ def test_the_trace_event_of_a_prefixed_jump_maps_back_to_it():
     # the two calls take every direction and run every line
     assert not tracer.untaken(NAME)
     assert tracer.reached[NAME] == tracer.lines[NAME]
+    # so no direction is left to take, and a later call's frame gets the
+    # line tracer alone
+    assert tracer.pending == {toy_code(): set()}

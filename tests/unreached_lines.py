@@ -196,7 +196,8 @@ def function_codes(path: Path, text: str | None = None):
 
 class Tracer:
     """Records the lines run and the branch directions taken in the
-    functions of the given sources, keyed by file name."""
+    functions of the given sources, keyed by file name.  A frame gets
+    opcode events only while its code has a direction left to take."""
 
     def __init__(self, sources: dict[str, str]):
         self.sources = {name: text.splitlines() for name, text in sources.items()}
@@ -208,6 +209,9 @@ class Tracer:
         self.directions = {c: branch_directions(c, self.sources[name])
                            for name, codes in self.codes.items() for c in codes}
         self.keys = {c: {d.key for d in ds} for c, ds in self.directions.items()}
+        # per code object, the (key, successor) directions not yet taken
+        self.pending = {c: {(d.key, d.successor) for d in ds}
+                        for c, ds in self.directions.items()}
         self.reached: dict[str, set[int]] = {name: set() for name in sources}
         self.taken: set[tuple] = set()
 
@@ -217,13 +221,16 @@ class Tracer:
         if hit is None:
             return None
         hit.add(frame.f_lineno)
-        keys, taken = self.keys.get(code), self.taken
-        if not keys:
+        pending = self.pending.get(code)
+        # a frame whose code has no direction left to take needs no opcode
+        # events; a resumed generator's frame may have had them
+        frame.f_trace_opcodes = bool(pending)
+        if not pending:
             def lines(frame, event, arg):
                 hit.add(frame.f_lineno)
                 return lines
             return lines
-        frame.f_trace_opcodes = True
+        keys, taken = self.keys[code], self.taken
         last = None
 
         def opcodes(frame, event, arg):
@@ -232,6 +239,7 @@ class Tracer:
                 offset = frame.f_lasti
                 if last is not None:
                     taken.add((code, last, offset))
+                    pending.discard((last, offset))
                 last = offset if offset in keys else None
             else:
                 hit.add(frame.f_lineno)
