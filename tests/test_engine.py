@@ -26,6 +26,7 @@ import sys
 import tempfile
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -358,16 +359,10 @@ CPU_CELLS = sorted([*(name for name in ALL_GOLDEN if name.endswith("-cpu")),
                     "bench-corun"])
 
 
-def held_back_steps(config: dict) -> int:
-    """The stepped cycles of a run after which CPU arrivals wait for queue
-    room."""
-    _, _, calls = counting_run(config)
-    return calls["held_back"]
-
-
 def test_goldens_exercise_the_cpu_hold_back():
     # per cell, the stepped cycles after which CPU arrivals wait for room
-    assert {name: held_back_steps(ALL_GOLDEN[name]) for name in CPU_CELLS} \
+    assert {name: counting_run(ALL_GOLDEN[name])[2]["held_back"]
+            for name in CPU_CELLS} \
         == load_fixture("steps.json")["cpu_hold_back_steps"]
 
 
@@ -1103,13 +1098,10 @@ def fixtures() -> dict:
 def recorded_files() -> set[str]:
     """The fixture files that are on disk where `record()` writes, by path
     under tests/fixtures."""
-    out = {"steps.json"} if os.path.exists(fixture_path("steps.json")) else set()
-    for top in RECORDED_DIRS:
-        for root, _, files in os.walk(fixture_path(top)):
-            rel = os.path.relpath(root, fixture_path())
-            out.update(os.path.join(rel, name).replace(os.sep, "/")
-                       for name in files)
-    return out
+    root = Path(fixture_path())
+    found = [root / "steps.json",
+             *(p for top in RECORDED_DIRS for p in (root / top).rglob("*"))]
+    return {p.relative_to(root).as_posix() for p in found if p.is_file()}
 
 
 def test_the_fixtures_on_disk_are_those_record_writes():
