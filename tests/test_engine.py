@@ -16,9 +16,7 @@ Run it only with a behaviour change that CHANGES.md names; `git diff
 tests/fixtures` then shows what moved.
 """
 
-import contextlib
 import copy
-import io
 import json
 import os
 import subprocess
@@ -32,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_workloads, fixture_path, load_fixture, small_hardware
+from conftest import (bench_workloads, fixture_path, load_fixture,
+                      small_hardware)
 from fr_fcfs_reference import has_ready
 from gmemsim.cli import EXIT_OK, EXIT_TRUNCATED, main
 from gmemsim.config import L1Config, config_from_dict
@@ -164,8 +163,7 @@ def golden_path(name: str) -> str:
 
 
 def fixture_bytes(path: str) -> bytes:
-    with open(fixture_path(path), "rb") as f:
-        return f.read()
+    return Path(fixture_path(path)).read_bytes()
 
 
 def test_golden_matrix_shape():
@@ -731,11 +729,9 @@ def config_file(config: dict, directory: str) -> str:
 
 
 def run_cli(command: str, config: dict, directory: str, *args: str):
-    """`gmemsim <command>` on `config`, written to `directory`, with its
-    summary line kept off stdout."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, "--config", config_file(config, directory),
-                     *args]) == EXIT_OK
+    """`gmemsim <command>` on `config`, written to `directory`."""
+    assert main([command, "--config", config_file(config, directory),
+                 *args]) == EXIT_OK
 
 
 def plan_json(config: dict) -> bytes:
@@ -743,8 +739,7 @@ def plan_json(config: dict) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "plan.json")
         run_cli("profile", config, tmp, "--out", out)
-        with open(out, "rb") as f:
-            return f.read()
+        return Path(out).read_bytes()
 
 
 def plan_fixture(config: dict) -> str:
@@ -968,12 +963,8 @@ def trace_csvs(config: dict) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         run_cli("run", config, tmp, "--out", os.path.join(tmp, "report.json"),
                 "--trace")
-        trace = os.path.join(tmp, "report_trace")
-        files = {}
-        for name in sorted(os.listdir(trace)):
-            with open(os.path.join(trace, name), "rb") as f:
-                files[name] = f.read()
-        return files
+        return {p.name: p.read_bytes()
+                for p in Path(tmp, "report_trace").iterdir()}
 
 
 def trace_csv(name: str) -> bytes:
@@ -1119,9 +1110,9 @@ def record():
         if path in on_disk and fixture_bytes(path) == data:
             continue
         print(f"{path}: {'changed' if path in on_disk else 'new'}")
-        os.makedirs(os.path.dirname(fixture_path(path)), exist_ok=True)
-        with open(fixture_path(path), "wb") as f:
-            f.write(data)
+        full = Path(fixture_path(path))
+        full.parent.mkdir(parents=True, exist_ok=True)
+        full.write_bytes(data)
     for path in sorted(on_disk - set(written)):
         os.remove(fixture_path(path))
         print(f"{path}: deleted")
