@@ -48,15 +48,17 @@ set keeps the schedule; a back-pressured pick leaves its warp ready and its
 SM in the set.  An SM is in `replying` while its reply queue or overflow
 holds a reply.
 
-A slot's issue plan, its translated lines and, per controller they name,
-that controller's `McQueue` with the number of lines bound for it, is built
-at its first issue attempt, in lane order, and kept by every back-pressured
-retry until the slot issues, so first touches and their cycle do not move.
-Each attempt probes L1 with one `L1Cache.lookup` call over all its lines in
-lane order, so the LRU order moves as one probe per line moves it, and
-compares each controller's count with its room.  It counts the lines it
-sends again only when a read hit L1, and never writes that count back into
-the plan.
+A slot's issue plan is kept from its first issue attempt until the slot
+issues, and every back-pressured retry reuses it.  The first attempt
+translates its lines in lane order (`WarpState.lines`), so first touches and
+their cycle do not move; the first that sends a line decodes them and counts
+the lines bound for each controller (`WarpState.bound`).  An attempt probes
+L1 with one `L1Cache.lookup` call over all its lines in lane order, so the
+LRU order moves as one probe per line moves it, unless its last probe hit
+nothing and its L1 took no fill since (`WarpState.missed`, `L1Cache.fills`):
+that probe would hit and move nothing again.  Then it compares each
+controller's count with its room; only after a read hit does it count the
+lines it sends again, and it keeps that count out of the plan.
 
 A run checks what it relies on where it acts, and raises `SimulationFault`
 when it does not hold: an SM flagged issuable whose scheduler picks no
@@ -118,23 +120,24 @@ class SimulationFault(AssertionError):
 
 class L1Cache:
     """Set-associative LRU cache keyed by (pool, line); write-through with no
-    write allocation, so only read fills change its contents.  Size 0 makes
-    one set of associativity 0, which holds no line, so every access
-    misses."""
+    write allocation, so only read fills change its contents, and `fills`
+    counts them.  Size 0 makes one set of associativity 0, which holds no
+    line, so every access misses."""
 
     def __init__(self, cfg: L1Config):
         self.assoc = cfg.assoc if cfg.size_bytes else 0
         self.num_sets = (cfg.size_bytes // (cfg.assoc * cfg.line_bytes)
                          if cfg.size_bytes else 1)
         self.sets = [dict() for _ in range(self.num_sets)]
+        self.fills = 0
 
     def lookup(self, lines: list[tuple]) -> tuple[int, list | None]:
-        """Probe an issue attempt's `lines`, each a (key, is_read, ...)
-        tuple, in lane order; a hit becomes its set's most recently used
-        line, exactly as one probe per line in that order leaves it.
-        Returns the number of hits and the lines that are read hits, None
-        when there is none; a write hit counts as a hit, and write-through
-        still sends it."""
+        """Probe an issue attempt's `lines`, each a (key, is_read) tuple, in
+        lane order; a hit becomes its set's most recently used line, exactly
+        as one probe per line in that order leaves it, and a probe that hits
+        nothing changes nothing.  Returns the number of hits and the lines
+        that are read hits, None when there is none; a write hit counts as
+        a hit, and write-through still sends it."""
         sets, num_sets = self.sets, self.num_sets
         hits = 0
         read_hits = None
@@ -152,6 +155,7 @@ class L1Cache:
         return hits, read_hits
 
     def fill(self, key):
+        self.fills += 1
         s = self.sets[key[1] % self.num_sets]
         s.pop(key, None)
         s[key] = None
@@ -378,27 +382,36 @@ class World:
         )
 
     def _line_of(self, vaddr: int, owner: int) -> tuple:
-        """(pool, line number, decoded line address) of a virtual address,
-        allocating its page for `owner` on first touch."""
+        """(pool, line number) of a virtual address, allocating its page for
+        `owner` on first touch."""
         pool, paddr = self.page_table.translate(vaddr, owner)
-        line = paddr // self._line
-        return pool, line, self.pools[pool].layout.decompose(line * self._line)
+        return pool, paddr // self._line
 
-    def _slot_lines(self, warp: WarpState, sm_id: int) -> tuple:
-        """Build and keep the current slot's issue plan: its lines as
-        ((pool, line), is_read, queue key, decoded line address), and per
-        controller they name, (its `McQueue`, the number of lines bound for
-        it, its queue key).
+    def _decode(self, pool: Pool, line: int) -> DecodedAddress:
+        return self.pools[pool].layout.decompose(line * self._line)
+
+    def _slot_lines(self, warp: WarpState, sm_id: int) -> list:
+        """Translate the current slot's lines as ((pool, line), is_read), in
+        lane order, and keep them as its plan's `lines`.
 
         Called at the slot's first issue attempt, which keeps first-touch
         allocation in lane order and at the same cycle; every
-        back-pressured retry reuses the plan."""
-        lines = []
-        for vaddr, is_read in warp.slots[warp.next_slot]:
-            pool, line, d = self._line_of(vaddr, sm_id)
-            lines.append(((pool, line), is_read, (pool, d.channel), d))
-        warp.lines = (lines, _per_queue(lines, self.mc_queues))
+        back-pressured retry reuses them."""
+        warp.lines = [(self._line_of(vaddr, sm_id), is_read)
+                      for vaddr, is_read in warp.slots[warp.next_slot]]
         return warp.lines
+
+    def _bind(self, warp: WarpState) -> tuple:
+        """Keep as the slot plan's `bound` its lines as ((pool, line),
+        is_read, queue key, decoded line address) and, per controller they
+        name, (its `McQueue`, the number of lines bound for it, its queue
+        key); called at the first attempt that sends a line."""
+        lines = []
+        for key, is_read in warp.lines:
+            d = self._decode(*key)
+            lines.append((key, is_read, (key[0], d.channel), d))
+        warp.bound = (lines, _per_queue(lines, self.mc_queues))
+        return warp.bound
 
     def _recheck(self, sm: SmModel):
         """Ask `sm`'s scheduler again whether it has an issuable warp, after
@@ -425,16 +438,22 @@ class World:
                 raise SimulationFault(
                     self.cycle, f"SM {sm.sm_id} picked warp {warp.warp_id}, "
                     "which is not ready")
-            plan = warp.lines
-            if plan is None:
-                plan = self._slot_lines(warp, sm_id)
-            lines, need = plan
-            # write-through: a write goes to DRAM whether or not it hits
-            hits, read_hits = sm.l1.lookup(lines)
-            sends = lines
-            if read_hits:  # fewer lines go out than the plan counted
-                sends = [e for e in lines if e not in read_hits]
-                need = _per_queue(sends, queues)
+            lines = warp.lines or self._slot_lines(warp, sm_id)
+            l1 = sm.l1
+            # a probe that hit nothing hits nothing while its L1 takes no fill
+            hits, read_hits = ((0, None) if warp.missed == l1.fills
+                               else l1.lookup(lines))
+            if not hits:
+                warp.missed = l1.fills
+            # write-through: every line but a read hit goes to DRAM
+            if read_hits and len(read_hits) == len(lines):  # nothing goes out
+                sends = need = ()
+            else:
+                sends, need = warp.bound or self._bind(warp)
+                if read_hits:  # fewer lines go out than the plan counted
+                    sends = [b for e, b in zip(lines, sends)
+                             if e not in read_hits]
+                    need = _per_queue(sends, queues)
             blocked = False
             for q, n, key in need:
                 if q.count + n > q.capacity:
@@ -466,7 +485,7 @@ class World:
                 if is_read:
                     warp.pending += 1
                     stalled = True
-            warp.lines = None
+            warp.lines = warp.bound = warp.missed = None
             warp.next_slot += 1
             sm.scheduler.on_issue(warp)
             if stalled:
@@ -527,9 +546,10 @@ class World:
             req = self.cpu_head
             if req is None:
                 ev = self.cpu_stream[self.cpu_sent]
-                pool, line, d = self._line_of(ev.virtual_addr, CPU_OWNER)
+                pool, line = self._line_of(ev.virtual_addr, CPU_OWNER)
                 req = self.cpu_head = self._make_request(
-                    pool, d, ev.is_read, CPU_AGENT, -1, -1, -1, line, ev.cycle)
+                    pool, self._decode(pool, line), ev.is_read, CPU_AGENT,
+                    -1, -1, -1, line, ev.cycle)
             if not self._enqueue((Pool(req.pool), req.channel), req):
                 break
             self.cpu_head = None

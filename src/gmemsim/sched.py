@@ -71,12 +71,14 @@ class WarpState:
     line of its element's first byte), in first-lane order, with the first
     such lane's address.  A line never spans two pages, so the lines stay
     distinct after translation, and each reply settles exactly one of the
-    slot's reads.  lines is the engine's issue plan for the current slot, its
-    translated lines and the number bound for each controller, None until
-    the slot's first issue attempt and kept until the slot issues.  pending
-    counts the reads issued and not yet replied to.  The warp may issue when
-    pending is 0 and its wakeup cycle has passed; it is finished once every
-    slot has issued and completed.
+    slot's reads.  lines, bound and missed are the engine's issue plan for
+    the current slot, kept until the slot issues: lines its translated
+    lines, from its first issue attempt; bound those lines decoded and the
+    number bound for each controller, from its first attempt that sends a
+    line; missed the SM's L1 fill count at its last probe that hit nothing,
+    None when there is none.  pending counts the reads issued and not yet
+    replied to.  The warp may issue when pending is 0 and its wakeup cycle
+    has passed; it is finished once every slot has issued and completed.
     """
 
     warp_id: int
@@ -84,7 +86,9 @@ class WarpState:
     block_linear: int
     slots: list
     next_slot: int = 0
-    lines: tuple | None = None
+    lines: list | None = None
+    bound: tuple | None = None
+    missed: int | None = None
     ready_at: int = 0
     pending: int = 0
     finished: bool = False

@@ -232,11 +232,13 @@ def test_golden_report(name, monkeypatch):
     assert len(world.cpu_stream) - world.cpu_next <= 1
     # the issue phase asks only the SMs flagged issuable, and each pick
     # either issues or is back-pressured
-    assert calls["select_warp"] \
-        == report.warp_instructions + report.issue_backpressure
-    # and each attempt, issued or back-pressured, probes L1 in one call
+    attempts = report.warp_instructions + report.issue_backpressure
+    assert calls["select_warp"] == attempts
+    # each attempt probes L1 in at most one call: a retry skips its probe
+    # when its L1 took no fill since one that hit nothing
+    assert calls["lookup"] <= attempts
     assert calls["lookup"] \
-        == report.warp_instructions + report.issue_backpressure
+        == load_fixture("steps.json")["lookup_calls"][name]
 
 
 # per corruption of a finished run's state, the message of the one
@@ -503,6 +505,33 @@ def assert_running_indexes_match_a_rescan(world: World):
         assert (head.agent, head.is_read, head.t_arrival) \
             == (CPU_AGENT, ev.is_read, ev.cycle)
         assert all(req is not head for req in in_flight)
+    # each issue plan bound to its controllers is its lines decoded, and a
+    # plan whose last probe hit nothing at its L1's current fill count has
+    # no line in that L1
+    for warp in world.warp_index.values():
+        if warp.bound is not None:
+            assert bound_ids(warp.bound) == eager_binding(world, warp.lines)
+        l1 = world.sms[sm_of[warp.block_linear]].l1
+        if warp.missed == l1.fills:
+            assert not any(key in l1.sets[key[1] % l1.num_sets]
+                           for key, _ in warp.lines)
+
+
+def eager_binding(world: World, lines: list) -> tuple:
+    """`lines` decoded one by one, with each controller's line count in the
+    order the controllers first appear and its `McQueue` as an id."""
+    decoded = [(key, is_read, world.pools[key[0]].layout.decompose(
+        key[1] * world.cfg.hardware.l1.line_bytes)) for key, is_read in lines]
+    bound = [(key, is_read, (key[0], d.channel), d)
+             for key, is_read, d in decoded]
+    need = Counter(qkey for _, _, qkey, _ in bound)
+    return bound, [(id(world.mc_queues[k]), n, k) for k, n in need.items()]
+
+
+def bound_ids(bound: tuple) -> tuple:
+    """A plan's binding, with each `McQueue` as an id."""
+    lines, need = bound
+    return lines, [(id(q), n, k) for q, n, k in need]
 
 
 def read_twice_config() -> dict:
@@ -767,6 +796,59 @@ def test_batch_whose_blocks_arrive_after_it_finished_still_runs(sched):
     report, _ = run_report(config)
     assert not report.truncated
     assert report.warp_instructions == 128
+
+
+def binding_run(config: dict) -> tuple:
+    """Run `config`, recording each `World._bind` call as (warp, slot).
+    Returns the report, those calls, the slots that sent a line to DRAM,
+    and the lines bound and the `World._decode` calls, summed over the
+    run."""
+    world = World(config_from_dict(config), collect_issue_log=True)
+    binds, decoded = [], Counter()
+    bind, decode = world._bind, world._decode
+
+    def recording_bind(warp):
+        binds.append((warp.warp_id, warp.next_slot))
+        decoded["bound"] += len(warp.lines)
+        return bind(warp)
+
+    def counting_decode(pool, line):
+        decoded["decode"] += 1
+        return decode(pool, line)
+
+    world._bind, world._decode = recording_bind, counting_decode
+    report = world.run()
+    slot_at = {(warp, cycle): slot
+               for cycle, _, warp, _, slot in world.issue_log}
+    sent = {(r.warp_id, slot_at[r.warp_id, r.t_arrival]) for r in world.log
+            if r.agent == GPU_AGENT}
+    return report, binds, sent, decoded
+
+
+@pytest.mark.parametrize("name", ["read_twice", "bench-compute"])
+def test_a_slot_of_read_hits_binds_and_decodes_nothing(name):
+    # a slot binds its lines to their controllers at its first attempt that
+    # sends one, so a slot whose lines all hit L1 as reads decodes none;
+    # here every slot that binds sends a line
+    config = read_twice_config() if name == "read_twice" \
+        else BENCH_GOLDEN[name]
+    report, binds, sent, decoded = binding_run(config)
+    assert set(binds) == sent
+    assert len(binds) < report.warp_instructions
+    assert decoded["decode"] == decoded["bound"] > 0
+
+
+@pytest.mark.parametrize("name", ["interleaved-ccws-coloring_hetero-"
+                                  "interleaved-cpu", "bench-stencil"])
+def test_a_back_pressured_retry_never_binds_again(name):
+    report, binds, sent, decoded = binding_run(ALL_GOLDEN[name])
+    assert report.issue_backpressure > 0
+    assert len(set(binds)) == len(binds)
+    # every slot that sent was bound; on the stencil some slots bound at a
+    # back-pressured attempt later hit L1 with every line and sent nothing
+    assert sent <= set(binds)
+    # and each CPU request is decoded once, beside the lines bound
+    assert decoded["decode"] == decoded["bound"] + report.cpu_requests
 
 
 def test_slot_larger_than_its_queue_is_rejected():
@@ -1056,13 +1138,15 @@ def test_run_cut_at_the_horizon_reports_truncated(horizon, tmp_path):
 
 def steps_json() -> str:
     """The recorded step counts: the `World.step` calls of the benchmark's
-    runs, and the CPU hold-back steps of each cell with CPU traffic."""
-    counts = {name: counting_run(ALL_GOLDEN[name])[2]
-              for name in sorted({*BENCH_GOLDEN, *CPU_CELLS})}
+    runs, the CPU hold-back steps of each cell with CPU traffic, and the
+    `L1Cache.lookup` calls of every golden run."""
+    counts = {name: counting_run(config)[2]
+              for name, config in sorted(ALL_GOLDEN.items())}
     tables = {
         "bench_steps": {n: counts[n]["step"] for n in BENCH_GOLDEN},
         "cpu_hold_back_steps": {n: counts[n]["held_back"]
-                                for n in CPU_CELLS}}
+                                for n in CPU_CELLS},
+        "lookup_calls": {n: counts[n]["lookup"] for n in ALL_GOLDEN}}
     return json.dumps(tables, indent=2, sort_keys=True) + "\n"
 
 

@@ -383,13 +383,56 @@ def test_a_plan_that_undercounts_a_queue_is_a_fault():
     w = WarpState(warp_id=0, batch_id=0, block_linear=0,
                   slots=[[(0, False), (8, False)]])  # two lines of one page
     world._make_resident(world.sms[0], 0, [w])
-    lines, [(queue, n, key)] = world._slot_lines(w, 0)
+    world._slot_lines(w, 0)
+    lines, [(queue, n, key)] = world._bind(w)
     assert n == 2 and queue.count == 0
     queue.capacity = 1
-    w.lines = (lines, [(queue, 1, key)])
+    w.bound = (lines, [(queue, 1, key)])
     with pytest.raises(SimulationFault,
                        match="queue overflow after space check"):
         world._phase_issue()
+
+
+def test_a_retry_probes_l1_again_only_after_a_fill():
+    # a probe that hits nothing changes nothing, and only a fill changes
+    # what an L1 holds: a back-pressured retry skips its probe until its
+    # SM's L1 takes a fill
+    world = World(config_from_dict({
+        "workload": clustered_rows_workload(compute_gap=0),
+        "scheduler": "ccws", "hardware": small_hardware(l1_size=64)}),
+        collect_issue_log=True)
+    world.run()
+    vaddr = 1000 * world.cfg.page_size  # a page no matrix touches
+    w = WarpState(warp_id=0, batch_id=0, block_linear=0,
+                  slots=[[(vaddr, True)]])
+    sm, other = world.sms
+    world._make_resident(sm, 0, [w])
+    probes = []
+    lookup = sm.l1.lookup
+    sm.l1.lookup = lambda lines: probes.append(lines) or lookup(lines)
+    world._slot_lines(w, 0)
+    [(key, _)], (_, [(queue, _, _)]) = w.lines, world._bind(w)
+    queue.count = queue.capacity  # full, so every attempt is back-pressured
+    bound = w.bound
+
+    def attempt():
+        backpressure = world.issue_backpressure
+        world._phase_issue()
+        return world.issue_backpressure - backpressure
+
+    assert attempt() == 1 and len(probes) == 1  # a miss
+    assert w.missed == sm.l1.fills
+    assert attempt() == 1 and len(probes) == 1  # no fill since: no probe
+    other.l1.fill(key)  # another SM's L1
+    assert attempt() == 1 and len(probes) == 1
+    sm.l1.fill((key[0], key[1] + 1))  # a line the slot does not touch
+    assert attempt() == 1 and len(probes) == 2  # probed again, a miss
+    assert attempt() == 1 and len(probes) == 2
+    assert w.bound is bound  # no retry binds again
+    sm.l1.fill(key)  # the slot's own line: a read hit, so nothing goes out
+    assert attempt() == 0 and len(probes) == 3
+    assert world.issue_log[-1][1:3] == (0, 0) and not w.pending
+    assert (w.lines, w.bound, w.missed) == (None, None, None)
 
 
 def test_a_due_controller_that_picks_nothing_is_a_fault():
