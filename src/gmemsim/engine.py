@@ -1,13 +1,14 @@
 """Deterministic cycle loop binding dispatch, SMs, DRAM, and the reply network.
 
-Each cycle runs a fixed phase order: (1) dispatch fills idle SM slots, (2)
-each SM flagged issuable, in SM-id order, issues at most one warp
+Each cycle runs a fixed phase order, and `step` does not call a phase whose
+index says it has no work: (1) dispatch fills idle SM slots (`room_freed`),
+(2) each SM flagged issuable, in SM-id order, issues at most one warp
 instruction, with L1 lookup and back-pressure aware request injection, (3)
-pending CPU traffic enters the controller queues, (4) each controller that
+held-back CPU arrivals enter the controller queues, (4) each controller that
 is due (a waiting request's bank is free) picks and issues one request, in
-`mc_queues` order, and the others are not visited, (5) the SMs with replies
-waiting, in SM-id order, drain them subject to the network's bandwidth, and
-bank completions enter it, (6) counters update.  Given one config and seed
+`mc_queues` order, (5) the SMs in `replying`, in SM-id order, drain their
+replies subject to the network's bandwidth, and the bank completions held
+in `completing` enter it, (6) counters update.  Given one config and seed
 the whole run is bit-reproducible.
 
 Every timed event is one `(cycle, seq, fire, args)` entry on one heap,
@@ -34,7 +35,10 @@ since nothing else frees an SM's room), the schedulers through
 `World.issuable`, the controllers through `World.due`, the replying SMs
 through `World.replying` and `World.overflowed`, the CPU stream through its
 cursors.  The jump never crosses an event boundary, so per-cycle state along
-the executed prefix is identical to the unskipped loop.
+the executed prefix is identical to the unskipped loop.  `run` asks only
+when no SM is issuable, no controller due, no CPU arrival held back and no
+reply overflowed; else the answer is the current cycle, since an entry the
+check fires only adds to these, and the next step fires it in turn.
 
 `World.issuable` holds the SMs whose scheduler's `has_issuable()` is True.
 One rule keeps it current: `_recheck` asks again after every engine action
@@ -313,6 +317,7 @@ class World:
         self.due: set[tuple] = set()
         self.issue_log: list[tuple] | None = [] if collect_issue_log else None
         self._line = hw.l1.line_bytes
+        self.templates: dict[tuple, tuple] = {}  # for `gen_block_trace`
 
     # dispatch -------------------------------------------------------------
 
@@ -323,8 +328,9 @@ class World:
         batch = blin // self.plan.stride
         warps = [WarpState(warp_id=wid, batch_id=batch, block_linear=blin,
                            slots=slots, ready_at=self.cycle)
-                 for wid, slots in gen_block_trace(self.kernel, block_id,
-                                                   self._line).items()]
+                 for wid, slots in gen_block_trace(
+                     self.kernel, block_id, self._line,
+                     self.templates).items()]
         self._make_resident(sm, blin, warps)
         self.dispatch_log.append((self.cycle, sm.sm_id, blin, batch))
 
@@ -345,9 +351,7 @@ class World:
         """Rounds in which every SM with room and a block left takes one.
 
         Afterwards no SM has both, until `_finish_warp` frees room and sets
-        `room_freed`; until then the phase has nothing to do."""
-        if not self.room_freed:
-            return
+        `room_freed`; until then `step` does not call the phase."""
         self.room_freed = False
         dispatcher = self.dispatcher
         progress = True
@@ -542,10 +546,10 @@ class World:
         """Enqueue the arrivals handed over, in arrival order, up to the
         first whose queue is full.  Each is translated at its first attempt,
         and a held-back head keeps its request in `cpu_head` for the next."""
-        while self.cpu_sent < self.cpu_next:
+        for sent in range(self.cpu_sent, self.cpu_next):
             req = self.cpu_head
             if req is None:
-                ev = self.cpu_stream[self.cpu_sent]
+                ev = self.cpu_stream[sent]
                 pool, line = self._line_of(ev.virtual_addr, CPU_OWNER)
                 req = self.cpu_head = self._make_request(
                     pool, self._decode(pool, line), ev.is_read, CPU_AGENT,
@@ -679,11 +683,17 @@ class World:
 
     def step(self):
         self._fire_due()
-        self._phase_dispatch()
-        self._phase_issue()
-        self._phase_cpu()
-        self._phase_mc()
-        self._phase_reply()
+        if self.room_freed:
+            self._phase_dispatch()
+        if self.issuable:
+            self._phase_issue()
+        if self.cpu_sent < self.cpu_next:
+            self._phase_cpu()
+        if self.due:
+            self._phase_mc()
+        # no reply overflowed while no SM is replying
+        if self.replying or self.completing:
+            self._phase_reply()
         self._tick(1)
 
     def _next_event_cycle(self) -> int | None:
@@ -723,6 +733,11 @@ class World:
             # CPU stream has later arrivals
             if self.cycle >= horizon or self.done():
                 break
+            # the skip check would answer now: what it fires only adds to
+            # these, and the next step fires the same entries in order
+            if (self.issuable or self.due or self.cpu_sent < self.cpu_next
+                    or self.overflowed):
+                continue
             nxt = self._next_event_cycle()
             if nxt is None:
                 raise SimulationFault(

@@ -5,7 +5,9 @@ thread-data mapping per data matrix.  No instructions are modeled; the mapping
 is enough to reconstruct every memory address a thread touches.  A warp's
 or block's threads own runs of consecutive elements (`element_runs`), whose
 lines and pages follow by address arithmetic, not lane by lane.  A lane
-touches the line and page of its element's first byte only.
+touches the line and page of its element's first byte only.  Blocks differ
+only by a shift, so a block's trace is a warp template, built once per
+matrix and line offset, shifted into place (`gen_block_trace`).
 
 A workload file is a JSON object with a `kernel` (the fields of KernelSpec,
 `matrices` holding those of MatrixMapping) and an optional `cpu_traffic`
@@ -196,33 +198,56 @@ def first_byte_units(start: int, count: int, size: int,
             for u in range(start // unit, last // unit + 1)]
 
 
-def gen_block_trace(spec: KernelSpec, block_id,
-                    line_bytes: int) -> dict[int, list[list[tuple[int, bool]]]]:
+def _warp_template(spec: KernelSpec, m: MatrixMapping, offset: int,
+                   line_bytes: int) -> tuple:
+    """(read flag per access, per warp the first-lane address of each line
+    its lanes touch in `m`) for a block whose first element starts at byte
+    `offset`: block (0, 0) owns element 0, and every block's lie as its."""
+    ws, tpb = spec.warp_size, spec.threads_per_block
+    warps = []
+    for lo in range(0, tpb, ws):
+        first: dict[int, int] = {}
+        for start, count in element_runs(spec, m, (0, 0, 0),
+                                         range(lo, min(lo + ws, tpb)), offset):
+            for line, addr in first_byte_units(start, count, m.element_size,
+                                               line_bytes):
+                first.setdefault(line, addr)
+        warps.append(list(first.values()))
+    return ([_is_read(a, m.read_fraction)
+             for a in range(m.accesses_per_thread)], warps)
+
+
+def gen_block_trace(spec: KernelSpec, block_id, line_bytes: int,
+                    templates: dict | None = None
+                    ) -> dict[int, list[list[tuple[int, bool]]]]:
     """Per warp id, in id order, the warp's memory instruction stream (see
-    WarpState.slots), worked out from its element runs, not lane by lane.
-    Each thread accesses its element of each matrix accesses_per_thread
-    times, matrices in declaration order.  A slot holds one (address,
-    is_read) per distinct line its lanes touch, in first-lane order, with
-    the first such lane's address; a lane touches the line of its element's
-    first byte only.  Pure."""
+    WarpState.slots).  Each thread accesses its element of each matrix
+    accesses_per_thread times, matrices in declaration order.  A slot holds
+    one (address, is_read) per distinct line its lanes touch, in first-lane
+    order, with the first such lane's address; a lane touches the line of
+    its element's first byte only.
+
+    Per matrix and offset of a block's first element within its line, the
+    warp template is built once into `templates`, which a caller shares
+    over one kernel's blocks (None: a fresh store).  A block's addresses
+    are the template's shifted by that element's line, a whole number of
+    lines, which keeps the lines' order and distinctness."""
+    templates = {} if templates is None else templates
     bx, by, _ = block_id
-    tpb, ws = spec.threads_per_block, spec.warp_size
     warp_base = (by * spec.grid_dim[0] + bx) * spec.warps_per_block
     out: dict[int, list] = {
         warp_base + w: [] for w in range(spec.warps_per_block)}
-    for m in spec.matrices:
-        flags = [_is_read(a, m.read_fraction)
-                 for a in range(m.accesses_per_thread)]
-        for w, slots in enumerate(out.values()):
-            lanes = range(w * ws, min((w + 1) * ws, tpb))
-            first: dict[int, int] = {}
-            for start, count in element_runs(spec, m, block_id, lanes,
-                                             m.base_addr):
-                for line, addr in first_byte_units(start, count,
-                                                   m.element_size, line_bytes):
-                    first.setdefault(line, addr)
-            slots.extend([(addr, is_read) for addr in first.values()]
-                         for is_read in flags)
+    for i, m in enumerate(spec.matrices):
+        start = m.base_addr \
+            + owned_element(spec, m, block_id, 0, 0) * m.element_size
+        offset = start % line_bytes
+        if (i, offset) not in templates:
+            templates[i, offset] = _warp_template(spec, m, offset, line_bytes)
+        flags, warps = templates[i, offset]
+        shift = start - offset
+        for slots, rel in zip(out.values(), warps):
+            addrs = [shift + a for a in rel]
+            slots.extend([(a, is_read) for a in addrs] for is_read in flags)
     return out
 
 

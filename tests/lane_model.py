@@ -75,12 +75,19 @@ def lane_page_set(spec, block_id, page_size: int,
     return frozenset(pages)
 
 
-def assert_matches_lane_model(spec, line_bytes: int, page_size: int):
+def assert_matches_lane_model(spec, line_bytes: int, page_size: int) -> dict:
     """Every block's slot lists and page sets, with matrices at their bases
-    and at zero, equal the lane model's."""
+    and at zero, equal the lane model's.  The slot lists are built twice:
+    from templates of the block's own, and through one template store
+    shared over the kernel's blocks, as `World` shares its store, so that a
+    template built for one block is checked on every block that reuses it.
+    Returns that shared store."""
+    templates = {}
     for b in enumerate_blocks(spec):
-        assert gen_block_trace(spec, b, line_bytes) == \
-            lane_slots(spec, b, line_bytes), b
+        lanes = lane_slots(spec, b, line_bytes)
+        assert gen_block_trace(spec, b, line_bytes) == lanes, b
+        assert gen_block_trace(spec, b, line_bytes, templates) == lanes, b
         for zero_base in (False, True):
             assert block_page_set(spec, b, page_size, zero_base) == \
                 lane_page_set(spec, b, page_size, zero_base), (b, zero_base)
+    return templates

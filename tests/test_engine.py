@@ -1,7 +1,8 @@
 """End-to-end tests of the engine: golden reports over a sampled policy
 matrix and the benchmark's three workloads, the event-skip loop against the
-per-cycle loop, World's running indexes against a rescan, the L1 cache and
-write-through L1, the `--trace` CSVs and runs cut at the horizon.
+per-cycle loop, the phase-guarded step against every phase on every step,
+World's running indexes against a rescan, the L1 cache and write-through
+L1, the `--trace` CSVs and runs cut at the horizon.
 
 Every recorded value these tests compare is a file under tests/fixtures/,
 with one entry per line: the golden reports (golden/), the dispatch logs
@@ -228,6 +229,10 @@ def test_golden_report(name, monkeypatch):
     # keep
     if name in BENCH_GOLDEN:
         assert calls["step"] == load_fixture("steps.json")["bench_steps"][name]
+    # the warp templates the run built, one per matrix and line offset of
+    # a block's start, each shared by every block that starts there
+    assert len(world.templates) \
+        == load_fixture("steps.json")["templates"][name]
     # the CPU stream is drawn at most one arrival ahead of the run
     assert len(world.cpu_stream) - world.cpu_next <= 1
     # the issue phase asks only the SMs flagged issuable, and each pick
@@ -309,6 +314,8 @@ def test_setup_is_bounded_by_work_not_by_the_horizon(tmp_path):
     config = dict(BENCH_GOLDEN["bench-corun"], horizon=10**9)
     world = World(config_from_dict(config))
     assert len(world.cpu_stream) <= 1
+    # a block's warp templates are built when the run dispatches it
+    assert not world.templates
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["validate", "--config", str(path)]) == EXIT_OK
@@ -395,6 +402,76 @@ def test_each_gpu_slot_is_translated_once(name, monkeypatch):
     assert gpu_calls == report.l1_hits + report.l1_misses > 0
 
 
+def every_phase_run(world: World) -> tuple:
+    """Run `world` as the loop before the phase guards did: every phase on
+    every step, dispatch behind its own `room_freed` test, and the skip
+    check after every step.  Returns the report, the steps and the skip
+    checks."""
+    horizon, steps, checks = world.cfg.horizon, 0, 0
+    while world.cycle < horizon:
+        world._fire_due()
+        if world.room_freed:
+            world._phase_dispatch()
+        world._phase_issue()
+        world._phase_cpu()
+        world._phase_mc()
+        world._phase_reply()
+        world._tick(1)
+        steps += 1
+        if world.cycle >= horizon or world.done():
+            break
+        nxt = world._next_event_cycle()
+        checks += 1
+        assert nxt is not None
+        if nxt != world.cycle:
+            world._tick(min(nxt, horizon) - world.cycle)
+    return world._report(truncated=not world.done()), steps, checks
+
+
+def guarded_run(config: dict) -> tuple:
+    """Run `config` through `World.run`, and assert, before each step that
+    the run took with no skip check ahead of it, that the check would have
+    answered the current cycle.  Returns the report, the world and the
+    counts of steps, skip checks and steps taken with none ahead."""
+    world = World(config_from_dict(config), collect_issue_log=True)
+    step, check = world.step, world._next_event_cycle
+    counts = Counter()
+    asked = True  # nothing is skipped before the first step
+
+    def counting_check():
+        nonlocal asked
+        asked = True
+        counts["checks"] += 1
+        return check()
+
+    def checking_step():
+        nonlocal asked
+        if not asked:  # firing its due entries early moves nothing
+            assert check() == world.cycle
+            counts["skipped"] += 1
+        asked = False
+        counts["steps"] += 1
+        step()
+
+    world.step, world._next_event_cycle = checking_step, counting_check
+    return world.run(), world, counts
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+def test_the_guarded_step_matches_every_phase_on_every_step(name):
+    report, world, counts = guarded_run(ALL_GOLDEN[name])
+    ref = World(config_from_dict(ALL_GOLDEN[name]), collect_issue_log=True)
+    ref_report, ref_steps, ref_checks = every_phase_run(ref)
+    assert report.to_json() == ref_report.to_json()
+    assert world.dispatch_log == ref.dispatch_log
+    assert world.issue_log == ref.issue_log
+    assert counts["steps"] == ref_steps
+    # between two steps the run either checked or knew the answer, and it
+    # knew it at least once
+    assert counts["checks"] + counts["skipped"] == ref_checks
+    assert counts["skipped"] > 0
+
+
 # golden-sized runs over every policy axis; the short horizons cut runs
 # mid-flight
 RUN_CONFIGS = st.builds(
@@ -414,9 +491,13 @@ RUN_CONFIGS = st.builds(
 def test_skipping_matches_the_per_cycle_loop(config):
     # truncated reports are compared too, and so are the logs: an event
     # fired a cycle late can leave the report as it was but moves them
-    skipped, world = run_report(config)
+    skipped, world, _ = guarded_run(config)
     stepped, ref = run_report(config, skip=False)
     assert skipped.to_json() == stepped.to_json()
+    phased = World(config_from_dict(config), collect_issue_log=True)
+    assert every_phase_run(phased)[0].to_json() == skipped.to_json()
+    assert (phased.dispatch_log, phased.issue_log) \
+        == (world.dispatch_log, world.issue_log)
     reference = world_reference(world)
     assert log_fields(skipped, reference) == reference
     assert world.dispatch_log == ref.dispatch_log
@@ -1139,14 +1220,17 @@ def test_run_cut_at_the_horizon_reports_truncated(horizon, tmp_path):
 def steps_json() -> str:
     """The recorded step counts: the `World.step` calls of the benchmark's
     runs, the CPU hold-back steps of each cell with CPU traffic, and the
-    `L1Cache.lookup` calls of every golden run."""
-    counts = {name: counting_run(config)[2]
-              for name, config in sorted(ALL_GOLDEN.items())}
+    `L1Cache.lookup` calls and warp templates of every golden run."""
+    runs = {name: counting_run(config)
+            for name, config in sorted(ALL_GOLDEN.items())}
+    counts = {name: calls for name, (_, _, calls) in runs.items()}
     tables = {
         "bench_steps": {n: counts[n]["step"] for n in BENCH_GOLDEN},
         "cpu_hold_back_steps": {n: counts[n]["held_back"]
                                 for n in CPU_CELLS},
-        "lookup_calls": {n: counts[n]["lookup"] for n in ALL_GOLDEN}}
+        "lookup_calls": {n: counts[n]["lookup"] for n in ALL_GOLDEN},
+        "templates": {n: len(world.templates)
+                      for n, (_, world, _) in runs.items()}}
     return json.dumps(tables, indent=2, sort_keys=True) + "\n"
 
 

@@ -296,6 +296,38 @@ ODD_WARPS = KernelSpec(
         MatrixMapping(4096, 40, 12, MappingKind.INTERLEAVED, 1, 1.0)))
 
 
+# kernels whose blocks start at many offsets within a line, so that each
+# builds many warp templates and reuses each over several blocks
+MANY_OFFSETS = {
+    # 12-byte elements in 5-wide blocks: a block starts 60 bytes past the
+    # last, at every multiple of 4 within a 32-byte line
+    "12-byte element": (KernelSpec(
+        grid_dim=(8, 3), block_dim=(5, 2), warp_size=4, matrices=(
+            MatrixMapping(0, 12, 40, MappingKind.INTERLEAVED, 1, 1.0),)),
+        32, {(0, o) for o in range(0, 32, 4)}),
+    # 40-byte elements span more than a 32-byte line; the clustered
+    # matrix's 12-byte elements make blocks 72 bytes long
+    "element wider than a line": (KernelSpec(
+        grid_dim=(4, 3), block_dim=(3, 2), warp_size=4, matrices=(
+            MatrixMapping(4096, 40, 12, MappingKind.INTERLEAVED, 2, 0.5),
+            MatrixMapping(8192, 12, 7, MappingKind.CLUSTERED, 1, 0.0))),
+        32, {(i, o) for i in (0, 1) for o in (0, 8, 16, 24)}),
+    # 3 words wide: neither mapping's block width is a multiple of a line
+    "block width not a multiple of a line": (KernelSpec(
+        grid_dim=(8, 2), block_dim=(3, 1), warp_size=2, matrices=(
+            MatrixMapping(0, 4, 24, MappingKind.INTERLEAVED, 1, 1.0),
+            MatrixMapping(0, 4, 5, MappingKind.CLUSTERED, 1, 1.0))),
+        16, {(i, o) for i in (0, 1) for o in (0, 4, 8, 12)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_OFFSETS))
+def test_blocks_at_many_line_offsets_match_the_lane_model(name):
+    spec, line_bytes, keys = MANY_OFFSETS[name]
+    # one template per (matrix, offset of a block's start within its line)
+    assert assert_matches_lane_model(spec, line_bytes, 64).keys() == keys
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=random_kernels(),
        line_bytes=st.sampled_from([1, 2, 4, 8, 16, 32, 128]),
